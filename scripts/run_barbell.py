@@ -28,10 +28,8 @@ def main():
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    G = cf.barbell(n, eps)
-    P = cf.transition_matrix(G)
-    pi = cf.stationary_distribution(P)
-    F = cf.edge_flow(P, pi)
+    pipe = cf.Pipeline(cf.barbell(n, eps))
+    G, P, pi, F = pipe.G, pipe.P, pipe.pi, pipe.F
     forms = cf.barbell_closed_forms(n, eps)
     w = forms["w"]
 
@@ -39,15 +37,14 @@ def main():
     print(f"stationary: ring node {pi[G.index('l1')]:.8f} (exact {w:.8f}), "
           f"center {pi[G.index('l0')]:.8f} (exact {forms['pi_center']:.8f})")
 
-    dec_it = cf.iterative_decomposition(F, nodes=G.nodes)
+    dec_it = pipe.dec
     print(f"\nflow peeling found {len(dec_it.weights)} cycles:")
     for c in dec_it.cycles:
         print(f"  len {len(c):3d}  w = {dec_it.weights[c]:.10f}")
     print(f"exact ring weight {w:.10f}, bridge weight {eps * w:.10f}")
 
     t0 = time.monotonic()
-    traj = cf.simulate(P, 0, args.T, seed=args.seed)
-    dec_s = cf.sample_decomposition(traj, n_nodes=G.n)
+    dec_s = cf.Pipeline(G, T=args.T, seed=args.seed).dec
     print(f"\nsampling T={args.T:.0e} took {time.monotonic() - t0:.2f}s, "
           f"{len(dec_s.weights)} cycles")
     for c in dec_s.cycles:
@@ -57,11 +54,8 @@ def main():
     print(f"flow residual: {cf.verify_flow_decomposition(dec_s, F):.3e} "
           f"({cf.verify_flow_decomposition(dec_s, F) / F.max():.4%} of max flow)")
 
-    B = cf.node_to_cycle_matrix(dec_it, pi)
-    V = cf.cycle_to_node_matrix(dec_it)
-    P_lift = cf.lifted_node_chain(B, V)
     rep_walk = cf.spectrum(P)
-    rep_lift = cf.spectrum_reversible(P_lift, pi)
+    rep_lift = cf.spectrum_reversible(pipe.P_lift, pipe.pi_lift)
     (outdir / "spectrum_walk.csv").write_text(rep_walk.csv_text())
     (outdir / "spectrum_lifted.csv").write_text(rep_lift.csv_text())
     lam = rep_lift.real_sorted()
@@ -70,7 +64,7 @@ def main():
           f"lambda_3 = {(eps / (1 + eps)) * (1 - 1 / n):.6f}")
     print(f"wrote spectra to {outdir}/")
 
-    K = cf.communication_graph(dec_it, pi)
+    K = pipe.K
     two = np.array([0] * n + [1] * n)
     three = np.concatenate([np.zeros(n // 2, int), np.ones(n - n // 2, int),
                             np.full(n, 2)])

@@ -51,17 +51,10 @@ def partition_type(G, n, z):
 
 
 def cluster_report(n, p, T, seed, m=None):
-    G = cf.wheel_switch(n, p)
-    P = cf.transition_matrix(G)
-    pi = cf.stationary_distribution(P)
-    traj = cf.simulate(P, 0, T, seed=seed)
-    dec = cf.sample_decomposition(traj, n_nodes=G.n)
-    K = cf.communication_graph(dec, pi)
+    pipe = cf.Pipeline(cf.wheel_switch(n, p), T=T, seed=seed)
+    G, dec, K = pipe.G, pipe.dec, pipe.K
     if m is None:
-        B = cf.node_to_cycle_matrix(dec, pi)
-        rep = cf.spectrum_reversible(
-            cf.lifted_node_chain(B, cf.cycle_to_node_matrix(dec)), pi)
-        m = cf.estimate_num_modules(rep, 8)
+        m = cf.estimate_num_modules(cf.spectrum_reversible(pipe.P_lift, pipe.pi_lift), 8)
     cores = cf.find_cores(K, m, 0.9)
     q = cf.committors(K, cores)
     print(f"\np = {p}: {len(dec.weights)} sampled cycles, m = {m}")
@@ -95,11 +88,8 @@ def main():
     switch_at = None
     for pc in range(50, 76):
         p = pc / 100
-        G = cf.wheel_switch(n, p)
-        P = cf.transition_matrix(G)
-        pi = cf.stationary_distribution(P)
-        dec = cf.iterative_decomposition(cf.edge_flow(P, pi), nodes=G.nodes)
-        K = cf.communication_graph(dec, pi)
+        pipe = cf.Pipeline(cf.wheel_switch(n, p))
+        G, pi, K = pipe.G, pipe.pi, pipe.K
         score, z = best_bipartition(K.intensity, pi)
         kind = partition_type(G, n, z)
         lab_oi = np.array([0] * n + [1] * n)

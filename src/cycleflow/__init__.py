@@ -27,8 +27,6 @@ from .cycles import (
 from .lifted import (
     node_to_cycle_matrix,
     cycle_to_node_matrix,
-    lifted_node_chain,
-    lifted_cycle_chain,
     cycle_stationary,
     SpectrumReport,
     spectrum,
@@ -44,6 +42,7 @@ from .commgraph import (
     communication_graph,
     cycle_graph,
     export_graph,
+    Pipeline,
 )
 from .clustering import (
     ModuleCores,

@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -21,13 +20,10 @@ import numpy as np
 
 from . import generators
 from .clustering import committors, estimate_num_modules, find_cores, fuzzy_partition
-from .commgraph import communication_graph, cycle_graph, export_graph
-from .cycles import (decomposition_to_json, iterative_decomposition,
-                     sample_decomposition, verify_flow_decomposition)
-from .graph import (edge_flow, read_edge_list, read_trajectory, simulate,
-                    stationary_distribution, transition_matrix, write_edge_list)
-from .lifted import (cycle_to_node_matrix, lifted_node_chain,
-                     node_to_cycle_matrix, spectrum, spectrum_reversible)
+from .commgraph import Pipeline, cycle_graph, export_graph
+from .cycles import decomposition_to_json, sample_decomposition, verify_flow_decomposition
+from .graph import read_edge_list, read_trajectory, write_edge_list
+from .lifted import spectrum, spectrum_reversible
 from .modularity import maximize, modules_from_labels, score_q_directed, score_qbar
 
 EXIT_OK = 0
@@ -81,29 +77,17 @@ def _tag(config: RunConfig, input_path=None) -> dict:
     return tag
 
 
-def _load_pipeline(config: RunConfig):
-    """Graph file -> (G, P, pi, decomposition) per the configured decomposer."""
+def _load_pipeline(config: RunConfig) -> Pipeline:
+    """Graph file -> Pipeline, decomposed by the configured decomposer."""
     G = read_edge_list(config.input)
-    P = transition_matrix(G)
-    pi = stationary_distribution(P, tol=config.tol)
     if config.decomposer == "iterative":
-        dec = iterative_decomposition(edge_flow(P, pi), nodes=G.nodes)
-    elif config.decomposer == "sample":
-        if config.T < 2:
-            raise ValueError("trajectory length T must be >= 2")
-        if config.start is None:
-            start = 0
-        else:
-            try:
-                start = G.index(config.start)
-            except KeyError:
-                raise ValueError(f"unknown start node {config.start!r}") from None
-        traj = simulate(P, start, config.T, seed=config.seed)
-        traj = dataclasses.replace(traj, nodes=G.nodes)
-        dec = sample_decomposition(traj, n_nodes=G.n)
-    else:
-        raise ValueError(f"unknown decomposer {config.decomposer!r}")
-    return G, P, pi, dec
+        return Pipeline(G, tol=config.tol)
+    if config.decomposer == "sample":
+        if config.start is not None and config.start not in G.nodes:
+            raise ValueError(f"unknown start node {config.start!r}")
+        start = 0 if config.start is None else G.index(config.start)
+        return Pipeline(G, T=config.T, seed=config.seed, start=start, tol=config.tol)
+    raise ValueError(f"unknown decomposer {config.decomposer!r}")
 
 
 def cmd_generate(config: RunConfig, output: Path) -> int:
@@ -133,11 +117,11 @@ def cmd_decompose(config: RunConfig, outdir: Path) -> int:
         extra = _tag(config, config.trajectory)
         extra["flow_residual"] = None  # no reference flow in timeseries mode
     else:
-        G, P, pi, dec = _load_pipeline(config)
-        F = edge_flow(P, pi)
+        pipe = _load_pipeline(config)
+        dec = pipe.dec
         extra = _tag(config, config.input)
-        extra["flow_residual"] = verify_flow_decomposition(dec, F)
-        extra["max_flow"] = float(F.max())
+        extra["flow_residual"] = verify_flow_decomposition(dec, pipe.F)
+        extra["max_flow"] = float(pipe.F.max())
     out = outdir / "decomposition.json"
     out.write_text(decomposition_to_json(dec, extra), encoding="utf-8")
     resid = extra.get("flow_residual")
@@ -147,11 +131,9 @@ def cmd_decompose(config: RunConfig, outdir: Path) -> int:
 
 
 def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
-    G, P, pi, dec = _load_pipeline(config)
-    B = node_to_cycle_matrix(dec, pi)
-    Pn = lifted_node_chain(B, cycle_to_node_matrix(dec))
-    rep_walk = spectrum(P, k=config.k)
-    rep_lift = spectrum_reversible(Pn, pi, k=config.k)
+    pipe = _load_pipeline(config)
+    rep_walk = spectrum(pipe.P, k=config.k)
+    rep_lift = spectrum_reversible(pipe.P_lift, pipe.pi_lift, k=config.k)
     (outdir / "spectrum_walk.csv").write_text(rep_walk.csv_text(), encoding="utf-8")
     (outdir / "spectrum_lifted.csv").write_text(rep_lift.csv_text(), encoding="utf-8")
     _dump_json(outdir / "spectrum.json", {
@@ -164,15 +146,15 @@ def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _cluster_cmsm(config: RunConfig, G, pi, dec, K):
+def _cluster_cmsm(config: RunConfig, pipe: Pipeline):
     if config.m == "auto":
-        B = node_to_cycle_matrix(dec, pi)
-        rep = spectrum_reversible(lifted_node_chain(B, cycle_to_node_matrix(dec)), pi)
+        rep = spectrum_reversible(pipe.P_lift, pipe.pi_lift)
         m = estimate_num_modules(rep, config.m_max)
     else:
         m = int(config.m)
-    cores = find_cores(K, m, config.theta)
-    q = committors(K, cores)
+    G = pipe.G
+    cores = find_cores(pipe.K, m, config.theta)
+    q = committors(pipe.K, cores)
     part = fuzzy_partition(cores, q)
     return {
         "m": part.m,
@@ -186,10 +168,10 @@ def _cluster_cmsm(config: RunConfig, G, pi, dec, K):
 
 
 def cmd_cluster(config: RunConfig, outdir: Path) -> int:
-    G, P, pi, dec = _load_pipeline(config)
-    K = communication_graph(dec, pi)
+    pipe = _load_pipeline(config)
+    G, P, pi, K = pipe.G, pipe.P, pipe.pi, pipe.K
     if config.method == "cmsm":
-        result = _cluster_cmsm(config, G, pi, dec, K)
+        result = _cluster_cmsm(config, pipe)
         lines = ["node,label,tie," + ",".join(f"q{j}" for j in range(result["m"]))]
         tie_set = set(result["ties"])
         for v in G.nodes:
@@ -237,8 +219,8 @@ def _read_partition_file(path, G):
 
 
 def cmd_modularity(config: RunConfig, outdir: Path) -> int:
-    G, P, pi, dec = _load_pipeline(config)
-    K = communication_graph(dec, pi)
+    pipe = _load_pipeline(config)
+    G, P, pi, K = pipe.G, pipe.P, pipe.pi, pipe.K
     labels = _read_partition_file(config.partition, G)
     result = {
         "q_directed": score_q_directed(P, pi, labels),
@@ -253,12 +235,11 @@ def cmd_modularity(config: RunConfig, outdir: Path) -> int:
 
 
 def cmd_export_graph(config: RunConfig, output: Path) -> int:
-    G, P, pi, dec = _load_pipeline(config)
+    pipe = _load_pipeline(config)
     if config.which == "communication":
-        graph = communication_graph(dec, pi)
+        graph = pipe.K
     elif config.which == "cycle":
-        B = node_to_cycle_matrix(dec, pi)
-        graph = cycle_graph(dec, B)
+        graph = cycle_graph(pipe.dec, pipe.B)
     else:
         raise ValueError(f"unknown graph kind {config.which!r}")
     text = export_graph(graph, config.format, include_self_loops=config.self_loops)

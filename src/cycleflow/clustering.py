@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .commgraph import CommunicationGraph
-from .lifted import SpectrumReport, _reversible_eigenpairs
+from .lifted import SpectrumReport, _symmetrize
 
 __all__ = [
     "ModuleCores",
@@ -84,12 +84,12 @@ def estimate_num_modules(report: SpectrumReport, m_max: int = 8) -> int:
 
 def _spectral_embedding(K: CommunicationGraph, m: int) -> np.ndarray:
     """Rows of the top-m right eigenvectors of the walk, normalized to unit norm."""
-    P = K.walk_matrix()
     dist = K.intensity.sum(axis=1)
     dist = dist / dist.sum()
-    vals, vecs = _reversible_eigenpairs(P, dist)
+    S, d = _symmetrize(K.walk_matrix(), dist)
+    vals, U = np.linalg.eigh(S)
     order = np.argsort(vals)[::-1]
-    X = vecs[:, order[:m]]
+    X = U[:, order[:m]] / d[:, None]
     norms = np.linalg.norm(X, axis=1)
     if np.any(norms == 0.0):
         raise RuntimeError("degenerate spectral embedding (zero row)")
@@ -200,11 +200,7 @@ def committors(K: CommunicationGraph, cores: ModuleCores) -> np.ndarray:
     tr = list(cores.transition)
     if tr:
         all_core = sorted(set(range(n)) - set(tr))
-        dist = K.intensity.sum(axis=1)
-        d = np.sqrt(dist[tr])
-        A = np.eye(len(tr)) - P[np.ix_(tr, tr)]
-        S = (d[:, None] * A) / d[None, :]
-        S = 0.5 * (S + S.T)
+        S, d = _symmetrize(np.eye(len(tr)) - P[np.ix_(tr, tr)], K.intensity.sum(axis=1)[tr])
         rhs = P[np.ix_(tr, all_core)] @ q[all_core, :]
         try:
             y = np.linalg.solve(S, d[:, None] * rhs)

@@ -4,16 +4,21 @@ The communication graph weights node pairs by how easily the walk carries
 probability between them: many short, heavy cycles through both nodes mean
 intense communication.  The cycle graph weights cycle pairs by the flux they
 exchange per step.  Both matrices are exactly symmetric by construction.
+`Pipeline` chains every stage from a graph to these matrices.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .cycles import CycleDecomposition
+from .cycles import CycleDecomposition, iterative_decomposition, sample_decomposition
+from .graph import (DirectedGraph, edge_flow, simulate, stationary_distribution,
+                    transition_matrix)
+from .lifted import cycle_stationary, cycle_to_node_matrix, node_to_cycle_matrix
 
 __all__ = [
     "CommunicationGraph",
@@ -21,6 +26,7 @@ __all__ = [
     "communication_graph",
     "cycle_graph",
     "export_graph",
+    "Pipeline",
 ]
 
 # entries below this are sampling-noise floor and stored as exact zeros
@@ -71,14 +77,13 @@ def communication_graph(dec: CycleDecomposition, pi: np.ndarray) -> Communicatio
 
     Self-loops (x == y) are kept: they carry the mass that makes each row sum
     to pi[x].  I equals diag(pi) times the lifted node chain when the weights
-    are exact.
+    are exact.  Computed as X^T X with X[alpha, x] = sqrt(w/|alpha|) on the
+    cycle's nodes, a symmetric rank-k product, so I is exactly symmetric.
     """
     pi = np.asarray(pi, dtype=float)
-    n = dec.n_nodes
-    I = np.zeros((n, n))
-    for c, w in dec.weights.items():
-        idx = list(c)
-        I[np.ix_(idx, idx)] += w / len(c)
+    X = np.zeros((len(dec.cycles), dec.n_nodes))
+    X[dec.rows, dec.members] = np.sqrt(dec.w / dec.lengths)[dec.rows]
+    I = X.T @ X
     I[np.abs(I) < _ZERO_FLOOR] = 0.0
     uncovered = np.flatnonzero(I.sum(axis=1) == 0.0)
     if uncovered.size:
@@ -89,29 +94,23 @@ def communication_graph(dec: CycleDecomposition, pi: np.ndarray) -> Communicatio
 def cycle_graph(dec: CycleDecomposition, B: np.ndarray) -> CycleGraph:
     """Exchange matrix W[a, b] = sum over shared nodes x of w(a) * B[x, b].
 
-    Symmetric because both lifted chains are reversible; stored as the upper
-    triangle mirrored so symmetry is exact.
+    This is |a| w(a) times the cycle chain V B: its stationary flux, hence
+    symmetric because the chain is reversible; stored as the upper triangle
+    mirrored so symmetry is exact.
     """
-    cycles = dec.cycles
-    w = np.array([dec.weights[c] for c in cycles])
-    member = np.zeros((len(cycles), dec.n_nodes))
-    for j, c in enumerate(cycles):
-        member[j, list(c)] = 1.0
-    W = w[:, None] * (member @ B)
+    W = (dec.lengths * dec.w)[:, None] * (cycle_to_node_matrix(dec) @ B)
     W = np.triu(W) + np.triu(W, 1).T
     W[np.abs(W) < _ZERO_FLOOR] = 0.0
-    mu = np.array([len(c) * dec.weights[c] for c in cycles])
-    mu = mu / mu.sum()
-    return CycleGraph(exchange=W, mu=mu, cycles=tuple(cycles), nodes=dec.nodes)
+    return CycleGraph(exchange=W, mu=cycle_stationary(dec), cycles=tuple(dec.cycles),
+                      nodes=dec.nodes)
 
 
 def _edge_iter(M: np.ndarray, include_self_loops: bool):
-    n = M.shape[0]
-    for i in range(n):
-        start = i if include_self_loops else i + 1
-        for j in range(start, n):
-            if M[i, j] != 0.0:
-                yield i, j, float(M[i, j])
+    """(i, j, M[i, j]) over the non-zero upper triangle, row by row in index order."""
+    first = 0 if include_self_loops else 1
+    for i in range(M.shape[0]):
+        cols = np.flatnonzero(M[i, i + first:]) + i + first
+        yield from zip([i] * cols.size, cols.tolist(), M[i, cols].tolist())
 
 
 def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
@@ -127,14 +126,14 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
         M, ids = graph.exchange, graph.node_ids()
     else:
         raise TypeError(f"cannot export {type(graph).__name__}")
+    edges = _edge_iter(M, include_self_loops)
 
     if fmt == "tsv":
-        lines = [f"{ids[i]}\t{ids[j]}\t{wij!r}"
-                 for i, j, wij in _edge_iter(M, include_self_loops)]
+        lines = [f"{ids[i]}\t{ids[j]}\t{wij!r}" for i, j, wij in edges]
         return "\n".join(lines) + "\n"
     if fmt == "dot":
         lines = ["graph G {"]
-        for i, j, wij in _edge_iter(M, include_self_loops):
+        for i, j, wij in edges:
             lines.append(f'  "{ids[i]}" -- "{ids[j]}" [weight={wij!r}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -142,7 +141,60 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
         obj = {
             "nodes": list(ids),
             "edges": [{"source": ids[i], "target": ids[j], "weight": wij}
-                      for i, j, wij in _edge_iter(M, include_self_loops)],
+                      for i, j, wij in edges],
         }
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     raise ValueError(f"unknown export format {fmt!r} (expected dot, tsv or json)")
+
+
+class Pipeline:
+    """Everything derived from one graph; the flow F and the matrices over cycles
+    are built on first access.  The decomposition peels the exact flow or, with T
+    given, samples T states of the walk from `start`.  `pi_lift`, the normalized
+    node mass, is what P_lift is reversible with; it equals pi for exact weights.
+    """
+
+    def __init__(self, G: DirectedGraph, T: int | None = None, seed: int = 0,
+                 start: int = 0, tol: float = 1e-12):
+        self.G = G
+        self.P = transition_matrix(G)
+        self.pi = stationary_distribution(self.P, tol=tol)
+        if T is None:
+            self.dec = iterative_decomposition(edge_flow(self.P, self.pi), nodes=G.nodes)
+        else:
+            traj = replace(simulate(self.P, start, T, seed=seed), nodes=G.nodes)
+            self.dec = sample_decomposition(traj, n_nodes=G.n)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return edge_flow(self.P, self.pi)
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return node_to_cycle_matrix(self.dec)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return cycle_to_node_matrix(self.dec)
+
+    @cached_property
+    def P_lift(self) -> np.ndarray:
+        # a fresh V, freed after the product: P_lift alone needs no cached V
+        return self.B @ cycle_to_node_matrix(self.dec)
+
+    @cached_property
+    def pi_lift(self) -> np.ndarray:
+        mass = self.dec.node_mass()
+        return mass / mass.sum()
+
+    @cached_property
+    def Q_lift(self) -> np.ndarray:
+        return self.V @ self.B
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return cycle_stationary(self.dec)
+
+    @cached_property
+    def K(self) -> CommunicationGraph:
+        return communication_graph(self.dec, self.pi)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -74,27 +76,36 @@ class CycleDecomposition:
             if w <= 0.0:
                 raise ValueError(f"cycle {c} has non-positive weight {w}")
 
-    @property
+    @cached_property
     def cycles(self) -> list[Cycle]:
-        """Cycles in canonical (lexicographic) order; fixes matrix columns."""
+        """Cycles in canonical (lexicographic) order, the order of the arrays `w`,
+        `lengths`, `members` (their nodes, concatenated) and `rows` (each member's cycle)."""
         return sorted(self.weights)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return np.array([self.weights[c] for c in self.cycles], dtype=float)
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return np.array([len(c) for c in self.cycles], dtype=np.intp)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        return np.fromiter(chain.from_iterable(self.cycles), dtype=np.intp,
+                           count=int(self.lengths.sum()))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.cycles)), self.lengths)
 
     def weight(self, cycle) -> float:
         return self.weights.get(canonical_cycle(cycle), 0.0)
 
     def node_mass(self) -> np.ndarray:
         """Per-node sum of weights of the cycles through it (~ stationary mass)."""
-        s = np.zeros(self.n_nodes)
-        for c, w in self.weights.items():
-            for x in c:
-                s[x] += w
-        return s
-
-    def covered_nodes(self) -> np.ndarray:
-        covered = np.zeros(self.n_nodes, dtype=bool)
-        for c in self.weights:
-            covered[list(c)] = True
-        return covered
+        return np.bincount(self.members, weights=np.repeat(self.w, self.lengths),
+                           minlength=self.n_nodes)
 
     def node_ids(self, cycle: Cycle):
         if self.nodes is None:
@@ -142,11 +153,14 @@ def sample_decomposition(traj: Trajectory, n_nodes: int | None = None) -> CycleD
             del pos[y]
         del eta[p + 1:]
         # the chain still ends at the walker's current node x (position p)
+    dec = CycleDecomposition(weights={c: k / T for c, k in counts.items()},
+                             counts=counts, kind="sampled", T=T, n_nodes=n_nodes,
+                             nodes=traj.nodes)
     # each step closes at most one cycle, so the counted steps cannot exceed T
-    assert sum(k * len(c) for c, k in counts.items()) <= T
-    weights = {c: k / T for c, k in counts.items()}
-    return CycleDecomposition(weights=weights, counts=counts, kind="sampled",
-                              T=T, n_nodes=n_nodes, nodes=traj.nodes)
+    closed = round(float(dec.lengths @ dec.w) * T)
+    if closed > T:
+        raise RuntimeError(f"loop erasure counted {closed} cycle steps in {T} states")
+    return dec
 
 
 def merge_decompositions(decs) -> CycleDecomposition:
@@ -235,10 +249,9 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
         if cyc_nodes is None:
             continue
         cyc = canonical_cycle(cyc_nodes)
-        m = len(cyc_nodes)
-        w = float(min(F[cyc_nodes[i], cyc_nodes[(i + 1) % m]] for i in range(m)))
-        for i in range(m):
-            F[cyc_nodes[i], cyc_nodes[(i + 1) % m]] -= w
+        succ = cyc_nodes[1:] + cyc_nodes[:1]
+        w = float(F[cyc_nodes, succ].min())
+        F[cyc_nodes, succ] -= w
         if w > tol:
             weights[cyc] = weights.get(cyc, 0.0) + w
     else:
@@ -250,11 +263,13 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
 def verify_flow_decomposition(dec: CycleDecomposition, F: np.ndarray) -> float:
     """Max over matrix entries of |F - sum of cycle weights through the edge|."""
     F = np.asarray(F, dtype=float)
-    S = np.zeros_like(F)
-    for c, w in dec.weights.items():
-        m = len(c)
-        for i in range(m):
-            S[c[i], c[(i + 1) % m]] += w
+    n = F.shape[0]
+    # each member's successor on its cycle: the next entry, wrapping at the cycle's end
+    nxt = np.arange(1, dec.members.size + 1)
+    ends = np.cumsum(dec.lengths) - 1
+    nxt[ends] = ends + 1 - dec.lengths
+    S = np.bincount(dec.members * n + dec.members[nxt], weights=np.repeat(dec.w, dec.lengths),
+                    minlength=n * n).reshape(n, n)
     return float(np.max(np.abs(F - S)))
 
 

@@ -77,13 +77,6 @@ class DirectedGraph:
             K[self._index[x], self._index[y]] = w
         return K
 
-    def out_neighbors(self):
-        """Per-node lists of successor indices, each sorted ascending."""
-        succ = [[] for _ in range(self.n)]
-        for (x, y) in self.edges:
-            succ[self._index[x]].append(self._index[y])
-        return [sorted(s) for s in succ]
-
     @classmethod
     def from_edge_list(cls, triples):
         """Build a graph from (src, dst, weight) triples.
@@ -109,7 +102,6 @@ class Trajectory:
     """A realization of the walk as a sequence of node indices."""
 
     states: np.ndarray
-    seed: int | None = None
     nodes: tuple[str, ...] | None = field(default=None, repr=False)
 
     @property
@@ -280,7 +272,7 @@ def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
         out[pos:pos + m] = chunk
         pos += m
         remaining -= m
-    return Trajectory(states=out, seed=seed)
+    return Trajectory(states=out)
 
 
 def read_edge_list(path) -> DirectedGraph:

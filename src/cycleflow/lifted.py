@@ -20,8 +20,6 @@ from .cycles import CycleDecomposition, reverse_cycle
 __all__ = [
     "node_to_cycle_matrix",
     "cycle_to_node_matrix",
-    "lifted_node_chain",
-    "lifted_cycle_chain",
     "cycle_stationary",
     "SpectrumReport",
     "spectrum",
@@ -34,54 +32,34 @@ __all__ = [
 ]
 
 
-def node_to_cycle_matrix(dec: CycleDecomposition, pi: np.ndarray) -> np.ndarray:
+def node_to_cycle_matrix(dec: CycleDecomposition) -> np.ndarray:
     """|V| x |Gamma| row-stochastic matrix of node-to-cycle probabilities.
 
-    Entry (x, alpha) is w(alpha)/pi_x for x in alpha, else 0.  Rows are
-    renormalized to sum exactly to 1, which absorbs sampling error in the
-    weights (for exact weights the row sums are already 1 up to rounding).
+    Entry (x, alpha) is w(alpha)/m_x for x in alpha, else 0, with m_x the node
+    mass: w(alpha)/pi_x with rows renormalized, which absorbs sampling error in
+    the weights (for exact weights m = pi up to rounding).
     Raises if some node lies on no cycle.
     """
-    pi = np.asarray(pi, dtype=float)
-    cycles = dec.cycles
-    B = np.zeros((dec.n_nodes, len(cycles)))
-    for j, c in enumerate(cycles):
-        w = dec.weights[c]
-        for x in c:
-            B[x, j] = w / pi[x]
-    rowsum = B.sum(axis=1)
-    uncovered = np.flatnonzero(rowsum == 0.0)
+    mass = dec.node_mass()
+    uncovered = np.flatnonzero(mass == 0.0)
     if uncovered.size:
-        raise ValueError(
-            f"node index {int(uncovered[0])} is covered by no cycle; "
-            "the decomposition does not span the graph"
-        )
-    return B / rowsum[:, None]
+        raise ValueError(f"node index {int(uncovered[0])} is covered by no cycle; "
+                         "the decomposition does not span the graph")
+    B = np.zeros((dec.n_nodes, len(dec.cycles)))
+    B[dec.members, dec.rows] = dec.w[dec.rows] / mass[dec.members]
+    return B
 
 
 def cycle_to_node_matrix(dec: CycleDecomposition) -> np.ndarray:
     """|Gamma| x |V| matrix: each cycle row is uniform over its nodes."""
-    cycles = dec.cycles
-    V = np.zeros((len(cycles), dec.n_nodes))
-    for j, c in enumerate(cycles):
-        V[j, list(c)] = 1.0 / len(c)
+    V = np.zeros((len(dec.cycles), dec.n_nodes))
+    V[dec.rows, dec.members] = 1.0 / dec.lengths[dec.rows]
     return V
-
-
-def lifted_node_chain(B: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Transition matrix of the node-cycle-node walk (reversible wrt pi)."""
-    return B @ V
-
-
-def lifted_cycle_chain(V: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Transition matrix of the cycle-node-cycle walk (reversible wrt mu)."""
-    return V @ B
 
 
 def cycle_stationary(dec: CycleDecomposition) -> np.ndarray:
     """Stationary distribution over cycles: |alpha| * w(alpha), normalized."""
-    cycles = dec.cycles
-    mu = np.array([len(c) * dec.weights[c] for c in cycles])
+    mu = dec.lengths * dec.w
     return mu / mu.sum()
 
 
@@ -97,7 +75,6 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     max_imag: float
-    dim: int
 
     def real_sorted(self) -> np.ndarray:
         """Real parts sorted descending (meaningful for reversible chains)."""
@@ -117,16 +94,15 @@ class SpectrumReport:
         return "\n".join(lines) + "\n"
 
 
-def _sorted_report(vals: np.ndarray, dim: int, k: int | None) -> SpectrumReport:
+def _sorted_report(vals: np.ndarray, k: int | None) -> SpectrumReport:
     vals = np.asarray(vals, dtype=complex)
     order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
     vals = vals[order]
     if k is not None:
-        if not 1 <= k <= dim:
-            raise ValueError(f"k={k} out of range for dimension {dim}")
+        if not 1 <= k <= vals.size:
+            raise ValueError(f"k={k} out of range for dimension {vals.size}")
         vals = vals[:k]
-    return SpectrumReport(eigenvalues=vals,
-                          max_imag=float(np.max(np.abs(vals.imag))), dim=dim)
+    return SpectrumReport(eigenvalues=vals, max_imag=float(np.max(np.abs(vals.imag))))
 
 
 def spectrum(M: np.ndarray, k: int | None = None) -> SpectrumReport:
@@ -136,7 +112,15 @@ def spectrum(M: np.ndarray, k: int | None = None) -> SpectrumReport:
         vals = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
-    return _sorted_report(vals, M.shape[0], k)
+    return _sorted_report(vals, k)
+
+
+def _symmetrize(M: np.ndarray, dist: np.ndarray):
+    """(S, sqrt(dist)): S = D^{1/2} M D^{-1/2}, D = diag(dist), averaged with its transpose,
+    which changes it only by rounding when M is reversible wrt a multiple of dist."""
+    d = np.sqrt(np.asarray(dist, dtype=float))
+    S = (d[:, None] * np.asarray(M, dtype=float)) / d[None, :]
+    return 0.5 * (S + S.T), d
 
 
 def spectrum_reversible(M: np.ndarray, dist: np.ndarray,
@@ -147,27 +131,14 @@ def spectrum_reversible(M: np.ndarray, dist: np.ndarray,
     reversible chain, so a symmetric eigensolve returns an exactly real
     spectrum.
     """
-    M = np.asarray(M, dtype=float)
-    d = np.sqrt(np.asarray(dist, dtype=float))
-    if np.any(d <= 0):
+    if np.any(np.asarray(dist) <= 0):
         raise ValueError("reversible spectrum needs a strictly positive distribution")
-    S = (d[:, None] * M) / d[None, :]
-    S = 0.5 * (S + S.T)
+    S, _ = _symmetrize(M, dist)
     try:
         vals = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
-    return _sorted_report(vals, M.shape[0], k)
-
-
-def _reversible_eigenpairs(M: np.ndarray, dist: np.ndarray):
-    """Right eigenpairs of a reversible chain through its symmetrization."""
-    d = np.sqrt(np.asarray(dist, dtype=float))
-    S = (d[:, None] * np.asarray(M, dtype=float)) / d[None, :]
-    S = 0.5 * (S + S.T)
-    vals, U = np.linalg.eigh(S)
-    vecs = U / d[:, None]
-    return vals, vecs
+    return _sorted_report(vals, k)
 
 
 @dataclass(frozen=True)
@@ -199,11 +170,21 @@ def verify_spectral_match(P_node: np.ndarray, Q_cycle: np.ndarray, B: np.ndarray
     cycle chain with lam != 0, B v must satisfy P (B v) = lam (B v), and
     symmetrically V carries node-chain eigenvectors to cycle-chain ones.
     """
-    vals_p, vecs_p = _reversible_eigenpairs(P_node, pi)
-    vals_q, vecs_q = _reversible_eigenpairs(Q_cycle, mu)
-
-    nz_p = np.sort(vals_p[np.abs(vals_p) > zero_tol])[::-1]
-    nz_q = np.sort(vals_q[np.abs(vals_q) > zero_tol])[::-1]
+    nonzero, residual = [], []
+    for M, dist, lift, other in ((P_node, pi, V, Q_cycle), (Q_cycle, mu, B, P_node)):
+        S, d = _symmetrize(M, dist)
+        vals, U = np.linalg.eigh(S)
+        nonzero.append(np.sort(vals[np.abs(vals) > zero_tol])[::-1])
+        res = 0.0
+        for lam, v in zip(vals, (U / d[:, None]).T):
+            if abs(lam) <= zero_tol:
+                continue
+            u = lift @ v
+            norm = np.linalg.norm(u)
+            if norm > 0.0:
+                res = max(res, float(np.linalg.norm(other @ u - lam * u) / norm))
+        residual.append(res)
+    (nz_p, nz_q), (res_v, res_b) = nonzero, residual
 
     detail = ""
     if nz_p.size != nz_q.size:
@@ -216,25 +197,6 @@ def verify_spectral_match(P_node: np.ndarray, Q_cycle: np.ndarray, B: np.ndarray
         matched = diff <= tol
         if not matched:
             detail = f"non-zero spectra deviate by {diff:.3e} > {tol:g}"
-
-    res_b = 0.0
-    for lam, v in zip(vals_q, vecs_q.T):
-        if abs(lam) <= zero_tol:
-            continue
-        bv = B @ v
-        norm = np.linalg.norm(bv)
-        if norm == 0.0:
-            continue
-        res_b = max(res_b, float(np.linalg.norm(P_node @ bv - lam * bv) / norm))
-    res_v = 0.0
-    for lam, v in zip(vals_p, vecs_p.T):
-        if abs(lam) <= zero_tol:
-            continue
-        vv = V @ v
-        norm = np.linalg.norm(vv)
-        if norm == 0.0:
-            continue
-        res_v = max(res_v, float(np.linalg.norm(Q_cycle @ vv - lam * vv) / norm))
 
     return SpectralMatchReport(nonzero_node=nz_p, nonzero_cycle=nz_q,
                         spectra_match=matched, max_spectrum_diff=diff,

@@ -1,7 +1,5 @@
 """Shared graph builders and pipeline helpers for the test suite."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
@@ -93,43 +91,13 @@ def random_strong_graph(rng, n=None):
     return cf.DirectedGraph(nodes, edges)
 
 
-@dataclass
-class Pipeline:
-    """Everything derived from one graph, with an exact (flow-peeled) decomposition."""
-
-    G: cf.DirectedGraph
-    P: np.ndarray
-    pi: np.ndarray
-    F: np.ndarray
-    dec: cf.CycleDecomposition
-    B: np.ndarray
-    V: np.ndarray
-    P_lift: np.ndarray
-    Q_lift: np.ndarray
-    mu: np.ndarray
-    K: cf.CommunicationGraph
-
-
-def build_pipeline(G, dec=None):
-    P = cf.transition_matrix(G)
-    pi = cf.stationary_distribution(P)
-    F = cf.edge_flow(P, pi)
-    if dec is None:
-        dec = cf.iterative_decomposition(F, nodes=G.nodes)
-    B = cf.node_to_cycle_matrix(dec, pi)
-    V = cf.cycle_to_node_matrix(dec)
-    return Pipeline(G=G, P=P, pi=pi, F=F, dec=dec, B=B, V=V,
-                    P_lift=cf.lifted_node_chain(B, V),
-                    Q_lift=cf.lifted_cycle_chain(V, B),
-                    mu=cf.cycle_stationary(dec),
-                    K=cf.communication_graph(dec, pi))
+def build_pipeline(G):
+    """Everything derived from G, with an exact (flow-peeled) decomposition."""
+    return cf.Pipeline(G)
 
 
 def sampled_pipeline(G, T, seed=0, start=0):
-    P = cf.transition_matrix(G)
-    traj = cf.simulate(P, start, T, seed=seed)
-    dec = cf.sample_decomposition(traj, n_nodes=G.n)
-    return build_pipeline(G, dec=dec)
+    return cf.Pipeline(G, T=T, seed=seed, start=start)
 
 
 def mc_hitting_probabilities(P_walk, cores, start, n_walkers, seed, max_steps=100_000):

@@ -76,7 +76,7 @@ def test_sample_barbell_converges_to_closed_forms():
 
 
 def test_sample_rejects_short_trajectory():
-    traj = cf.Trajectory(states=np.array([0]), seed=0)
+    traj = cf.Trajectory(states=np.array([0]))
     with pytest.raises(ValueError):
         cf.sample_decomposition(traj, n_nodes=2)
 

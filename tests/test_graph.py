@@ -199,7 +199,7 @@ def test_edge_list_malformed(tmp_path):
 def test_trajectory_roundtrip(tmp_path):
     P = cf.transition_matrix(cf.ring(4))
     traj = cf.simulate(P, 0, 9, seed=0)
-    traj = cf.Trajectory(states=traj.states, seed=0, nodes=cf.ring(4).nodes)
+    traj = cf.Trajectory(states=traj.states, nodes=cf.ring(4).nodes)
     path = tmp_path / "traj.txt"
     cf.write_trajectory(traj, path)
     back = cf.read_trajectory(path)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import build_pipeline, random_strong_graph, reciprocal_ring4
+from conftest import build_pipeline, random_strong_graph, reciprocal_ring4, sampled_pipeline
 
 
 # ------------------------------------------------------------- the matrices
@@ -36,7 +36,7 @@ def test_node_to_cycle_requires_cover(chain3):
     weights = {(0, 1): 0.25}
     partial = cf.CycleDecomposition(weights=weights, kind="iterative", n_nodes=3)
     with pytest.raises(ValueError, match="covered by no cycle"):
-        cf.node_to_cycle_matrix(partial, chain3.pi)
+        cf.node_to_cycle_matrix(partial)
 
 
 def test_cycle_to_node_rows():
@@ -94,6 +94,52 @@ def test_lifted_invariants_property(seed):
 
 
 # ------------------------------------------------------------------ spectra
+
+def test_array_form_on_many_sampled_cycles():
+    """The array-form matrices on ~1500 sampled cycles, against loop references."""
+    rng = np.random.default_rng(2)
+    n = 30
+    nodes = [f"x{k}" for k in range(n)]
+    edges = {(nodes[k], nodes[(k + 1) % n]): 1.0 for k in range(n)}
+    for k in range(n):
+        for j in rng.choice(n, 2, replace=False):
+            if j != k:
+                edges[(nodes[k], nodes[j])] = float(rng.uniform(0.2, 3.0))
+    pipe = sampled_pipeline(cf.DirectedGraph(nodes, edges), T=100_000)
+    dec = pipe.dec
+    assert len(dec.cycles) > 1000
+
+    mass = np.zeros(n)
+    I_ref = np.zeros((n, n))
+    S_ref = np.zeros((n, n))
+    for c, w in dec.weights.items():
+        mass[list(c)] += w
+        I_ref[np.ix_(c, c)] += w / len(c)
+        for x, y in zip(c, c[1:] + c[:1]):
+            S_ref[x, y] += w
+    assert np.allclose(dec.node_mass(), mass, rtol=1e-12, atol=0)
+    I = pipe.K.intensity
+    assert np.array_equal(I, I.T)
+    assert np.allclose(I, I_ref, rtol=1e-12, atol=1e-15)
+    assert np.allclose(I.sum(axis=1), dec.node_mass(), rtol=0, atol=1e-12)
+    assert cf.verify_flow_decomposition(dec, S_ref) <= 1e-15
+
+    for M in (pipe.B, pipe.V):
+        assert np.allclose(M.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    for j, c in enumerate(dec.cycles):
+        assert np.allclose(pipe.B[list(c), j], dec.weights[c] / mass[list(c)], rtol=1e-12)
+        assert np.all(pipe.V[j, list(c)] == 1.0 / len(c))
+    assert np.count_nonzero(pipe.B) == np.count_nonzero(pipe.V) == dec.members.size
+
+    assert cf.detailed_balance_residual(pipe.P_lift, pipe.pi_lift) <= 1e-12
+    assert cf.detailed_balance_residual(pipe.Q_lift, pipe.mu) <= 1e-12
+    # the cycle graph is the flux of the cycle chain, so its mirrored
+    # upper triangle must equal the whole (symmetric) product
+    W = cf.cycle_graph(dec, pipe.B).exchange
+    assert np.array_equal(W, W.T)
+    assert np.allclose(W, (dec.lengths * dec.w)[:, None] * pipe.Q_lift,
+                       rtol=1e-12, atol=1e-15)
+
 
 def test_spectrum_leading_eigenvalue(barbell40):
     # the walk is periodic, so -1 shares the unit modulus with 1
