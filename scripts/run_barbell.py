@@ -55,7 +55,7 @@ def main():
           f"({cf.verify_flow_decomposition(dec_s, F) / F.max():.4%} of max flow)")
 
     rep_walk = cf.spectrum(P)
-    rep_lift = cf.spectrum_reversible(pipe.P_lift, pipe.pi_lift)
+    rep_lift = cf.spectrum_reversible(pipe.K.walk_matrix(), pipe.K.mass)
     (outdir / "spectrum_walk.csv").write_text(rep_walk.csv_text())
     (outdir / "spectrum_lifted.csv").write_text(rep_lift.csv_text())
     lam = rep_lift.real_sorted()

@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import generators
 from .clustering import committors, estimate_num_modules, find_cores, fuzzy_partition
 from .commgraph import Pipeline, cycle_graph, export_graph
 from .cycles import decomposition_to_json, sample_decomposition, verify_flow_decomposition
-from .graph import read_edge_list, read_trajectory, write_edge_list
+from .graph import _read_fields, read_edge_list, read_trajectory, write_edge_list
 from .lifted import spectrum, spectrum_reversible
 from .modularity import maximize, modules_from_labels, score_q_directed, score_qbar
 
@@ -133,7 +133,7 @@ def cmd_decompose(config: RunConfig, outdir: Path) -> int:
 def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
     pipe = _load_pipeline(config)
     rep_walk = spectrum(pipe.P, k=config.k)
-    rep_lift = spectrum_reversible(pipe.P_lift, pipe.pi_lift, k=config.k)
+    rep_lift = spectrum_reversible(pipe.K.walk_matrix(), pipe.K.mass, k=config.k)
     (outdir / "spectrum_walk.csv").write_text(rep_walk.csv_text(), encoding="utf-8")
     (outdir / "spectrum_lifted.csv").write_text(rep_lift.csv_text(), encoding="utf-8")
     _dump_json(outdir / "spectrum.json", {
@@ -148,7 +148,7 @@ def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
 
 def _cluster_cmsm(config: RunConfig, pipe: Pipeline):
     if config.m == "auto":
-        rep = spectrum_reversible(pipe.P_lift, pipe.pi_lift)
+        rep = spectrum_reversible(pipe.K.walk_matrix(), pipe.K.mass)
         m = estimate_num_modules(rep, config.m_max)
     else:
         m = int(config.m)
@@ -169,7 +169,7 @@ def _cluster_cmsm(config: RunConfig, pipe: Pipeline):
 
 def cmd_cluster(config: RunConfig, outdir: Path) -> int:
     pipe = _load_pipeline(config)
-    G, P, pi, K = pipe.G, pipe.P, pipe.pi, pipe.K
+    G, P, pi = pipe.G, pipe.P, pipe.pi
     if config.method == "cmsm":
         result = _cluster_cmsm(config, pipe)
         lines = ["node,label,tie," + ",".join(f"q{j}" for j in range(result["m"]))]
@@ -180,7 +180,7 @@ def cmd_cluster(config: RunConfig, outdir: Path) -> int:
         (outdir / "partition.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif config.method in ("qbar-max", "q-max"):
         if config.method == "qbar-max":
-            labels, score, history = maximize("qbar", pi=pi, I=K.intensity, mode="greedy")
+            labels, score, history = maximize("qbar", pi=pi, I=pipe.K.intensity, mode="greedy")
         else:
             labels, score, history = maximize("q", pi=pi, P=P, mode="greedy")
         result = {
@@ -199,19 +199,11 @@ def cmd_cluster(config: RunConfig, outdir: Path) -> int:
 
 def _read_partition_file(path, G):
     labels = np.full(G.n, -1, dtype=int)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected node<TAB>module_index")
-            node, mod = parts
-            try:
-                labels[G.index(node)] = int(mod)
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: unknown node {node!r}") from exc
+    for lineno, (node, mod) in _read_fields(path, 2, "node<TAB>module_index"):
+        try:
+            labels[G.index(node)] = int(mod)
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: unknown node {node!r}") from exc
     if np.any(labels < 0):
         missing = G.nodes[int(np.flatnonzero(labels < 0)[0])]
         raise ValueError(f"partition is not full: node {missing!r} unassigned")
@@ -239,7 +231,7 @@ def cmd_export_graph(config: RunConfig, output: Path) -> int:
     if config.which == "communication":
         graph = pipe.K
     elif config.which == "cycle":
-        graph = cycle_graph(pipe.dec, pipe.B)
+        graph = cycle_graph(pipe.dec)
     else:
         raise ValueError(f"unknown graph kind {config.which!r}")
     text = export_graph(graph, config.format, include_self_loops=config.self_loops)
@@ -253,9 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cycleflow",
         description="Cycle-flow decomposition and fuzzy module detection "
                     "for directed weighted networks.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    subparsers = ap.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a benchmark graph as edge-list TSV")
+    def add_command(name, summary):
+        # an option left out stays out of the namespace, so RunConfig supplies its default
+        return subparsers.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+
+    gen = add_command("generate", "write a benchmark graph as edge-list TSV")
     gen.add_argument("generator", choices=["barbell", "wheel-switch", "ring"])
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--eps", type=float)
@@ -266,77 +262,56 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="edge-list TSV (src<TAB>dst<TAB>weight)")
         if trajectory:
             p.add_argument("--trajectory", help="timeseries file, one node id per line")
-        p.add_argument("--decomposer", choices=["sample", "iterative"], default="sample")
-        p.add_argument("--T", type=int, default=1_000_000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--decomposer", choices=["sample", "iterative"])
+        p.add_argument("--T", type=int)
+        p.add_argument("--seed", type=int)
         p.add_argument("--start", help="start node for sampling (default: first node)")
-        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--tol", type=float)
 
-    dec = sub.add_parser("decompose", help="cycle decomposition plus flow residual")
+    dec = add_command("decompose", "cycle decomposition plus flow residual")
     add_pipeline_args(dec, trajectory=True)
     dec.add_argument("--output-dir", required=True)
 
-    spec = sub.add_parser("spectrum", help="eigenvalues of the walk and its lifted chain")
+    spec = add_command("spectrum", "eigenvalues of the walk and its lifted chain")
     add_pipeline_args(spec)
     spec.add_argument("--k", type=int, help="keep top-k by modulus")
     spec.add_argument("--output-dir", required=True)
 
-    clu = sub.add_parser("cluster", help="fuzzy modules or modularity maximization")
+    clu = add_command("cluster", "fuzzy modules or modularity maximization")
     add_pipeline_args(clu)
     clu.add_argument("--method", choices=["cmsm", "qbar-max", "q-max"], default="cmsm")
-    clu.add_argument("--m", default="auto", help="module count or 'auto'")
-    clu.add_argument("--m-max", type=int, default=8)
-    clu.add_argument("--theta", type=float, default=0.9)
+    clu.add_argument("--m", help="module count or 'auto'")
+    clu.add_argument("--m-max", type=int)
+    clu.add_argument("--theta", type=float)
     clu.add_argument("--output-dir", required=True)
 
-    mod = sub.add_parser("modularity", help="score a given full partition")
+    mod = add_command("modularity", "score a given full partition")
     add_pipeline_args(mod)
     mod.add_argument("--partition", required=True,
                      help="TSV node<TAB>module_index, every node assigned")
     mod.add_argument("--output-dir", required=True)
 
-    exp = sub.add_parser("export-graph", help="emit the communication or cycle graph")
+    exp = add_command("export-graph", "emit the communication or cycle graph")
     add_pipeline_args(exp)
     exp.add_argument("--which", choices=["communication", "cycle"], default="communication")
     exp.add_argument("--format", choices=["dot", "tsv", "json"], default="tsv")
-    exp.add_argument("--no-self-loops", action="store_true")
+    exp.add_argument("--no-self-loops", dest="self_loops", action="store_false")
     exp.add_argument("--output", required=True)
 
     return ap
 
 
 def _config_from_args(args) -> RunConfig:
-    get = lambda name, default=None: getattr(args, name, default)
-    if args.command != "generate" and get("trajectory") is None and get("input") is None:
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    if (args.command != "generate" and given.get("trajectory") is None
+            and given.get("input") is None):
         raise ValueError("--input is required")
-    return RunConfig(
-        command=args.command,
-        input=get("input"),
-        trajectory=get("trajectory"),
-        decomposer=get("decomposer", "sample"),
-        T=get("T", 1_000_000),
-        seed=get("seed", 0),
-        start=get("start"),
-        tol=get("tol", 1e-12),
-        m=str(get("m", "auto")),
-        m_max=get("m_max", 8),
-        theta=get("theta", 0.9),
-        method=get("method"),
-        k=get("k"),
-        which=get("which"),
-        format=get("format"),
-        self_loops=not get("no_self_loops", False),
-        partition=get("partition"),
-        generator=get("generator"),
-        n=get("n"),
-        eps=get("eps"),
-        p=get("p"),
-    )
+    return RunConfig(**given)
 
 
 def _validate_numbers(config: RunConfig) -> None:
-    if config.T < 1:
-        raise ValueError("T must be positive")
+    if config.T < 2:
+        raise ValueError("trajectory must contain at least 2 states")
     if not 0 < config.tol < 1:
         raise ValueError("tol must lie in (0, 1)")
     if not 0.5 < config.theta < 1:

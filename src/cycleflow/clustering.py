@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .commgraph import CommunicationGraph
-from .lifted import SpectrumReport, _symmetrize
+from .lifted import SpectrumReport
 
 __all__ = [
     "ModuleCores",
@@ -84,12 +84,9 @@ def estimate_num_modules(report: SpectrumReport, m_max: int = 8) -> int:
 
 def _spectral_embedding(K: CommunicationGraph, m: int) -> np.ndarray:
     """Rows of the top-m right eigenvectors of the walk, normalized to unit norm."""
-    dist = K.intensity.sum(axis=1)
-    dist = dist / dist.sum()
-    S, d = _symmetrize(K.walk_matrix(), dist)
-    vals, U = np.linalg.eigh(S)
+    vals, U = np.linalg.eigh(K.normalized)
     order = np.argsort(vals)[::-1]
-    X = U[:, order[:m]] / d[:, None]
+    X = U[:, order[:m]] / np.sqrt(K.mass)[:, None]
     norms = np.linalg.norm(X, axis=1)
     if np.any(norms == 0.0):
         raise RuntimeError("degenerate spectral embedding (zero row)")
@@ -182,11 +179,11 @@ def committors(K: CommunicationGraph, cores: ModuleCores) -> np.ndarray:
 
     Solves (Id - P) q = 0 on the transition region with q = 1 on the target
     core and 0 on the others.  The system is solved in symmetrized form
-    D^{1/2} (Id - P) D^{-1/2}, which is positive definite for a reversible
-    walk; one factorization serves all m right-hand sides.
+    D^{1/2} (Id - P) D^{-1/2} = Id - K.normalized, which is positive definite
+    for a reversible walk; one factorization serves all m right-hand sides.
     """
-    P = K.walk_matrix()
-    n = P.shape[0]
+    N, d = K.normalized, np.sqrt(K.mass)
+    n = K.n
     m = cores.m
     counts = np.zeros(n, dtype=int)
     for core in cores.cores:
@@ -200,15 +197,14 @@ def committors(K: CommunicationGraph, cores: ModuleCores) -> np.ndarray:
     tr = list(cores.transition)
     if tr:
         all_core = sorted(set(range(n)) - set(tr))
-        S, d = _symmetrize(np.eye(len(tr)) - P[np.ix_(tr, tr)], K.intensity.sum(axis=1)[tr])
-        rhs = P[np.ix_(tr, all_core)] @ q[all_core, :]
+        rhs = N[np.ix_(tr, all_core)] @ (d[all_core, None] * q[all_core, :])
         try:
-            y = np.linalg.solve(S, d[:, None] * rhs)
+            y = np.linalg.solve(np.eye(len(tr)) - N[np.ix_(tr, tr)], rhs)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 "committor system is singular; cores unreachable from the "
                 "transition region") from exc
-        q[tr, :] = y / d[:, None]
+        q[tr, :] = y / d[tr, None]
     if np.min(q) < -1e-9 or np.max(q) > 1 + 1e-9:
         raise RuntimeError("committor solution violates the maximum principle")
     return np.clip(q, 0.0, 1.0)

@@ -3,8 +3,9 @@
 The communication graph weights node pairs by how easily the walk carries
 probability between them: many short, heavy cycles through both nodes mean
 intense communication.  The cycle graph weights cycle pairs by the flux they
-exchange per step.  Both matrices are exactly symmetric by construction.
-`Pipeline` chains every stage from a graph to these matrices.
+exchange per step.  Both matrices are exactly symmetric by construction, and
+their walks are the two lifted chains.  `Pipeline` chains every stage from a
+graph to these matrices.
 """
 
 from __future__ import annotations
@@ -45,9 +46,20 @@ class CommunicationGraph:
     def n(self) -> int:
         return int(self.intensity.shape[0])
 
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """Row sums of the intensity: the node mass, pi for exact weights."""
+        return self.intensity.sum(axis=1)
+
     def walk_matrix(self) -> np.ndarray:
-        """Row-normalized intensity: the random walk on the communication graph."""
-        return self.intensity / self.intensity.sum(axis=1)[:, None]
+        """Row-normalized intensity: the random walk, i.e. the lifted node chain B V."""
+        return self.intensity / self.mass[:, None]
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        """D^{-1/2} I D^{-1/2}, D = diag(mass): the walk's exactly symmetric similar form."""
+        d = 1.0 / np.sqrt(self.mass)
+        return self.intensity * np.outer(d, d)
 
     def node_ids(self):
         return self.nodes if self.nodes is not None else tuple(str(i) for i in range(self.n))
@@ -91,15 +103,17 @@ def communication_graph(dec: CycleDecomposition, pi: np.ndarray) -> Communicatio
     return CommunicationGraph(intensity=I, pi=pi, nodes=dec.nodes)
 
 
-def cycle_graph(dec: CycleDecomposition, B: np.ndarray) -> CycleGraph:
-    """Exchange matrix W[a, b] = sum over shared nodes x of w(a) * B[x, b].
+def cycle_graph(dec: CycleDecomposition) -> CycleGraph:
+    """Exchange matrix W[a, b] = sum over shared nodes x of w(a) w(b) / m_x.
 
-    This is |a| w(a) times the cycle chain V B: its stationary flux, hence
-    symmetric because the chain is reversible; stored as the upper triangle
-    mirrored so symmetry is exact.
+    m_x is the node mass.  W is the stationary flux |a| w(a) (V B)[a, b] of
+    the cycle chain, so its rows sum to |a| w(a).  Computed as Z Z^T with
+    Z[alpha, x] = w(alpha)/sqrt(m_x) on the cycle's nodes, a symmetric rank-k
+    product, so W is exactly symmetric.
     """
-    W = (dec.lengths * dec.w)[:, None] * (cycle_to_node_matrix(dec) @ B)
-    W = np.triu(W) + np.triu(W, 1).T
+    Z = np.zeros((len(dec.cycles), dec.n_nodes))
+    Z[dec.rows, dec.members] = dec.w[dec.rows] / np.sqrt(dec.node_mass()[dec.members])
+    W = Z @ Z.T
     W[np.abs(W) < _ZERO_FLOOR] = 0.0
     return CycleGraph(exchange=W, mu=cycle_stationary(dec), cycles=tuple(dec.cycles),
                       nodes=dec.nodes)
@@ -148,10 +162,12 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
 
 
 class Pipeline:
-    """Everything derived from one graph; the flow F and the matrices over cycles
-    are built on first access.  The decomposition peels the exact flow or, with T
-    given, samples T states of the walk from `start`.  `pi_lift`, the normalized
-    node mass, is what P_lift is reversible with; it equals pi for exact weights.
+    """Everything derived from one graph; all but P and pi is built on first access.
+    The decomposition peels the exact flow or, with T given, samples T states of
+    the walk from `start`.  B, V, P_lift = B V and Q_lift = V B are the explicit
+    lifting, kept as the reference the walks on K and on the cycle graph are checked
+    against; `pi_lift`, the normalized node mass, is what P_lift is reversible with
+    (pi for exact weights).
     """
 
     def __init__(self, G: DirectedGraph, T: int | None = None, seed: int = 0,
@@ -159,11 +175,15 @@ class Pipeline:
         self.G = G
         self.P = transition_matrix(G)
         self.pi = stationary_distribution(self.P, tol=tol)
-        if T is None:
-            self.dec = iterative_decomposition(edge_flow(self.P, self.pi), nodes=G.nodes)
-        else:
-            traj = replace(simulate(self.P, start, T, seed=seed), nodes=G.nodes)
-            self.dec = sample_decomposition(traj, n_nodes=G.n)
+        self._sampling = None if T is None else (start, T, seed)
+
+    @cached_property
+    def dec(self) -> CycleDecomposition:
+        if self._sampling is None:
+            return iterative_decomposition(edge_flow(self.P, self.pi), nodes=self.G.nodes)
+        start, T, seed = self._sampling
+        traj = replace(simulate(self.P, start, T, seed=seed), nodes=self.G.nodes)
+        return sample_decomposition(traj, n_nodes=self.G.n)
 
     @cached_property
     def F(self) -> np.ndarray:

@@ -275,6 +275,20 @@ def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
     return Trajectory(states=out)
 
 
+def _read_fields(path, count: int, expected: str):
+    """(line number, tab-split fields) for each line of a UTF-8 text file but blank
+    and `#` lines; a line without `count` fields raises, naming `path:lineno`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != count:
+                raise ValueError(f"{path}:{lineno}: expected {expected}")
+            yield lineno, fields
+
+
 def read_edge_list(path) -> DirectedGraph:
     """Read a graph from UTF-8 text, one `src<TAB>dst<TAB>weight` per line.
 
@@ -282,19 +296,11 @@ def read_edge_list(path) -> DirectedGraph:
     edges are aggregated by summing their weights.
     """
     triples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected src<TAB>dst<TAB>weight")
-            try:
-                w = float(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
-            triples.append((parts[0], parts[1], w))
+    for lineno, (src, dst, weight) in _read_fields(path, 3, "src<TAB>dst<TAB>weight"):
+        try:
+            triples.append((src, dst, float(weight)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad weight {weight!r}") from exc
     if not triples:
         raise ValueError(f"{path}: no edges found")
     return DirectedGraph.from_edge_list(triples)
@@ -313,15 +319,10 @@ def read_trajectory(path, nodes: tuple[str, ...] | None = None) -> Trajectory:
     """Read a trajectory file with one node id per line.
 
     If `nodes` is given the ids are mapped through it, otherwise the sorted
-    set of observed ids fixes the index space.
+    set of observed ids fixes the index space.  Blank lines and lines
+    starting with `#` are skipped.
     """
-    ids = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            ids.append(line)
+    ids = [v for _, (v,) in _read_fields(path, 1, "one node id per line")]
     if not ids:
         raise ValueError(f"{path}: empty trajectory")
     if nodes is None:

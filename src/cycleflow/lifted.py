@@ -5,7 +5,8 @@ matrix (rows: probability that the walk at x is currently carried by each
 cycle) and a cycle-to-node matrix (rows: uniform over the cycle's nodes).
 Their two products are the transition matrices of the node-cycle-node walk on
 V and of the cycle-node-cycle walk on the cycle set; both are reversible and
-share their non-zero spectrum.
+share their non-zero spectrum.  They are the walks on the communication and
+cycle graphs of `commgraph`, which the CLI reads instead of these products.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import CycleDecomposition, reverse_cycle
+from .graph import edge_flow
 
 __all__ = [
     "node_to_cycle_matrix",
@@ -65,7 +67,7 @@ def cycle_stationary(dec: CycleDecomposition) -> np.ndarray:
 
 def detailed_balance_residual(M: np.ndarray, dist: np.ndarray) -> float:
     """Max |dist_i M_ij - dist_j M_ji|; zero iff the chain is reversible."""
-    F = np.asarray(dist)[:, None] * np.asarray(M)
+    F = edge_flow(M, dist)
     return float(np.max(np.abs(F - F.T)))
 
 
@@ -211,7 +213,7 @@ def entropy_production_edge(P: np.ndarray, pi: np.ndarray) -> float:
     math.inf when some edge has no reverse edge, 0 iff detailed balance
     holds.
     """
-    F = np.asarray(pi, dtype=float)[:, None] * np.asarray(P, dtype=float)
+    F = edge_flow(P, pi)
     n = F.shape[0]
     total = 0.0
     for i in range(n):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import edge_flow
+
 __all__ = [
     "labels_from_modules",
     "modules_from_labels",
@@ -76,8 +78,7 @@ def score_q_directed(P: np.ndarray, pi: np.ndarray, labels: np.ndarray) -> float
     """Directed modularity: per-module sum of pi_x P_xy - pi_x pi_y."""
     pi = np.asarray(pi, dtype=float)
     labels = validate_partition(labels, len(pi))
-    F = pi[:, None] * np.asarray(P, dtype=float)
-    return _block_score(F, pi, labels)
+    return _block_score(edge_flow(P, pi), pi, labels)
 
 
 def _canonical_labels(labels: np.ndarray) -> np.ndarray:
@@ -194,7 +195,7 @@ def maximize(objective: str, *, pi: np.ndarray, I: np.ndarray | None = None,
     elif objective == "q":
         if P is None:
             raise ValueError("q maximization needs the transition matrix")
-        F = pi[:, None] * np.asarray(P, dtype=float)
+        F = edge_flow(P, pi)
         E = 0.5 * (F + F.T)  # the score of a full partition is unchanged
         scorer = lambda lab: score_q_directed(P, pi, lab)
     else:
@@ -226,7 +227,7 @@ def check_symmetrization_invariance(P: np.ndarray, pi: np.ndarray,
     with the one computed from (pi_x p_xy + pi_y p_yx) / 2.
     """
     pi = np.asarray(pi, dtype=float)
-    F = pi[:, None] * np.asarray(P, dtype=float)
+    F = edge_flow(P, pi)
     Fs = 0.5 * (F + F.T)
     for labels in partitions:
         labels = validate_partition(labels, len(pi))

@@ -1,4 +1,7 @@
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,14 +118,25 @@ def test_cluster_cmsm(barbell_tsv, tmp_path):
 
 
 def test_cluster_qbar_max(barbell_tsv, tmp_path):
-    outdir = tmp_path / "clu"
-    assert main(["cluster", "--input", str(barbell_tsv), "--decomposer", "iterative",
-                 "--method", "qbar-max", "--output-dir", str(outdir)]) == 0
-    obj = json.loads((outdir / "partition.json").read_text())
-    assert obj["objective"] == "qbar"
-    assert obj["value"] == pytest.approx(0.5 - 0.05 / 4.1, abs=1e-10)
-    assert sorted(map(sorted, obj["partition"])) == [
-        ["l0", "l1", "l2", "l3"], ["r0", "r1", "r2", "r3"]]
+    for method, objective, value in (("qbar-max", "qbar", 0.5 - 0.05 / 4.1),
+                                     ("q-max", "q", 0.5 - 0.1 / 4.1)):
+        outdir = tmp_path / method
+        assert main(["cluster", "--input", str(barbell_tsv), "--decomposer", "iterative",
+                     "--method", method, "--output-dir", str(outdir)]) == 0
+        obj = json.loads((outdir / "partition.json").read_text())
+        assert obj["objective"] == objective
+        assert obj["value"] == pytest.approx(value, abs=1e-10)
+        assert sorted(map(sorted, obj["partition"])) == [
+            ["l0", "l1", "l2", "l3"], ["r0", "r1", "r2", "r3"]]
+    # q-max reads only the walk: a sample too short to cover every node is no error
+    runs = []
+    for name, T in (("short", ["--T", "8"]), ("default", [])):
+        outdir = tmp_path / name
+        assert main(["cluster", "--input", str(barbell_tsv), *T,
+                     "--method", "q-max", "--output-dir", str(outdir)]) == 0
+        runs.append(json.loads((outdir / "partition.json").read_text()))
+    for key in ("partition", "value", "merge_history"):
+        assert runs[0][key] == runs[1][key]
 
 
 def test_cluster_cmsm_wheel_fuzzy(tmp_path):
@@ -201,5 +215,20 @@ def test_validation_exit_codes(tmp_path):
                  "--output-dir", str(tmp_path / "z")]) == 2
     assert main(["decompose", "--input", str(good), "--T", "0",
                  "--output-dir", str(tmp_path / "w")]) == 2
+    # q-max never samples, yet rejects the T every other command rejects
+    assert main(["cluster", "--input", str(good), "--method", "q-max", "--T", "1",
+                 "--output-dir", str(tmp_path / "u")]) == 2
     assert main(["decompose", "--input", str(good), "--start", "nope",
                  "--output-dir", str(tmp_path / "v")]) == 2
+
+
+@pytest.mark.parametrize("script, args", [
+    ("run_barbell.py", ["--n", "4", "--T", "20000"]),
+    ("run_wheel_switch.py", ["--n", "6", "--T", "20000"]),
+])
+def test_scripts_run(script, args, tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    monkeypatch.setattr(sys, "argv", [str(path), *args, "--out", str(tmp_path)])
+    runpy.run_path(str(path), run_name="__main__")
+    assert any(tmp_path.glob("*.csv"))
+    assert capsys.readouterr().out

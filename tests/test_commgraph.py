@@ -48,7 +48,7 @@ def test_intensity_consistency_with_lifted_chain(barbell40):
 
 
 def test_cycle_graph_barbell(barbell4):
-    Bc = cf.cycle_graph(barbell4.dec, barbell4.B)
+    Bc = cf.cycle_graph(barbell4.dec)
     cycles = barbell4.dec.cycles
     j_l = cycles.index(tuple(range(4)))
     j_c = cycles.index((0, 4))
@@ -63,7 +63,7 @@ def test_cycle_graph_barbell(barbell4):
 
 
 def test_cycle_graph_chain(chain3):
-    Bc = cf.cycle_graph(chain3.dec, chain3.B)
+    Bc = cf.cycle_graph(chain3.dec)
     assert Bc.exchange[0, 1] == pytest.approx(1 / 8, abs=1e-14)
     assert np.allclose(Bc.mu, [0.5, 0.5], atol=1e-13)
 
@@ -71,7 +71,7 @@ def test_cycle_graph_chain(chain3):
 def test_cycle_graph_ring_single_node():
     # one cycle: the whole flux recirculates, so the self-exchange is mu = 1
     pipe = build_pipeline(cf.ring(4))
-    Bc = cf.cycle_graph(pipe.dec, pipe.B)
+    Bc = cf.cycle_graph(pipe.dec)
     assert Bc.exchange.shape == (1, 1)
     assert Bc.exchange[0, 0] == pytest.approx(1.0, abs=1e-14)
 
@@ -85,7 +85,7 @@ def test_marginals_property(seed):
     assert I.min() >= 0.0
     assert np.abs(I.sum(axis=1) - pipe.pi).max() <= 1e-10
     assert I.sum() == pytest.approx(1.0, abs=1e-10)
-    W = cf.cycle_graph(pipe.dec, pipe.B).exchange
+    W = cf.cycle_graph(pipe.dec).exchange
     assert np.array_equal(W, W.T)
     assert W.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.abs(W.sum(axis=1) - pipe.mu).max() <= 1e-10
@@ -114,7 +114,7 @@ def test_export_dot_and_json(barbell4):
 
 
 def test_export_cycle_graph_and_errors(barbell4):
-    H = cf.cycle_graph(barbell4.dec, barbell4.B)
+    H = cf.cycle_graph(barbell4.dec)
     text = cf.export_graph(H, "tsv", include_self_loops=False)
     assert len(text.strip().split("\n")) == 2  # the 3-node path has 2 edges
     with pytest.raises(ValueError):

@@ -133,12 +133,15 @@ def test_array_form_on_many_sampled_cycles():
 
     assert cf.detailed_balance_residual(pipe.P_lift, pipe.pi_lift) <= 1e-12
     assert cf.detailed_balance_residual(pipe.Q_lift, pipe.mu) <= 1e-12
-    # the cycle graph is the flux of the cycle chain, so its mirrored
-    # upper triangle must equal the whole (symmetric) product
-    W = cf.cycle_graph(dec, pipe.B).exchange
+    # the cycle graph is the flux of the cycle chain: symmetric, with rows len * w
+    W = cf.cycle_graph(dec).exchange
     assert np.array_equal(W, W.T)
     assert np.allclose(W, (dec.lengths * dec.w)[:, None] * pipe.Q_lift,
                        rtol=1e-12, atol=1e-15)
+    # each lifted chain is the walk on one of the two undirected graphs
+    BV, VB = pipe.B @ pipe.V, pipe.V @ pipe.B
+    assert np.abs(BV - pipe.K.walk_matrix()).max() <= 1e-13
+    assert np.abs(VB - W / W.sum(axis=1)[:, None]).max() <= 1e-13
 
 
 def test_spectrum_leading_eigenvalue(barbell40):
