@@ -205,7 +205,7 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
 
     Raises ValueError if F is not conservative at every node.
     """
-    F = np.array(F, dtype=float, copy=True)
+    F = np.asarray(F, dtype=float)
     n = F.shape[0]
     if F.shape != (n, n):
         raise ValueError("flow must be a square matrix")
@@ -220,40 +220,54 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
     if tol is None:
         tol = max(1e-12 * fmax, 8.0 * cons)
 
+    # Out-edge lists of the support: node x's edges are the slots
+    # start[x]:start[x+1] in ascending column order, holding the residual.
+    # Off the support the residual is 0, so a dense argmax picks the same edge.
+    rows, cols = np.nonzero(F)
+    res, cols = F[rows, cols].tolist(), cols.tolist()
+    start = np.searchsorted(rows, np.arange(n + 1)).tolist()
+
     weights: dict[Cycle, float] = {}
-    max_steps = 2 * int(np.count_nonzero(F)) + n + 1
+    max_steps = 2 * len(res) + n + 1
+    first = 0  # residuals only shrink, so the smallest live node never moves back
+    path: list[int] = []
     for _ in range(max_steps):
-        row_max = F.max(axis=1)
-        live = np.flatnonzero(row_max > tol)
-        if live.size == 0:
+        while first < n and max(res[start[first]:start[first + 1]], default=0.0) <= tol:
+            first += 1
+        if first == n:
             break
-        x = int(live[0])
-        path = [x]
-        seen = {x: 0}
-        cyc_nodes = None
+        if not path or path[0] != first:
+            path, seen, slots = [first], {first: 0}, []
+        x = path[-1]
         while True:
-            y = int(np.argmax(F[x]))
-            if F[x, y] <= 0.0:
+            k = max(range(start[x], start[x + 1]), key=res.__getitem__, default=-1)
+            if k < 0 or res[k] <= 0.0:
                 # walked onto non-conservative dust; drop the inbound edge
-                if len(path) < 2 or F[path[-2], x] > tol:
+                if not slots or res[slots[-1]] > tol:
                     raise RuntimeError(
                         "residual flow lost conservation during peeling")
-                F[path[-2], x] = 0.0
+                res[slots[-1]] = 0.0
+                path = []
                 break
+            slots.append(k)
+            y = cols[k]
             if y in seen:
-                cyc_nodes = path[seen[y]:]
+                i = seen[y]
+                cyc = canonical_cycle(path[i:])
+                w = min(res[k] for k in slots[i:])
+                for k in slots[i:]:
+                    res[k] -= w
+                if w > tol:
+                    weights[cyc] = weights.get(cyc, 0.0) + w
+                # the rows before y are untouched, so a walk from `first`
+                # would retrace them: resume it at y
+                for v in path[i + 1:]:
+                    del seen[v]
+                del path[i + 1:], slots[i:]
                 break
             seen[y] = len(path)
             path.append(y)
             x = y
-        if cyc_nodes is None:
-            continue
-        cyc = canonical_cycle(cyc_nodes)
-        succ = cyc_nodes[1:] + cyc_nodes[:1]
-        w = float(F[cyc_nodes, succ].min())
-        F[cyc_nodes, succ] -= w
-        if w > tol:
-            weights[cyc] = weights.get(cyc, 0.0) + w
     else:
         raise RuntimeError("cycle peeling did not terminate")
     return CycleDecomposition(weights=weights, kind="iterative", n_nodes=n,

@@ -101,52 +101,75 @@ def _greedy_maximize(E: np.ndarray, pi: np.ndarray):
     one pass of best single-node moves is applied.
     """
     n = len(pi)
-    # current modules as lists of node indices, kept sorted by smallest member
-    modules = [[i] for i in range(n)]
+    # Slot a holds the module whose smallest member is a (b merges into a < b),
+    # so live slots in index order are the modules ordered by smallest member.
+    owner = np.arange(n)
+    live = np.ones(n, dtype=bool)
     agg_e = E.copy()
     agg_pi = pi.copy()
+    gains = 2.0 * (agg_e - np.outer(agg_pi, agg_pi))
+    np.fill_diagonal(gains, -np.inf)
+    # each row's best gain and its first column: the first row with the
+    # largest best gives the row-major argmax of `gains`
+    row_best, row_arg = gains.max(axis=1), gains.argmax(axis=1)
     history = []
 
-    while len(modules) > 1:
-        gains = 2.0 * (agg_e - np.outer(agg_pi, agg_pi))
-        np.fill_diagonal(gains, -np.inf)
-        best = float(gains.max())
+    for _ in range(n - 1):
+        a = int(np.argmax(row_best))
+        best = float(row_best[a])
         if best <= 1e-15:
             break
-        a, b = np.unravel_index(int(np.argmax(gains)), gains.shape)
-        a, b = (int(min(a, b)), int(max(a, b)))
+        a, b = min(a, int(row_arg[a])), max(a, int(row_arg[a]))
         history.append(best)
-        modules[a] = sorted(modules[a] + modules[b])
-        del modules[b]
+        owner[owner == b] = a
+        live[b] = False
         agg_e[a, :] += agg_e[b, :]
         agg_e[:, a] += agg_e[:, b]
-        agg_e = np.delete(np.delete(agg_e, b, axis=0), b, axis=1)
         agg_pi[a] += agg_pi[b]
-        agg_pi = np.delete(agg_pi, b)
-
-    labels = np.empty(n, dtype=int)
-    for j, mod in enumerate(modules):
-        labels[mod] = j
+        gains[b, :] = gains[:, b] = -np.inf
+        gains[a, :] = 2.0 * (agg_e[a, :] - agg_pi[a] * agg_pi)
+        gains[:, a] = 2.0 * (agg_e[:, a] - agg_pi * agg_pi[a])
+        gains[a, ~live] = gains[~live, a] = gains[a, a] = -np.inf
+        # A row whose best column was neither a nor b compares it with column
+        # a.  One whose best was a or b takes a if column a did not drop below
+        # the old best (every column before b was below it); else a rescan.
+        col = gains[:, a]
+        was = live & ((row_arg == a) | (row_arg == b))
+        up = live & ((col > row_best) | ((col == row_best) & (row_arg > a))
+                     | (was & (col >= row_best)))
+        rescan = was & ~up
+        rescan[a] = True
+        row_best[up], row_arg[up] = col[up], a
+        row_best[b] = -np.inf
+        idx = np.flatnonzero(rescan)
+        row_arg[idx] = gains[idx].argmax(axis=1)
+        row_best[idx] = gains[idx, row_arg[idx]]
+    labels = np.unique(owner, return_inverse=True)[1]
 
     # one refinement sweep of single-node moves between existing modules
-    if len(modules) > 1:
+    members = [np.flatnonzero(owner == a) for a in np.flatnonzero(live)]
+    if len(members) > 1:
+        mass = [pi[mod].sum() for mod in members]
         for x in range(n):
             a = int(labels[x])
-            own_wo = np.flatnonzero(labels == a)
-            own_wo = own_wo[own_wo != x]
-            loss = 2.0 * (E[x, own_wo].sum() - pi[x] * pi[own_wo].sum())
+            own_wo = members[a][members[a] != x]
+            own_mass = pi[own_wo].sum()
+            loss = 2.0 * (E[x, own_wo].sum() - pi[x] * own_mass)
             best_gain = 1e-15
             best_mod = -1
-            for b in np.unique(labels):
-                if b == a:
+            for b, tgt in enumerate(members):
+                if b == a or tgt.size == 0:
                     continue
-                tgt = np.flatnonzero(labels == b)
-                gain = 2.0 * (E[x, tgt].sum() - pi[x] * pi[tgt].sum()) - loss
+                gain = 2.0 * (E[x, tgt].sum() - pi[x] * mass[b]) - loss
                 if gain > best_gain:
                     best_gain = gain
-                    best_mod = int(b)
+                    best_mod = b
             if best_mod >= 0:
                 labels[x] = best_mod
+                members[a], mass[a] = own_wo, own_mass
+                tgt = members[best_mod]
+                tgt = np.insert(tgt, np.searchsorted(tgt, x), x)
+                members[best_mod], mass[best_mod] = tgt, pi[tgt].sum()
     return _canonical_labels(labels), history
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import random_strong_graph, three_node_chain
+from conftest import random_strong_graph, three_node_chain, two_triangles
 
 
 # ------------------------------------------------------------- canonical form
@@ -124,13 +124,105 @@ def test_merge_decompositions():
     other = cf.merge_decompositions([parts[2], cf.merge_decompositions(parts[:2])])
     assert other.weights == merged.weights
 
+    it = cf.iterative_decomposition(cf.edge_flow(P, cf.stationary_distribution(P)))
     with pytest.raises(ValueError):
-        it = cf.iterative_decomposition(
-            cf.edge_flow(P, cf.stationary_distribution(P)))
         cf.merge_decompositions([parts[0], it])
 
 
 # ------------------------------------------------------------ iterative peel
+
+def dense_peel(F, tol=None):
+    """Reference peel: rescans the dense residual for every cycle."""
+    F = np.array(F, dtype=float, copy=True)
+    n = F.shape[0]
+    if tol is None:
+        cons = float(np.max(np.abs(F.sum(axis=0) - F.sum(axis=1))))
+        tol = max(1e-12 * float(F.max()), 8.0 * cons)
+    weights = {}
+    for _ in range(2 * int(np.count_nonzero(F)) + n + 1):
+        live = np.flatnonzero(F.max(axis=1) > tol)
+        if live.size == 0:
+            break
+        x = int(live[0])
+        path = [x]
+        seen = {x: 0}
+        cyc_nodes = None
+        while True:
+            y = int(np.argmax(F[x]))
+            if F[x, y] <= 0.0:
+                if len(path) < 2 or F[path[-2], x] > tol:
+                    raise RuntimeError("residual flow lost conservation during peeling")
+                F[path[-2], x] = 0.0
+                break
+            if y in seen:
+                cyc_nodes = path[seen[y]:]
+                break
+            seen[y] = len(path)
+            path.append(y)
+            x = y
+        if cyc_nodes is None:
+            continue
+        succ = cyc_nodes[1:] + cyc_nodes[:1]
+        w = float(F[cyc_nodes, succ].min())
+        F[cyc_nodes, succ] -= w
+        if w > tol:
+            cyc = cf.canonical_cycle(cyc_nodes)
+            weights[cyc] = weights.get(cyc, 0.0) + w
+    else:
+        raise RuntimeError("cycle peeling did not terminate")
+    return weights
+
+
+def assert_peel_matches_dense(F, tol=None):
+    dec = cf.iterative_decomposition(F, tol=tol)
+    ref = dense_peel(F, tol)
+    assert dec.weights == ref
+    assert list(dec.weights) == list(ref)  # same peeling order
+    return dec
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 60))
+def test_iterative_matches_dense_peel_random(seed, n):
+    G = random_strong_graph(np.random.default_rng(seed), n)
+    P = cf.transition_matrix(G)
+    assert_peel_matches_dense(cf.edge_flow(P, cf.stationary_distribution(P)))
+
+
+@pytest.mark.parametrize("G", [cf.barbell(40, 0.1), cf.wheel_switch(10, 0.3),
+                               cf.wheel_switch(10, 0.7)],
+                         ids=["barbell40", "wheel0.3", "wheel0.7"])
+def test_iterative_matches_dense_peel_benchmarks(G):
+    P = cf.transition_matrix(G)
+    assert_peel_matches_dense(cf.edge_flow(P, cf.stationary_distribution(P)))
+
+
+def test_iterative_ties_go_to_smallest_node():
+    # node 0 sends equal flow around three 2-cycles, and the triangles of
+    # two_triangles tie everywhere: the lowest-index successor wins
+    star = cf.DirectedGraph(["a", "b", "c", "d"],
+                            {(x, y): 1.0 for x, y in ("ab", "ba", "ac", "ca", "ad", "da")})
+    P = cf.transition_matrix(star)
+    dec = assert_peel_matches_dense(cf.edge_flow(P, cf.stationary_distribution(P)))
+    assert list(dec.weights) == [(0, 1), (0, 2), (0, 3)]
+    P = cf.transition_matrix(two_triangles())
+    assert_peel_matches_dense(cf.edge_flow(P, cf.stationary_distribution(P)))
+
+
+def test_iterative_drops_dust_and_reports_lost_conservation():
+    F = np.zeros((5, 5))
+    F[3, 4] = F[4, 3] = 1.0
+    # 0 -> 1 is above tol; at 1 the walk first takes the dust edge into the
+    # dead end 2, drops it, then closes (0, 1) below tol
+    F[0, 1], F[1, 2], F[1, 0] = 1.5e-13, 1.0e-13, 0.9e-13
+    dec = assert_peel_matches_dense(F, tol=1e-13)
+    assert dec.weights == {(3, 4): 1.0}
+    # a dead end behind an edge above tol is not dust
+    F[1, 2] = 1e-9
+    for peel in (cf.iterative_decomposition, dense_peel):
+        with pytest.raises(RuntimeError, match="lost conservation"):
+            peel(F, tol=1e-13)
+
 
 def test_iterative_barbell_exact():
     for n, eps in ((4, 0.1), (40, 0.1)):

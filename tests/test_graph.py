@@ -96,6 +96,20 @@ def test_stationary_closed_forms():
     assert np.allclose(pi, [0.25, 0.5, 0.25], atol=1e-12)
 
 
+def test_stationary_slow_chain_above_2000_states():
+    # 2002 states: the two long rings mix so slowly that power iteration
+    # stalls, and the dense solve must take over at this size too
+    n, eps = 1001, 0.1
+    G = cf.barbell(n, eps)
+    P = cf.transition_matrix(G)
+    pi = cf.stationary_distribution(P)
+    assert np.abs(pi @ P - pi).sum() <= 1e-12
+    w = 1.0 / (2 * (n + eps))
+    assert pi[G.index("l1")] == pytest.approx(w, rel=1e-12)
+    assert pi[G.index("r7")] == pytest.approx(w, rel=1e-12)
+    assert pi[G.index("l0")] == pytest.approx((1 + eps) * w, rel=1e-12)
+
+
 def test_edge_flow_examples(chain3):
     a, b, c = (chain3.G.index(v) for v in "abc")
     assert chain3.F[a, b] == pytest.approx(0.25, abs=1e-14)

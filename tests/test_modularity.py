@@ -142,6 +142,107 @@ def test_greedy_never_below_trivial(seed):
         assert score >= -1e-12  # the one-module partition scores exactly zero
 
 
+def rebuilt_greedy(E, pi):
+    """Reference greedy: rebuilds and compacts the k x k gain matrix every merge."""
+    n = len(pi)
+    modules = [[i] for i in range(n)]
+    agg_e = E.copy()
+    agg_pi = pi.copy()
+    history = []
+    while len(modules) > 1:
+        gains = 2.0 * (agg_e - np.outer(agg_pi, agg_pi))
+        np.fill_diagonal(gains, -np.inf)
+        best = float(gains.max())
+        if best <= 1e-15:
+            break
+        a, b = np.unravel_index(int(np.argmax(gains)), gains.shape)
+        a, b = (int(min(a, b)), int(max(a, b)))
+        history.append(best)
+        modules[a] = sorted(modules[a] + modules[b])
+        del modules[b]
+        agg_e[a, :] += agg_e[b, :]
+        agg_e[:, a] += agg_e[:, b]
+        agg_e = np.delete(np.delete(agg_e, b, axis=0), b, axis=1)
+        agg_pi[a] += agg_pi[b]
+        agg_pi = np.delete(agg_pi, b)
+    labels = np.empty(n, dtype=int)
+    for j, mod in enumerate(modules):
+        labels[mod] = j
+    if len(modules) > 1:
+        for x in range(n):
+            a = int(labels[x])
+            own_wo = np.flatnonzero(labels == a)
+            own_wo = own_wo[own_wo != x]
+            loss = 2.0 * (E[x, own_wo].sum() - pi[x] * pi[own_wo].sum())
+            best_gain = 1e-15
+            best_mod = -1
+            for b in np.unique(labels):
+                if b == a:
+                    continue
+                tgt = np.flatnonzero(labels == b)
+                gain = 2.0 * (E[x, tgt].sum() - pi[x] * pi[tgt].sum()) - loss
+                if gain > best_gain:
+                    best_gain = gain
+                    best_mod = int(b)
+            if best_mod >= 0:
+                labels[x] = best_mod
+    # relabel by first appearance
+    first = {}
+    return np.array([first.setdefault(lab, len(first)) for lab in labels]), history
+
+
+def assert_greedy_matches_rebuilt(pipe):
+    F = cf.edge_flow(pipe.P, pipe.pi)
+    for objective, kw, E in (("qbar", {"I": pipe.K.intensity}, pipe.K.intensity),
+                             ("q", {"P": pipe.P}, 0.5 * (F + F.T))):
+        labels, _, history = cf.maximize(objective, pi=pipe.pi, mode="greedy", **kw)
+        ref_labels, ref_history = rebuilt_greedy(np.asarray(E, dtype=float), pipe.pi)
+        assert labels.tolist() == ref_labels.tolist(), objective
+        assert history == ref_history, objective
+
+
+@pytest.mark.parametrize("n", [5, 12, 60])
+@pytest.mark.parametrize("seed", range(8))
+def test_greedy_matches_rebuilt_random(n, seed):
+    assert_greedy_matches_rebuilt(
+        build_pipeline(random_strong_graph(np.random.default_rng(seed), n)))
+
+
+@pytest.mark.parametrize("G", [cf.ring(6), cf.barbell(4, 0.1), two_triangles()],
+                         ids=["ring6", "barbell4", "two_triangles"])
+def test_greedy_matches_rebuilt_ties(G):
+    # symmetric inputs: many merges tie on the largest gain
+    assert_greedy_matches_rebuilt(build_pipeline(G))
+
+
+def test_greedy_matches_rebuilt_exact_ties():
+    # couplings and masses on a 1/64 grid: gains are exact, so merged modules
+    # often tie with a row's best partner and the smaller index must win
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([4, 6, 8, 12, 16]))
+        A = rng.integers(0, int(rng.choice([2, 3, 5])), (n, n)) / 64
+        E = np.triu(A, 1) + np.triu(A, 1).T
+        if rng.random() < 0.5:
+            pi = rng.integers(1, 4, n).astype(float)
+            pi /= 2.0 ** np.ceil(np.log2(pi.sum()))
+        else:
+            pi = np.full(n, 1.0 / n)
+        labels, _, history = cf.maximize("qbar", pi=pi, I=E, mode="greedy")
+        ref_labels, ref_history = rebuilt_greedy(E, pi)
+        assert labels.tolist() == ref_labels.tolist(), seed
+        assert history == ref_history, seed
+
+
+def test_greedy_matches_rebuilt_barbell40(barbell40):
+    assert_greedy_matches_rebuilt(barbell40)
+    # acceptance criterion 7 stays red, with the same module sizes
+    labels, _, _ = cf.maximize("q", pi=barbell40.pi, P=barbell40.P, mode="greedy")
+    sizes = [len(m) for m in cf.modules_from_labels(labels)]
+    assert (f"largest module has {max(sizes)} nodes (sizes {sorted(set(sizes))})"
+            == "largest module has 10 nodes (sizes [8, 10])")
+
+
 def test_maximize_validation(barbell4):
     with pytest.raises(ValueError):
         cf.maximize("qbar", pi=barbell4.pi, mode="greedy")
