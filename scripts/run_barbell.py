@@ -55,7 +55,7 @@ def main():
           f"({cf.verify_flow_decomposition(dec_s, F) / F.max():.4%} of max flow)")
 
     rep_walk = cf.spectrum(P)
-    rep_lift = cf.spectrum_reversible(pipe.K.walk_matrix(), pipe.K.mass)
+    rep_lift = cf.SpectrumReport.from_eigenvalues(np.linalg.eigvalsh(pipe.K.normalized))
     (outdir / "spectrum_walk.csv").write_text(rep_walk.csv_text())
     (outdir / "spectrum_lifted.csv").write_text(rep_lift.csv_text())
     lam = rep_lift.real_sorted()

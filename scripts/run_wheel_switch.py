@@ -54,7 +54,7 @@ def cluster_report(n, p, T, seed, m=None):
     pipe = cf.Pipeline(cf.wheel_switch(n, p), T=T, seed=seed)
     G, dec, K = pipe.G, pipe.dec, pipe.K
     if m is None:
-        m = cf.estimate_num_modules(cf.spectrum_reversible(K.walk_matrix(), K.mass), 8)
+        m = cf.estimate_num_modules(cf.SpectrumReport.from_eigenvalues(K.eigh.eigenvalues), 8)
     cores = cf.find_cores(K, m, 0.9)
     q = cf.committors(K, cores)
     print(f"\np = {p}: {len(dec.weights)} sampled cycles, m = {m}")

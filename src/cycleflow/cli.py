@@ -4,7 +4,7 @@ Every output JSON embeds the full run configuration and a SHA-256 hash of the
 input file, and all serialization is key-sorted, so identical inputs and
 configurations produce byte-identical outputs.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .clustering import committors, estimate_num_modules, find_cores, fuzzy_part
 from .commgraph import Pipeline, cycle_graph, export_graph
 from .cycles import decomposition_to_json, sample_decomposition, verify_flow_decomposition
 from .graph import _read_fields, read_edge_list, read_trajectory, write_edge_list
-from .lifted import spectrum, spectrum_reversible
+from .lifted import SpectrumReport, spectrum
 from .modularity import maximize, modules_from_labels, score_q_directed, score_qbar
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def cmd_decompose(config: RunConfig, outdir: Path) -> int:
 def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
     pipe = _load_pipeline(config)
     rep_walk = spectrum(pipe.P, k=config.k)
-    rep_lift = spectrum_reversible(pipe.K.walk_matrix(), pipe.K.mass, k=config.k)
+    rep_lift = SpectrumReport.from_eigenvalues(np.linalg.eigvalsh(pipe.K.normalized), config.k)
     (outdir / "spectrum_walk.csv").write_text(rep_walk.csv_text(), encoding="utf-8")
     (outdir / "spectrum_lifted.csv").write_text(rep_lift.csv_text(), encoding="utf-8")
     _dump_json(outdir / "spectrum.json", {
@@ -148,7 +148,7 @@ def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
 
 def _cluster_cmsm(config: RunConfig, pipe: Pipeline):
     if config.m == "auto":
-        rep = spectrum_reversible(pipe.K.walk_matrix(), pipe.K.mass)
+        rep = SpectrumReport.from_eigenvalues(pipe.K.eigh.eigenvalues)
         m = estimate_num_modules(rep, config.m_max)
     else:
         m = int(config.m)
@@ -343,12 +343,16 @@ def main(argv=None) -> int:
         if args.command == "modularity":
             return cmd_modularity(config, outdir)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    # LinAlgError is a ValueError, so the numerical handler comes first
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

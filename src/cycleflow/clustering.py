@@ -72,10 +72,7 @@ def estimate_num_modules(report: SpectrumReport, m_max: int = 8) -> int:
         warnings.warn("spectrum too short to pick a gap; defaulting to 2 modules")
         return 2
     hi = min(m_max, lam.size - 1)
-    gaps = lam[1:hi] - lam[2:hi + 1]  # gap after lambda_k for k = 2..hi
-    if gaps.size == 0:
-        warnings.warn("no candidate gaps; defaulting to 2 modules")
-        return 2
+    gaps = lam[1:hi] - lam[2:hi + 1]  # gap after lambda_k for k = 2..hi, never empty
     if float(gaps.max() - gaps.min()) <= 1e-12:
         warnings.warn("all spectral gaps equal; defaulting to 2 modules")
         return 2
@@ -84,7 +81,7 @@ def estimate_num_modules(report: SpectrumReport, m_max: int = 8) -> int:
 
 def _spectral_embedding(K: CommunicationGraph, m: int) -> np.ndarray:
     """Rows of the top-m right eigenvectors of the walk, normalized to unit norm."""
-    vals, U = np.linalg.eigh(K.normalized)
+    vals, U = K.eigh
     order = np.argsort(vals)[::-1]
     X = U[:, order[:m]] / np.sqrt(K.mass)[:, None]
     norms = np.linalg.norm(X, axis=1)

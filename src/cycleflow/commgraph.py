@@ -36,10 +36,9 @@ _ZERO_FLOOR = 1e-15
 
 @dataclass(frozen=True)
 class CommunicationGraph:
-    """Symmetric node-communication intensities with the stationary vector."""
+    """Symmetric node-communication intensities, with the walk's spectral forms."""
 
     intensity: np.ndarray
-    pi: np.ndarray
     nodes: tuple[str, ...] | None = field(default=None, repr=False)
 
     @property
@@ -60,6 +59,11 @@ class CommunicationGraph:
         """D^{-1/2} I D^{-1/2}, D = diag(mass): the walk's exactly symmetric similar form."""
         d = 1.0 / np.sqrt(self.mass)
         return self.intensity * np.outer(d, d)
+
+    @cached_property
+    def eigh(self):
+        """Ascending eigenpairs (lam, U) of `normalized`; U / sqrt(mass) are the walk's."""
+        return np.linalg.eigh(self.normalized)
 
     def node_ids(self):
         return self.nodes if self.nodes is not None else tuple(str(i) for i in range(self.n))
@@ -84,15 +88,16 @@ class CycleGraph:
         return tuple("(" + ",".join(self.nodes[v] for v in c) + ")" for c in self.cycles)
 
 
-def communication_graph(dec: CycleDecomposition, pi: np.ndarray) -> CommunicationGraph:
+def communication_graph(dec: CycleDecomposition, pi=None) -> CommunicationGraph:
     """Intensity matrix I[x, y] = sum over cycles through x and y of w/|cycle|.
 
     Self-loops (x == y) are kept: they carry the mass that makes each row sum
     to pi[x].  I equals diag(pi) times the lifted node chain when the weights
     are exact.  Computed as X^T X with X[alpha, x] = sqrt(w/|alpha|) on the
     cycle's nodes, a symmetric rank-k product, so I is exactly symmetric.
+    `pi` is unused, as I depends on the cycles alone; it stays for callers that
+    pass it positionally, such as the benchmark's checks.
     """
-    pi = np.asarray(pi, dtype=float)
     X = np.zeros((len(dec.cycles), dec.n_nodes))
     X[dec.rows, dec.members] = np.sqrt(dec.w / dec.lengths)[dec.rows]
     I = X.T @ X
@@ -100,7 +105,7 @@ def communication_graph(dec: CycleDecomposition, pi: np.ndarray) -> Communicatio
     uncovered = np.flatnonzero(I.sum(axis=1) == 0.0)
     if uncovered.size:
         raise ValueError(f"node index {int(uncovered[0])} is covered by no cycle")
-    return CommunicationGraph(intensity=I, pi=pi, nodes=dec.nodes)
+    return CommunicationGraph(intensity=I, nodes=dec.nodes)
 
 
 def cycle_graph(dec: CycleDecomposition) -> CycleGraph:
@@ -217,4 +222,4 @@ class Pipeline:
 
     @cached_property
     def K(self) -> CommunicationGraph:
-        return communication_graph(self.dec, self.pi)
+        return communication_graph(self.dec)

@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import Trajectory
+from .graph import Trajectory, flow_conservation_residual
 
 __all__ = [
     "Cycle",
@@ -214,7 +214,7 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
     fmax = float(F.max())
     if fmax <= 0:
         raise ValueError("flow is identically zero")
-    cons = float(np.max(np.abs(F.sum(axis=0) - F.sum(axis=1))))
+    cons = flow_conservation_residual(F)
     if cons > 1e-8 * fmax:
         raise ValueError(f"flow is not conservative (residual {cons:.3e})")
     if tol is None:
@@ -253,7 +253,8 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
             y = cols[k]
             if y in seen:
                 i = seen[y]
-                cyc = canonical_cycle(path[i:])
+                j = path.index(min(path[i:]), i)  # path[i:] is simple: rotate its min first
+                cyc = tuple(path[j:] + path[i:j])
                 w = min(res[k] for k in slots[i:])
                 for k in slots[i:]:
                     res[k] -= w

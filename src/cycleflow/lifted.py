@@ -95,26 +95,23 @@ class SpectrumReport:
             lines.append(f"{float(lam.real)!r},{float(lam.imag)!r}")
         return "\n".join(lines) + "\n"
 
-
-def _sorted_report(vals: np.ndarray, k: int | None) -> SpectrumReport:
-    vals = np.asarray(vals, dtype=complex)
-    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
-    vals = vals[order]
-    if k is not None:
-        if not 1 <= k <= vals.size:
-            raise ValueError(f"k={k} out of range for dimension {vals.size}")
-        vals = vals[:k]
-    return SpectrumReport(eigenvalues=vals, max_imag=float(np.max(np.abs(vals.imag))))
+    @classmethod
+    def from_eigenvalues(cls, vals, k: int | None = None) -> SpectrumReport:
+        """Raw eigenvalues sorted by modulus, real, then imaginary part, descending; top k."""
+        vals = np.asarray(vals, dtype=complex)
+        order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
+        vals = vals[order]
+        if k is not None:
+            if not 1 <= k <= vals.size:
+                raise ValueError(f"k={k} out of range for dimension {vals.size}")
+            vals = vals[:k]
+        return cls(eigenvalues=vals, max_imag=float(np.max(np.abs(vals.imag))))
 
 
 def spectrum(M: np.ndarray, k: int | None = None) -> SpectrumReport:
     """Full (or top-k by modulus) spectrum of a square matrix, dense solve."""
     M = np.asarray(M, dtype=float)
-    try:
-        vals = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed: {exc}") from exc
-    return _sorted_report(vals, k)
+    return SpectrumReport.from_eigenvalues(np.linalg.eigvals(M), k)
 
 
 def _symmetrize(M: np.ndarray, dist: np.ndarray):
@@ -131,16 +128,12 @@ def spectrum_reversible(M: np.ndarray, dist: np.ndarray,
 
     The similarity transform D^{1/2} M D^{-1/2} is symmetric for a
     reversible chain, so a symmetric eigensolve returns an exactly real
-    spectrum.
+    spectrum.  The reference for explicit chains such as `Pipeline.P_lift`.
     """
     if np.any(np.asarray(dist) <= 0):
         raise ValueError("reversible spectrum needs a strictly positive distribution")
     S, _ = _symmetrize(M, dist)
-    try:
-        vals = np.linalg.eigvalsh(S)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed: {exc}") from exc
-    return _sorted_report(vals, k)
+    return SpectrumReport.from_eigenvalues(np.linalg.eigvalsh(S), k)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import runpy
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -87,8 +88,8 @@ def test_decompose_rejects_disconnected(tmp_path):
 
 
 def test_spectrum_outputs(barbell_tsv, tmp_path):
-    # a sampled run's lifted chain is reversible wrt its node mass, not pi:
-    # symmetrized with pi, its top eigenvalue misses 1 by the sampling error
+    # the lifted spectrum is solved on K's symmetric form, built from K's own row
+    # sums, so a sampled run's top eigenvalue is 1 to rounding, as a peeled run's is
     for name, decomposer in (("iterative", ["--decomposer", "iterative"]),
                              ("sample", ["--decomposer", "sample", "--T", "100000"])):
         outdir = tmp_path / name
@@ -99,6 +100,24 @@ def test_spectrum_outputs(barbell_tsv, tmp_path):
         assert walk[0] == "re,im" and len(walk) == 9
         re0, im0 = (float(x) for x in lifted[1].split(","))
         assert re0 == pytest.approx(1.0, abs=1e-10) and im0 == 0.0
+
+
+def test_one_solve_of_K_per_command(barbell_tsv, tmp_path, monkeypatch):
+    calls = Counter()
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    common = ["--input", str(barbell_tsv), "--decomposer", "iterative"]
+    # the module count and the embedding share one eigendecomposition of K
+    assert main(["cluster", *common, "--method", "cmsm", "--m", "auto",
+                 "--output-dir", str(tmp_path / "clu")]) == 0
+    assert dict(calls) == {"eigh": 1}
+    # the lifted spectrum needs no vectors: one values-only solve, besides the walk's
+    calls.clear()
+    assert main(["spectrum", *common, "--output-dir", str(tmp_path / "spec")]) == 0
+    assert dict(calls) == {"eigvalsh": 1, "eigvals": 1}
 
 
 def test_cluster_cmsm(barbell_tsv, tmp_path):
@@ -220,6 +239,27 @@ def test_validation_exit_codes(tmp_path):
                  "--output-dir", str(tmp_path / "u")]) == 2
     assert main(["decompose", "--input", str(good), "--start", "nope",
                  "--output-dir", str(tmp_path / "v")]) == 2
+
+
+def test_out_of_memory_exit_code(barbell_tsv, tmp_path, monkeypatch, capsys):
+    for exc in (MemoryError("Unable to allocate 7.45 GiB for an array"), MemoryError()):
+        def no_memory(*args, exc=exc, **kwargs):
+            raise exc
+        monkeypatch.setattr("cycleflow.cli.Pipeline", no_memory)
+        assert main(["spectrum", "--input", str(barbell_tsv),
+                     "--output-dir", str(tmp_path / "s")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
+def test_eigensolver_failure_exit_code(barbell_tsv, tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, yet it is a numerical failure, not a validation one
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    assert main(["cluster", "--input", str(barbell_tsv), "--decomposer", "iterative",
+                 "--output-dir", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"
 
 
 @pytest.mark.parametrize("script, args", [

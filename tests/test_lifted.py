@@ -91,6 +91,14 @@ def test_lifted_invariants_property(seed):
     assert cf.detailed_balance_residual(pipe.Q_lift, pipe.mu) <= 1e-10
     assert np.abs(pipe.pi @ pipe.P_lift - pipe.pi).max() <= 1e-8
     assert np.abs(pipe.mu @ pipe.Q_lift - pipe.mu).max() <= 1e-8
+    # K's one eigendecomposition is the lifted spectrum, and its vectors over
+    # sqrt(mass) are right eigenvectors of the walk on K
+    K = pipe.K
+    vals, U = K.eigh
+    ref = cf.spectrum_reversible(pipe.P_lift, pipe.pi_lift).real_sorted()
+    assert np.abs(np.sort(vals)[::-1] - ref).max() <= 1e-12
+    R = U / np.sqrt(K.mass)[:, None]
+    assert np.abs(K.walk_matrix() @ R - R * vals).max() <= 1e-10
 
 
 # ------------------------------------------------------------------ spectra
