@@ -120,39 +120,52 @@ def sample_decomposition(traj: Trajectory, n_nodes: int | None = None) -> CycleD
     state is appended; when the current state X_i already sits at position p
     of the chain, the segment after p closed a cycle: it is recorded as
     (X_i, eta_{p+1}, ..., eta_l) and erased, leaving the chain ending at X_i.
-    Weights are completion counts divided by the trajectory length.
+    Closures are counted by that raw tuple and canonicalized once per distinct
+    tuple afterwards, merging counts in first-seen order: a cycle's key sits
+    where the first closure of any of its rotations fell.  Weights are
+    completion counts divided by the trajectory length.
 
     Parameters
     ----------
     traj : Trajectory
-        Walk realization (indices).  Must have at least 2 states.
+        Walk realization (indices).  Must have at least 2 states, each in
+        0..n_nodes-1.
     n_nodes : int, optional
         Size of the index space; defaults to len(traj.nodes) or max index + 1.
     """
     T = traj.length
     if T < 2:
         raise ValueError("trajectory must contain at least 2 states")
-    states = traj.states.tolist()
+    lo, hi = int(traj.states.min()), int(traj.states.max())
     if n_nodes is None:
-        n_nodes = len(traj.nodes) if traj.nodes is not None else max(states) + 1
+        n_nodes = len(traj.nodes) if traj.nodes is not None else hi + 1
+    if lo < 0 or hi >= n_nodes:
+        raise ValueError(f"trajectory states span {lo}..{hi}, outside 0..{n_nodes - 1}")
+    states = traj.states.tolist()
 
-    counts: dict[Cycle, int] = {}
+    raw: dict[tuple[int, ...], int] = {}
     first = states[0]
     eta = [first]
-    pos = {first: 0}
+    pos = [-1] * n_nodes  # each node's position in the chain, -1 when off it
+    pos[first] = 0
     for x in states[1:]:
-        p = pos.get(x)
-        if p is None:
+        p = pos[x]
+        if p < 0:
             pos[x] = len(eta)
             eta.append(x)
             continue
         tail = eta[p + 1:]
-        cyc = canonical_cycle((x, *tail))
-        counts[cyc] = counts.get(cyc, 0) + 1
+        c = (x, *tail)
+        raw[c] = raw.get(c, 0) + 1
         for y in tail:
-            del pos[y]
+            pos[y] = -1
         del eta[p + 1:]
         # the chain still ends at the walker's current node x (position p)
+    counts: dict[Cycle, int] = {}
+    for c, k in raw.items():
+        i = c.index(min(c))  # the chain holds each node once, so c is simple
+        c = c[i:] + c[:i]
+        counts[c] = counts.get(c, 0) + k
     dec = CycleDecomposition(weights={c: k / T for c, k in counts.items()},
                              counts=counts, kind="sampled", T=T, n_nodes=n_nodes,
                              nodes=traj.nodes)

@@ -28,6 +28,9 @@ __all__ = [
     "write_trajectory",
 ]
 
+# Steps per batch of uniforms in `simulate`: bounds its working lists to 64k.
+_WALK_CHUNK = 1 << 16
+
 
 class DirectedGraph:
     """Directed graph with strictly positive edge weights.
@@ -229,7 +232,9 @@ def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
     """Simulate `length` states of the walk, starting at index `start`.
 
     Reproducible: the generator is numpy's PCG64 seeded with `seed`, and
-    one uniform variate is consumed per step in trajectory order.
+    one uniform variate is consumed per step in trajectory order.  Uniforms
+    are drawn in chunks of `_WALK_CHUNK`; PCG64 spends one 64-bit draw per
+    double, so the trajectory does not depend on the chunk size.
     """
     if length < 1:
         raise ValueError("trajectory length must be >= 1")
@@ -254,18 +259,10 @@ def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
     out = np.empty(length, dtype=np.int32)
     out[0] = start
     x = start
-    pos = 1
-    remaining = length - 1
-    while remaining > 0:
-        m = min(remaining, 1_000_000)
-        us = rng.random(m).tolist()
-        chunk = [0] * m
-        for j, u in enumerate(us):
-            x = succ[x][bisect_right(cums[x], u)]
-            chunk[j] = x
-        out[pos:pos + m] = chunk
-        pos += m
-        remaining -= m
+    for lo in range(1, length, _WALK_CHUNK):
+        us = rng.random(min(_WALK_CHUNK, length - lo)).tolist()
+        # x carries the walker's node across chunks
+        out[lo:lo + len(us)] = [x := succ[x][bisect_right(cums[x], u)] for u in us]
     return Trajectory(states=out)
 
 

@@ -113,6 +113,53 @@ def test_sample_start_independence():
         assert d1.weights[c] == pytest.approx(d2.weights[c], rel=0.2)
 
 
+def test_sample_rejects_out_of_range_states():
+    for states in ([0, 5, 0, 5, 0], [0, -1, 0, -1, 0]):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            cf.sample_decomposition(cf.Trajectory(states=np.array(states)), n_nodes=2)
+    with pytest.raises(ValueError, match="outside"):
+        cf.sample_decomposition(cf.Trajectory(states=np.array([1, -1, 1])))
+
+
+def dict_erasure(states):
+    """Reference loop erasure: chain positions in a dict, each closure canonicalized."""
+    counts = {}
+    eta = [states[0]]
+    pos = {states[0]: 0}
+    for x in states[1:]:
+        p = pos.get(x)
+        if p is None:
+            pos[x] = len(eta)
+            eta.append(x)
+            continue
+        tail = eta[p + 1:]
+        cyc = cf.canonical_cycle((x, *tail))
+        counts[cyc] = counts.get(cyc, 0) + 1
+        for y in tail:
+            del pos[y]
+        del eta[p + 1:]
+    return counts
+
+
+SELF_LOOPS = cf.DirectedGraph(["a", "b", "c"], {
+    ("a", "a"): 1.0, ("a", "b"): 1.0, ("b", "b"): 0.5, ("b", "c"): 1.0,
+    ("c", "a"): 1.0, ("c", "b"): 1.0})
+
+
+@pytest.mark.parametrize("G,start,T", [
+    (cf.barbell(40, 0.1), 0, 200_000),
+    (cf.wheel_switch(10, 0.7), 0, 200_000),
+    (random_strong_graph(np.random.default_rng(3), 120), 0, 200_000),
+    (SELF_LOOPS, 0, 50_000),
+    (cf.barbell(40, 0.1), 57, 100_000),
+], ids=["barbell40", "wheel0.7", "random120", "self_loops", "barbell40_mid"])
+def test_sample_matches_dict_erasure(G, start, T):
+    traj = cf.simulate(cf.transition_matrix(G), start, T, seed=11)
+    dec = cf.sample_decomposition(traj, n_nodes=G.n)
+    # same counts, and each cycle keyed where the first of its rotations closed
+    assert list(dec.counts.items()) == list(dict_erasure(traj.states.tolist()).items())
+
+
 def test_merge_decompositions():
     P = cf.transition_matrix(cf.ring(3))
     parts = [cf.sample_decomposition(cf.simulate(P, 0, 301, seed=s), n_nodes=3)

@@ -176,6 +176,28 @@ def test_simulate_occupation_matches_stationary():
     assert np.abs(freq - pi).max() <= 0.01
 
 
+def reference_walk(P, start, length, seed):
+    """Reference walk: all uniforms in one draw, then one inverse-CDF step each."""
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(P, axis=1)
+    cum /= cum[:, -1:]
+    out = [start]
+    for u in rng.random(length - 1):
+        # a zero-probability column repeats its left neighbour's value, so it is never picked
+        out.append(int(np.searchsorted(cum[out[-1]], u, side="right")))
+    return np.array(out)
+
+
+def test_simulate_independent_of_chunk_size():
+    # several uniform chunks plus a ragged tail: x must carry across boundaries
+    G = cf.wheel_switch(10, 0.7)
+    P = cf.transition_matrix(G)
+    length = 3 * 65536 + 5
+    traj = cf.simulate(P, 4, length, seed=3)
+    assert traj.length == length
+    assert np.array_equal(traj.states, reference_walk(P, 4, length, seed=3))
+
+
 def test_simulate_rejects_bad_length():
     P = cf.transition_matrix(cf.ring(3))
     with pytest.raises(ValueError):
