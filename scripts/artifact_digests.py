@@ -1,0 +1,49 @@
+"""SHA-256 of every artifact the benchmark's six-command job writes for one input.
+
+Runs decompose, spectrum, cluster cmsm / qbar-max / q-max and export-graph, the
+job of perfbench/workloads.py, through `cycleflow.cli.main` in this process, and
+prints `sha256  relpath` for each file written, in path order.  Run against two
+source trees on the same input file, it shows whether a change kept every
+artifact byte-identical.  Pass the input by the same path both times: every JSON
+artifact echoes it.
+
+Usage: PYTHONPATH=src python scripts/artifact_digests.py graph.tsv
+           [--decomposer sample|iterative] [--T 1000000] [--seed 0]
+"""
+
+import argparse
+import contextlib
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from cycleflow.cli import main as cli_main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import COMMANDS, Workload, job  # noqa: E402
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("input", help="edge-list TSV")
+    ap.add_argument("--decomposer", choices=["sample", "iterative"], default="sample")
+    ap.add_argument("--T", type=int, default=1_000_000)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    # family and n only build a workload's graph; the job reads decomposer and T
+    wl = Workload(family="input", n=0, decomposer=args.decomposer, T=args.T)
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = job(wl, args.seed, args.input, tmp)
+        for command in COMMANDS:
+            with contextlib.redirect_stdout(sys.stderr):
+                code = cli_main(argvs[command])
+            if code != 0:
+                sys.exit(f"{command} exited with code {code}")
+        for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(tmp).as_posix()}")
+
+
+if __name__ == "__main__":
+    main()

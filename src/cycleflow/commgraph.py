@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cycles import CycleDecomposition, iterative_decomposition, sample_decomposition
+from .cycles import (CycleDecomposition, _json_document, _json_floats, iterative_decomposition,
+                     sample_decomposition)
 from .graph import (DirectedGraph, edge_flow, simulate, stationary_distribution,
                     transition_matrix)
 from .lifted import cycle_stationary, cycle_to_node_matrix, node_to_cycle_matrix
@@ -157,12 +158,13 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        obj = {
-            "nodes": list(ids),
-            "edges": [{"source": ids[i], "target": ids[j], "weight": wij}
-                      for i, j, wij in edges],
-        }
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        # the text of json.dumps({"edges": [...], "nodes": [...]}, sort_keys=True, indent=2)
+        quoted = [json.dumps(v) for v in ids]
+        edges = list(edges)
+        weights = _json_floats([wij for _, _, wij in edges])
+        items = [f'    {{\n      "source": {quoted[i]},\n      "target": {quoted[j]},'
+                 f'\n      "weight": {w}\n    }}' for (i, j, _), w in zip(edges, weights)]
+        return _json_document({}, {"edges": items, "nodes": ["    " + q for q in quoted]})
     raise ValueError(f"unknown export format {fmt!r} (expected dot, tsv or json)")
 
 

@@ -12,9 +12,10 @@ dependent solution of the same flow equations whenever cycles share edges.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -145,21 +146,24 @@ def sample_decomposition(traj: Trajectory, n_nodes: int | None = None) -> CycleD
 
     raw: dict[tuple[int, ...], int] = {}
     first = states[0]
-    eta = [first]
+    # the chain is eta[:L]; it holds each node at most once, so n_nodes slots suffice
+    eta = [first] * n_nodes
+    L = 1
     pos = [-1] * n_nodes  # each node's position in the chain, -1 when off it
     pos[first] = 0
-    for x in states[1:]:
+    for x in islice(states, 1, None):
         p = pos[x]
         if p < 0:
-            pos[x] = len(eta)
-            eta.append(x)
+            pos[x] = L
+            eta[L] = x
+            L += 1
             continue
-        tail = eta[p + 1:]
-        c = (x, *tail)
+        c = tuple(eta[p:L])  # x itself sits at position p: c is (x, eta_{p+1}, ..., eta_l)
         raw[c] = raw.get(c, 0) + 1
-        for y in tail:
+        for y in c:
             pos[y] = -1
-        del eta[p + 1:]
+        pos[x] = p
+        L = p + 1
         # the chain still ends at the walker's current node x (position p)
     counts: dict[Cycle, int] = {}
     for c, k in raw.items():
@@ -301,18 +305,53 @@ def verify_flow_decomposition(dec: CycleDecomposition, F: np.ndarray) -> float:
     return float(np.max(np.abs(F - S)))
 
 
+def _json_floats(xs: list[float]) -> list[str]:
+    """Each float as `json` writes it: its repr, or Infinity, -Infinity and NaN."""
+    if all(map(math.isfinite, xs)):
+        return repr(xs)[1:-1].split(", ") if xs else []
+    return [json.dumps(x) for x in xs]
+
+
+def _json_document(obj: dict, lists: dict[str, list[str]]) -> str:
+    """The text of `json.dumps(lists | obj, sort_keys=True, indent=2) + "\n"`, where each
+    value of `lists` is a list given as its entries' JSON text at the 4-space indent.
+
+    The values of `obj` are dumped one by one and shifted in by two spaces; JSON text
+    holds no raw newline inside a string, so each of its lines is a line of the layout.
+    """
+    merged = {**lists, **obj}
+    members = []
+    for key in sorted(merged):
+        if key in obj:
+            text = "\n  ".join(json.dumps(obj[key], sort_keys=True, indent=2).split("\n"))
+        else:
+            text = "[\n" + ",\n".join(lists[key]) + "\n  ]" if lists[key] else "[]"
+        members.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}\n"
+
+
 def decomposition_to_json(dec: CycleDecomposition, extra: dict | None = None) -> str:
-    """JSON export: cycles sorted by weight descending, then canonical order."""
+    """JSON export: cycles sorted by weight descending, then canonical order.
+
+    The text is that of `json.dumps(obj, sort_keys=True, indent=2)`, with `obj` holding
+    `kind`, `n_nodes`, `T` (sampled), the cycle list and then `extra`'s keys; each cycle
+    entry has its node ids, its weight and, when sampled, its count.  The cycle list is
+    rendered in bulk, each node id quoted once and all weights formatted in one repr.
+    """
     order = sorted(dec.weights, key=lambda c: (-dec.weights[c], c))
-    items = []
-    for c in order:
-        entry = {"cycle": dec.node_ids(c), "weight": float(dec.weights[c])}
-        if dec.counts is not None:
-            entry["count"] = dec.counts.get(c, 0)
-        items.append(entry)
-    obj = {"kind": dec.kind, "n_nodes": dec.n_nodes, "cycles": items}
+    quoted = [json.dumps(v) for v in dec.node_ids(range(dec.n_nodes))]
+    weights = _json_floats([float(dec.weights[c]) for c in order])
+    members = [",\n        ".join([quoted[v] for v in c]) for c in order]
+    if dec.counts is None:
+        items = [f'    {{\n      "cycle": [\n        {m}\n      ],\n      "weight": {w}\n    }}'
+                 for m, w in zip(members, weights)]
+    else:
+        counts = [dec.counts.get(c, 0) for c in order]
+        items = [f'    {{\n      "count": {k},\n      "cycle": [\n        {m}\n      ],'
+                 f'\n      "weight": {w}\n    }}' for k, m, w in zip(counts, members, weights)]
+    obj = {"kind": dec.kind, "n_nodes": dec.n_nodes}
     if dec.T is not None:
         obj["T"] = dec.T
     if extra:
         obj.update(extra)
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _json_document(obj, {"cycles": items})

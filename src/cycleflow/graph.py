@@ -255,6 +255,8 @@ def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
         c[-1] = 1.0  # uniforms in [0,1) always land inside the row
         succ.append(idx.tolist())
         cums.append(c.tolist())
+    # a row with one successor needs no search; its uniform is drawn all the same
+    det = [s[0] if len(s) == 1 else None for s in succ]
 
     out = np.empty(length, dtype=np.int32)
     out[0] = start
@@ -262,7 +264,9 @@ def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
     for lo in range(1, length, _WALK_CHUNK):
         us = rng.random(min(_WALK_CHUNK, length - lo)).tolist()
         # x carries the walker's node across chunks
-        out[lo:lo + len(us)] = [x := succ[x][bisect_right(cums[x], u)] for u in us]
+        out[lo:lo + len(us)] = [
+            x := det[x] if det[x] is not None else succ[x][bisect_right(cums[x], u)]
+            for u in us]
     return Trajectory(states=out)
 
 
@@ -297,8 +301,21 @@ def read_edge_list(path) -> DirectedGraph:
     return DirectedGraph.from_edge_list(triples)
 
 
+def _check_writable_ids(ids) -> None:
+    """Raise ValueError on a node id that `_read_fields` would not read back as itself:
+    empty, holding a tab or a line break, starting with `#` (a comment line) or with
+    whitespace at either end (stripped off the line)."""
+    for v in ids:
+        if not v or v != v.strip() or v.startswith("#") or any(ch in v for ch in "\t\r\n"):
+            raise ValueError(f"node id {v!r} cannot be written: it would not read back")
+
+
 def write_edge_list(G: DirectedGraph, path) -> None:
-    """Write the graph as TSV edge lines in node-index order."""
+    """Write the graph as TSV edge lines in node-index order.
+
+    Raises ValueError, before opening `path`, on a node id that would not read back.
+    """
+    _check_writable_ids(G.nodes)
     lines = []
     for (x, y), w in sorted(G.edges.items(), key=lambda it: (G.index(it[0][0]), G.index(it[0][1]))):
         lines.append(f"{x}\t{y}\t{w!r}")
@@ -327,5 +344,9 @@ def read_trajectory(path, nodes: tuple[str, ...] | None = None) -> Trajectory:
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
+    """Write one node id per line; raises ValueError, before opening `path`, on an id
+    that would not read back."""
+    ids = traj.as_ids()
+    _check_writable_ids(set(ids))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(traj.as_ids()) + "\n")
+        fh.write("\n".join(ids) + "\n")

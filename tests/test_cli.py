@@ -44,6 +44,15 @@ def test_generate_validation(tmp_path):
                  "--output", str(out)]) == 2
 
 
+def test_generate_refuses_ids_that_do_not_read_back(tmp_path, monkeypatch, capsys):
+    bad = cf.DirectedGraph(["#a", "b"], {("#a", "b"): 1.0, ("b", "#a"): 1.0})
+    monkeypatch.setattr(cf.generators, "ring", lambda n: bad)
+    out = tmp_path / "g.tsv"
+    assert main(["generate", "ring", "--n", "2", "--output", str(out)]) == 2
+    assert "would not read back" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_iterative(barbell_tsv, tmp_path):
     outdir = tmp_path / "dec"
     assert main(["decompose", "--input", str(barbell_tsv),

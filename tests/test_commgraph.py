@@ -125,3 +125,24 @@ def test_export_cycle_graph_and_errors(barbell4):
 
 def test_export_deterministic(barbell4):
     assert cf.export_graph(barbell4.K, "json") == cf.export_graph(barbell4.K, "json")
+
+
+def json_dumps_graph(M, ids, include_self_loops):
+    """Reference JSON export: the whole object through json.dumps(..., indent=2)."""
+    edges = [(i, j) for i in range(M.shape[0]) for j in range(M.shape[0])
+             if j >= i + (not include_self_loops) and M[i, j] != 0.0]
+    obj = {"nodes": list(ids),
+           "edges": [{"source": ids[i], "target": ids[j], "weight": float(M[i, j])}
+                     for i, j in edges]}
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("which", ["communication", "cycle"])
+@pytest.mark.parametrize("include_self_loops", [True, False])
+def test_export_json_matches_json_dumps(which, include_self_loops):
+    pipe = build_pipeline(random_strong_graph(np.random.default_rng(5), 12))
+    graph = pipe.K if which == "communication" else cf.cycle_graph(pipe.dec)
+    M = graph.intensity if which == "communication" else graph.exchange
+    assert np.all(np.diag(M) > 0)  # self-loops to keep or drop
+    text = cf.export_graph(graph, "json", include_self_loops=include_self_loops)
+    assert text == json_dumps_graph(M, graph.node_ids(), include_self_loops)

@@ -348,3 +348,51 @@ def test_decomposition_json_sorted(barbell4):
     assert obj["cycles"][0]["cycle"][0].startswith(("l", "r"))
     # deterministic
     assert text == cf.decomposition_to_json(barbell4.dec)
+
+
+def json_dumps_decomposition(dec, extra=None):
+    """Reference writer: the whole object through json.dumps(..., sort_keys=True, indent=2)."""
+    order = sorted(dec.weights, key=lambda c: (-dec.weights[c], c))
+    items = []
+    for c in order:
+        entry = {"cycle": dec.node_ids(c), "weight": float(dec.weights[c])}
+        if dec.counts is not None:
+            entry["count"] = dec.counts.get(c, 0)
+        items.append(entry)
+    obj = {"kind": dec.kind, "n_nodes": dec.n_nodes, "cycles": items}
+    if dec.T is not None:
+        obj["T"] = dec.T
+    if extra:
+        obj.update(extra)
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# ids that json must escape, or writes as \u escapes
+ODD_IDS = cf.DirectedGraph(['a"q', "b\\s", "ü", "节点"], {
+    ('a"q', "b\\s"): 1.0, ("b\\s", "ü"): 2.0, ("ü", "节点"): 1.5, ("节点", 'a"q'): 1.0,
+    ("ü", 'a"q'): 0.5, ("b\\s", 'a"q'): 0.7, ("节点", "节点"): 0.3})
+NESTED_EXTRA = {
+    "config": {"T": 2000, "start": None, "tol": 1e-12,
+               "nested": {"b": [1.5, None, 3], "a": {}, "c": "ü"}},
+    "flow_residual": 2.7755575615628914e-17, "input_sha256": "0" * 64, "max_flow": None}
+
+
+@pytest.mark.parametrize("make_dec,extra", [
+    (lambda: cf.Pipeline(ODD_IDS, T=2000, seed=1).dec, None),
+    (lambda: cf.Pipeline(ODD_IDS, T=2000, seed=1).dec, NESTED_EXTRA),
+    (lambda: cf.Pipeline(ODD_IDS).dec, NESTED_EXTRA),
+    (lambda: cf.Pipeline(cf.barbell(4, 0.1)).dec, None),
+    (lambda: cf.sample_decomposition(cf.Trajectory(states=np.array([0, 1]), nodes=("a", "b"))),
+     NESTED_EXTRA),
+    (lambda: cf.sample_decomposition(cf.simulate(cf.transition_matrix(ODD_IDS), 0, 500, seed=2)),
+     {}),
+    (lambda: cf.CycleDecomposition(weights={(0, 1): float("inf"), (2,): 0.5, (1, 2): float("nan")},
+                                   kind="iterative", n_nodes=3),
+     {"max_flow": float("-inf"), "cycles_seen": [float("nan")]}),
+], ids=["sampled", "sampled_extra", "iterative_extra", "iterative", "empty", "nodes_none",
+        "non_finite"])
+def test_decomposition_json_matches_json_dumps(make_dec, extra):
+    dec = make_dec()
+    text = cf.decomposition_to_json(dec, extra)
+    assert text == json_dumps_decomposition(dec, extra)
+    assert "inf," not in text and "nan" not in text

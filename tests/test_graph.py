@@ -188,14 +188,21 @@ def reference_walk(P, start, length, seed):
     return np.array(out)
 
 
+SELF_LOOPS = cf.DirectedGraph(["a", "b", "c"], {
+    ("a", "a"): 1.0, ("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "a"): 1.0, ("c", "c"): 0.5})
+
+
 def test_simulate_independent_of_chunk_size():
-    # several uniform chunks plus a ragged tail: x must carry across boundaries
-    G = cf.wheel_switch(10, 0.7)
-    P = cf.transition_matrix(G)
+    # several uniform chunks plus a ragged tail: x must carry across boundaries;
+    # rows with a single successor skip the search but still consume their uniform
     length = 3 * 65536 + 5
-    traj = cf.simulate(P, 4, length, seed=3)
-    assert traj.length == length
-    assert np.array_equal(traj.states, reference_walk(P, 4, length, seed=3))
+    for G, single in ((cf.wheel_switch(10, 0.7), 16), (cf.barbell(40, 0.1), 78),
+                      (SELF_LOOPS, 1)):
+        P = cf.transition_matrix(G)
+        assert np.sum(np.count_nonzero(P, axis=1) == 1) == single
+        traj = cf.simulate(P, 1, length, seed=3)
+        assert traj.length == length
+        assert np.array_equal(traj.states, reference_walk(P, 1, length, seed=3))
 
 
 def test_simulate_rejects_bad_length():
@@ -230,6 +237,39 @@ def test_edge_list_malformed(tmp_path):
     path.write_text("a\tb\tnotanumber\n")
     with pytest.raises(ValueError):
         cf.read_edge_list(path)
+
+
+UNREADABLE_IDS = ["", "#a", " a", "a ", "a\tb", "a\rb", "a\nb", "a\u2028"]
+
+
+@pytest.mark.parametrize("bad", UNREADABLE_IDS)
+def test_write_edge_list_rejects_ids_that_do_not_read_back(tmp_path, bad):
+    # written, `#a` would start a comment line and ` a` would be stripped to `a`
+    G = cf.DirectedGraph([bad, "b"], {(bad, "b"): 1.0, ("b", bad): 1.0})
+    path = tmp_path / "g.tsv"
+    with pytest.raises(ValueError, match="would not read back"):
+        cf.write_edge_list(G, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", UNREADABLE_IDS)
+def test_write_trajectory_rejects_ids_that_do_not_read_back(tmp_path, bad):
+    traj = cf.Trajectory(states=np.array([1, 0, 1]), nodes=("b", bad))
+    path = tmp_path / "traj.txt"
+    with pytest.raises(ValueError, match="would not read back"):
+        cf.write_trajectory(traj, path)
+    assert not path.exists()
+
+
+def test_writers_keep_inner_spaces_and_hashes(tmp_path):
+    ids = ["a b", "c#", "节点", 'q"\\']
+    G = cf.DirectedGraph(ids, {(ids[k], ids[(k + 1) % 4]): 1.0 + k for k in range(4)})
+    cf.write_edge_list(G, tmp_path / "g.tsv")
+    H = cf.read_edge_list(tmp_path / "g.tsv")
+    assert H.nodes == tuple(sorted(ids)) and H.edges == G.edges
+    traj = cf.Trajectory(states=np.array([0, 1, 2, 3, 0]), nodes=tuple(ids))
+    cf.write_trajectory(traj, tmp_path / "t.txt")
+    assert cf.read_trajectory(tmp_path / "t.txt", nodes=tuple(ids)).as_ids() == traj.as_ids()
 
 
 def test_trajectory_roundtrip(tmp_path):
