@@ -42,7 +42,6 @@ class RunConfig:
     T: int = 1_000_000
     seed: int = 0
     start: str | None = None
-    tol: float = 1e-12
     m: str = "auto"
     m_max: int = 8
     theta: float = 0.9
@@ -81,12 +80,12 @@ def _load_pipeline(config: RunConfig) -> Pipeline:
     """Graph file -> Pipeline, decomposed by the configured decomposer."""
     G = read_edge_list(config.input)
     if config.decomposer == "iterative":
-        return Pipeline(G, tol=config.tol)
+        return Pipeline(G)
     if config.decomposer == "sample":
         if config.start is not None and config.start not in G.nodes:
             raise ValueError(f"unknown start node {config.start!r}")
         start = 0 if config.start is None else G.index(config.start)
-        return Pipeline(G, T=config.T, seed=config.seed, start=start, tol=config.tol)
+        return Pipeline(G, T=config.T, seed=config.seed, start=start)
     raise ValueError(f"unknown decomposer {config.decomposer!r}")
 
 
@@ -266,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--T", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--start", help="start node for sampling (default: first node)")
-        p.add_argument("--tol", type=float)
 
     dec = add_command("decompose", "cycle decomposition plus flow residual")
     add_pipeline_args(dec, trajectory=True)
@@ -312,8 +310,6 @@ def _config_from_args(args) -> RunConfig:
 def _validate_numbers(config: RunConfig) -> None:
     if config.T < 2:
         raise ValueError("trajectory must contain at least 2 states")
-    if not 0 < config.tol < 1:
-        raise ValueError("tol must lie in (0, 1)")
     if not 0.5 < config.theta < 1:
         raise ValueError("theta must lie in (0.5, 1)")
     if config.m != "auto":

@@ -67,12 +67,12 @@ def estimate_num_modules(report: SpectrumReport, m_max: int = 8) -> int:
     if report.max_imag > 1e-8:
         raise ValueError("module estimation needs a real spectrum "
                          f"(max imaginary part {report.max_imag:.3e})")
-    lam = report.real_sorted()
-    if lam.size < 3 or m_max < 2:
+    size = report.eigenvalues.size
+    if size < 3 or m_max < 2:
         warnings.warn("spectrum too short to pick a gap; defaulting to 2 modules")
         return 2
-    hi = min(m_max, lam.size - 1)
-    gaps = lam[1:hi] - lam[2:hi + 1]  # gap after lambda_k for k = 2..hi, never empty
+    hi = min(m_max, size - 1)
+    gaps = report.gaps(hi + 1)[1:]  # gap after lambda_k for k = 2..hi, never empty
     if float(gaps.max() - gaps.min()) <= 1e-12:
         warnings.warn("all spectral gaps equal; defaulting to 2 modules")
         return 2

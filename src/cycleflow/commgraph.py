@@ -178,10 +178,10 @@ class Pipeline:
     """
 
     def __init__(self, G: DirectedGraph, T: int | None = None, seed: int = 0,
-                 start: int = 0, tol: float = 1e-12):
+                 start: int = 0):
         self.G = G
         self.P = transition_matrix(G)
-        self.pi = stationary_distribution(self.P, tol=tol)
+        self.pi = stationary_distribution(self.P)
         self._sampling = None if T is None else (start, T, seed)
 
     @cached_property

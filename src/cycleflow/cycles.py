@@ -74,7 +74,7 @@ class CycleDecomposition:
 
     def __post_init__(self):
         for c, w in self.weights.items():
-            if w <= 0.0:
+            if not w > 0.0:
                 raise ValueError(f"cycle {c} has non-positive weight {w}")
 
     @cached_property

@@ -160,8 +160,14 @@ def transition_matrix(G: DirectedGraph) -> np.ndarray:
     return K / out[:, None]
 
 
-def _stationary_dense(P: np.ndarray) -> np.ndarray:
-    """Solve (P^T - Id) pi = 0 with sum(pi) = 1 by replacing one equation."""
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Stationary distribution pi with pi^T P = pi^T.
+
+    One dense solve of (P^T - Id) pi = 0 with its last equation replaced by
+    sum(pi) = 1; least squares when that system is singular.  Raises
+    RuntimeError if the l1 residual |pi P - pi| exceeds 1e-8.
+    """
+    P = np.asarray(P, dtype=float)
     n = P.shape[0]
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
@@ -174,48 +180,12 @@ def _stationary_dense(P: np.ndarray) -> np.ndarray:
     pi = np.maximum(pi, 0.0)
     s = pi.sum()
     if s <= 0:
-        raise RuntimeError("dense stationary solve produced a non-positive vector")
-    return pi / s
-
-
-def stationary_distribution(P: np.ndarray, tol: float = 1e-12,
-                            max_iter: int = 1_000_000) -> np.ndarray:
-    """Stationary distribution pi with pi^T P = pi^T.
-
-    Power iteration until the l1 residual drops below `tol`.  When it stalls
-    (periodic or very slowly mixing chains) or runs out of iterations, a
-    dense linear solve takes over at any size, and a RuntimeError reports
-    its residual if that exceeds 1e-8.
-    """
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    pi = np.full(n, 1.0 / n)
-    res_prev = np.inf
-    stalled = 0
-    for _ in range(max_iter):
-        nxt = pi @ P
-        nxt /= nxt.sum()
-        res = float(np.abs(nxt - pi).sum())
-        pi = nxt
-        if res <= tol:
-            return pi
-        # residual not shrinking geometrically: periodic chain or tiny gap
-        if res > 0.5 * res_prev:
-            stalled += 1
-            if stalled >= 100:
-                break
-        else:
-            stalled = 0
-        res_prev = res
-    pi = _stationary_dense(P)
-    _check_stationary(P, pi)
-    return pi
-
-
-def _check_stationary(P, pi, bound=1e-8):
+        raise RuntimeError("stationary solve produced a non-positive vector")
+    pi /= s
     res = float(np.abs(pi @ P - pi).sum())
-    if res > bound:
+    if res > 1e-8:
         raise RuntimeError(f"stationary solve failed, residual {res:.3e}")
+    return pi
 
 
 def edge_flow(P: np.ndarray, pi: np.ndarray) -> np.ndarray:

@@ -21,6 +21,12 @@ def test_canonical_cycle():
         cf.canonical_cycle(())
 
 
+def test_decomposition_rejects_non_positive_and_nan_weights():
+    for w in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="non-positive weight"):
+            cf.CycleDecomposition(weights={(0, 1): w}, kind="iterative", n_nodes=2)
+
+
 def test_reverse_cycle_examples():
     assert cf.reverse_cycle((0, 1, 2)) == (0, 2, 1)
     assert cf.reverse_cycle((0, 1)) == (0, 1)
@@ -386,7 +392,7 @@ NESTED_EXTRA = {
      NESTED_EXTRA),
     (lambda: cf.sample_decomposition(cf.simulate(cf.transition_matrix(ODD_IDS), 0, 500, seed=2)),
      {}),
-    (lambda: cf.CycleDecomposition(weights={(0, 1): float("inf"), (2,): 0.5, (1, 2): float("nan")},
+    (lambda: cf.CycleDecomposition(weights={(0, 1): float("inf"), (2,): 0.5},
                                    kind="iterative", n_nodes=3),
      {"max_flow": float("-inf"), "cycles_seen": [float("nan")]}),
 ], ids=["sampled", "sampled_extra", "iterative_extra", "iterative", "empty", "nodes_none",

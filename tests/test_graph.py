@@ -97,8 +97,8 @@ def test_stationary_closed_forms():
 
 
 def test_stationary_slow_chain_above_2000_states():
-    # 2002 states: the two long rings mix so slowly that power iteration
-    # stalls, and the dense solve must take over at this size too
+    # 2002 states on two long rings that mix very slowly: the direct solve
+    # is exact to rounding at this size too
     n, eps = 1001, 0.1
     G = cf.barbell(n, eps)
     P = cf.transition_matrix(G)
@@ -108,6 +108,17 @@ def test_stationary_slow_chain_above_2000_states():
     assert pi[G.index("l1")] == pytest.approx(w, rel=1e-12)
     assert pi[G.index("r7")] == pytest.approx(w, rel=1e-12)
     assert pi[G.index("l0")] == pytest.approx((1 + eps) * w, rel=1e-12)
+
+
+def test_stationary_solve_to_rounding_on_dense_random_graph():
+    # 500 nodes, 1449 edges: a solve that stops at an l1 step of 1e-12 leaves
+    # ~6e-13 here, and the peel tolerance (8x the conservation error) inherits it
+    G = random_strong_graph(np.random.default_rng(3), n=500)
+    P = cf.transition_matrix(G)
+    pi = cf.stationary_distribution(P)
+    assert np.abs(pi @ P - pi).sum() <= 1e-13
+    F = cf.edge_flow(P, pi)
+    assert cf.verify_flow_decomposition(cf.Pipeline(G).dec, F) <= 1e-13
 
 
 def test_edge_flow_examples(chain3):
