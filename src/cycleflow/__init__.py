@@ -3,6 +3,7 @@
 from .graph import (
     DirectedGraph,
     Trajectory,
+    Walk,
     check_strongly_connected,
     transition_matrix,
     stationary_distribution,

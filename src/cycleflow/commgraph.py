@@ -11,15 +11,14 @@ graph to these matrices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .cycles import (CycleDecomposition, _json_document, _json_floats, iterative_decomposition,
                      sample_decomposition)
-from .graph import (DirectedGraph, edge_flow, simulate, stationary_distribution,
-                    transition_matrix)
+from .graph import DirectedGraph, Walk, edge_flow, stationary_distribution, transition_matrix
 from .lifted import cycle_stationary, cycle_to_node_matrix, node_to_cycle_matrix
 
 __all__ = [
@@ -170,11 +169,11 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
 
 class Pipeline:
     """Everything derived from one graph; all but P and pi is built on first access.
-    The decomposition peels the exact flow or, with T given, samples T states of
-    the walk from `start`.  B, V, P_lift = B V and Q_lift = V B are the explicit
-    lifting, kept as the reference the walks on K and on the cycle graph are checked
-    against; `pi_lift`, the normalized node mass, is what P_lift is reversible with
-    (pi for exact weights).
+    The decomposition peels the exact flow or, with T given, erases T states of
+    the walk from `start` as they are drawn, holding no trajectory.  B, V,
+    P_lift = B V and Q_lift = V B are the explicit lifting, kept as the reference
+    the walks on K and on the cycle graph are checked against; `pi_lift`, the
+    normalized node mass, is what P_lift is reversible with (pi for exact weights).
     """
 
     def __init__(self, G: DirectedGraph, T: int | None = None, seed: int = 0,
@@ -189,8 +188,8 @@ class Pipeline:
         if self._sampling is None:
             return iterative_decomposition(edge_flow(self.P, self.pi), nodes=self.G.nodes)
         start, T, seed = self._sampling
-        traj = replace(simulate(self.P, start, T, seed=seed), nodes=self.G.nodes)
-        return sample_decomposition(traj, n_nodes=self.G.n)
+        return sample_decomposition(Walk(self.P, start, T, seed, nodes=self.G.nodes),
+                                    n_nodes=self.G.n)
 
     @cached_property
     def F(self) -> np.ndarray:

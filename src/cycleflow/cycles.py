@@ -19,7 +19,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .graph import Trajectory, flow_conservation_residual
+from .graph import Trajectory, Walk, flow_conservation_residual
 
 __all__ = [
     "Cycle",
@@ -114,7 +114,7 @@ class CycleDecomposition:
         return [self.nodes[v] for v in cycle]
 
 
-def sample_decomposition(traj: Trajectory, n_nodes: int | None = None) -> CycleDecomposition:
+def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) -> CycleDecomposition:
     """Cycle counts of a walk realization, by loop erasure.
 
     An auxiliary chain holds the loop-erased past of the walk.  Each new
@@ -128,30 +128,37 @@ def sample_decomposition(traj: Trajectory, n_nodes: int | None = None) -> CycleD
 
     Parameters
     ----------
-    traj : Trajectory
-        Walk realization (indices).  Must have at least 2 states, each in
-        0..n_nodes-1.
+    traj : Trajectory or Walk
+        Walk realization (indices), or a walk still to be drawn, which is
+        erased chunk by chunk as it is drawn and never held whole.  Must have
+        at least 2 states, each in 0..n_nodes-1.
     n_nodes : int, optional
-        Size of the index space; defaults to len(traj.nodes) or max index + 1.
+        Size of the index space; defaults to the walk's number of states, or
+        to len(traj.nodes) or max index + 1 for a Trajectory.
     """
     T = traj.length
     if T < 2:
         raise ValueError("trajectory must contain at least 2 states")
-    lo, hi = int(traj.states.min()), int(traj.states.max())
-    if n_nodes is None:
-        n_nodes = len(traj.nodes) if traj.nodes is not None else hi + 1
+    if isinstance(traj, Walk):
+        lo, hi = 0, traj.n - 1
+        n_nodes = traj.n if n_nodes is None else n_nodes
+        first, states = traj.start, chain.from_iterable(traj.chunks())
+    else:
+        lo, hi = int(traj.states.min()), int(traj.states.max())
+        if n_nodes is None:
+            n_nodes = len(traj.nodes) if traj.nodes is not None else hi + 1
+        states = traj.states.tolist()
+        first, states = states[0], islice(states, 1, None)
     if lo < 0 or hi >= n_nodes:
         raise ValueError(f"trajectory states span {lo}..{hi}, outside 0..{n_nodes - 1}")
-    states = traj.states.tolist()
 
     raw: dict[tuple[int, ...], int] = {}
-    first = states[0]
     # the chain is eta[:L]; it holds each node at most once, so n_nodes slots suffice
     eta = [first] * n_nodes
     L = 1
     pos = [-1] * n_nodes  # each node's position in the chain, -1 when off it
     pos[first] = 0
-    for x in islice(states, 1, None):
+    for x in states:
         p = pos[x]
         if p < 0:
             pos[x] = L

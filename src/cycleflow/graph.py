@@ -10,12 +10,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "DirectedGraph",
     "Trajectory",
+    "Walk",
     "check_strongly_connected",
     "transition_matrix",
     "stationary_distribution",
@@ -28,7 +30,7 @@ __all__ = [
     "write_trajectory",
 ]
 
-# Steps per batch of uniforms in `simulate`: bounds its working lists to 64k.
+# Steps per chunk of a `Walk`: bounds its working lists to 64k.
 _WALK_CHUNK = 1 << 16
 
 
@@ -198,45 +200,74 @@ def flow_conservation_residual(F: np.ndarray) -> float:
     return float(np.max(np.abs(F.sum(axis=0) - F.sum(axis=1))))
 
 
-def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
-    """Simulate `length` states of the walk, starting at index `start`.
+@dataclass(frozen=True, eq=False)
+class Walk:
+    """The walk on P from index `start`, `length` states long, drawn on demand.
 
-    Reproducible: the generator is numpy's PCG64 seeded with `seed`, and
-    one uniform variate is consumed per step in trajectory order.  Uniforms
-    are drawn in chunks of `_WALK_CHUNK`; PCG64 spends one 64-bit draw per
-    double, so the trajectory does not depend on the chunk size.
+    Reproducible: the generator is numpy's PCG64 seeded with `seed`, and one
+    uniform variate is consumed per step in walk order.  Uniforms are drawn in
+    chunks of `_WALK_CHUNK`; PCG64 spends one 64-bit draw per double, so the
+    states do not depend on the chunk size.  The length, the start index and
+    every row of P are checked on construction, before any uniform is drawn.
     """
-    if length < 1:
-        raise ValueError("trajectory length must be >= 1")
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    if not 0 <= start < n:
-        raise ValueError(f"start index {start} out of range")
-    rng = np.random.default_rng(seed)
 
-    succ = []
-    cums = []
-    for i in range(n):
-        idx = np.flatnonzero(P[i])
-        if idx.size == 0:
-            raise ValueError(f"state {i} has no successors")
-        c = np.cumsum(P[i, idx])
-        c /= c[-1]
-        c[-1] = 1.0  # uniforms in [0,1) always land inside the row
-        succ.append(idx.tolist())
-        cums.append(c.tolist())
-    # a row with one successor needs no search; its uniform is drawn all the same
-    det = [s[0] if len(s) == 1 else None for s in succ]
+    P: np.ndarray
+    start: int
+    length: int
+    seed: int
+    nodes: tuple[str, ...] | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.length < 1:
+            raise ValueError("trajectory length must be >= 1")
+        if not 0 <= self.start < self.n:
+            raise ValueError(f"start index {self.start} out of range")
+        self._rows  # raises on a row with no successor
+
+    @property
+    def n(self) -> int:
+        return int(np.shape(self.P)[0])
+
+    @cached_property
+    def _rows(self):
+        """Per row: successor indices, their cumulative probabilities, and the
+        successor itself for a row with one, which needs no search."""
+        P = np.asarray(self.P, dtype=float)
+        succ = []
+        cums = []
+        for i in range(self.n):
+            idx = np.flatnonzero(P[i])
+            if idx.size == 0:
+                raise ValueError(f"state {i} has no successors")
+            c = np.cumsum(P[i, idx])
+            c /= c[-1]
+            c[-1] = 1.0  # uniforms in [0,1) always land inside the row
+            succ.append(idx.tolist())
+            cums.append(c.tolist())
+        return succ, cums, [s[0] if len(s) == 1 else None for s in succ]
+
+    def chunks(self):
+        """Yield the `length - 1` states after `start`, in lists of up to `_WALK_CHUNK`."""
+        succ, cums, det = self._rows
+        rng = np.random.default_rng(self.seed)
+        x = self.start
+        for lo in range(1, self.length, _WALK_CHUNK):
+            us = rng.random(min(_WALK_CHUNK, self.length - lo)).tolist()
+            # x carries the walker's node across chunks; a row with one successor
+            # skips the search but its uniform is drawn all the same
+            yield [x := det[x] if det[x] is not None else succ[x][bisect_right(cums[x], u)]
+                   for u in us]
+
+
+def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
+    """Realize `length` states of `Walk(P, start, length, seed)` as a Trajectory."""
+    walk = Walk(P, start, length, seed)
     out = np.empty(length, dtype=np.int32)
     out[0] = start
-    x = start
-    for lo in range(1, length, _WALK_CHUNK):
-        us = rng.random(min(_WALK_CHUNK, length - lo)).tolist()
-        # x carries the walker's node across chunks
-        out[lo:lo + len(us)] = [
-            x := det[x] if det[x] is not None else succ[x][bisect_right(cums[x], u)]
-            for u in us]
+    lo = 1
+    for chunk in walk.chunks():
+        out[lo:lo + len(chunk)] = chunk
+        lo += len(chunk)
     return Trajectory(states=out)
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,7 +164,36 @@ def test_sample_matches_dict_erasure(G, start, T):
     traj = cf.simulate(cf.transition_matrix(G), start, T, seed=11)
     dec = cf.sample_decomposition(traj, n_nodes=G.n)
     # same counts, and each cycle keyed where the first of its rotations closed
-    assert list(dec.counts.items()) == list(dict_erasure(traj.states.tolist()).items())
+    expected = list(dict_erasure(traj.states.tolist()).items())
+    assert list(dec.counts.items()) == expected
+    # the Pipeline erases the same walk as it is drawn
+    streamed = cf.Pipeline(G, T=T, seed=11, start=start).dec
+    assert list(streamed.counts.items()) == expected
+    assert (streamed.T, streamed.n_nodes, streamed.nodes) == (T, G.n, G.nodes)
+
+
+def test_sampling_memory_does_not_grow_with_T():
+    G = cf.barbell(40, 0.1)
+
+    def peak(T):
+        tracemalloc.start()
+        try:
+            cf.Pipeline(G, T=T, seed=0).dec
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a T-state trajectory would add at least 4 bytes per state (4 MB here)
+    assert peak(1_000_000) <= peak(200_000) + 1_000_000
+
+
+def test_sample_walk_checks_index_space():
+    walk = cf.Walk(cf.transition_matrix(cf.ring(3)), 0, 10, seed=0)
+    with pytest.raises(ValueError, match="outside 0..1"):
+        cf.sample_decomposition(walk, n_nodes=2)
+    with pytest.raises(ValueError, match="at least 2 states"):
+        cf.sample_decomposition(cf.Walk(walk.P, 0, 1, seed=0))
+    assert cf.sample_decomposition(walk).counts == {(0, 1, 2): 3}
 
 
 def test_merge_decompositions():

@@ -216,10 +216,35 @@ def test_simulate_independent_of_chunk_size():
         assert np.array_equal(traj.states, reference_walk(P, 1, length, seed=3))
 
 
-def test_simulate_rejects_bad_length():
+def test_simulate_rejects_bad_length(monkeypatch):
+    # and a start out of range, and a row with no successors, in simulate and Walk alike
     P = cf.transition_matrix(cf.ring(3))
-    with pytest.raises(ValueError):
-        cf.simulate(P, 0, 0, seed=0)
+    dead = P.copy()
+    dead[1] = 0.0
+
+    def no_draws(seed):
+        raise AssertionError("a generator was made before the input was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for args, message in (((P, 0, 0), "trajectory length must be >= 1"),
+                          ((P, 3, 5), "start index 3 out of range"),
+                          ((P, -1, 5), "start index -1 out of range"),
+                          ((dead, 0, 5), "state 1 has no successors")):
+        with pytest.raises(ValueError, match=message):
+            cf.simulate(*args, seed=0)
+        with pytest.raises(ValueError, match=message):
+            cf.Walk(*args, seed=0)
+
+
+def test_walk_chunks():
+    P = cf.transition_matrix(cf.barbell(40, 0.1))
+    walk = cf.Walk(P, 5, 2 * 65536 + 3, seed=9)
+    chunks = list(walk.chunks())
+    # the states after the start, in lists of up to 65,536
+    assert [len(c) for c in chunks] == [65536, 65536, 2]
+    # each pass over a walk draws it afresh from its seed
+    assert list(walk.chunks()) == chunks
+    assert list(cf.Walk(P, 5, 1, seed=9).chunks()) == []
 
 
 # ----------------------------------------------------------------------- i/o
