@@ -198,11 +198,24 @@ def cmd_cluster(config: RunConfig, outdir: Path) -> int:
 
 def _read_partition_file(path, G):
     labels = np.full(G.n, -1, dtype=int)
+    first_line = {}
     for lineno, (node, mod) in _read_fields(path, 2, "node<TAB>module_index"):
+        where = f"{path}:{lineno}"
         try:
-            labels[G.index(node)] = int(mod)
+            x = G.index(node)
         except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: unknown node {node!r}") from exc
+            raise ValueError(f"{where}: unknown node {node!r}") from exc
+        try:
+            j = int(mod)
+        except ValueError as exc:
+            raise ValueError(f"{where}: module index {mod!r} is not an integer") from exc
+        if j < 0:
+            raise ValueError(f"{where}: negative module index {j} for node {node!r}")
+        if x in first_line:
+            raise ValueError(f"{where}: node {node!r} listed again "
+                             f"(first on line {first_line[x]})")
+        first_line[x] = lineno
+        labels[x] = j
     if np.any(labels < 0):
         missing = G.nodes[int(np.flatnonzero(labels < 0)[0])]
         raise ValueError(f"partition is not full: node {missing!r} unassigned")

@@ -104,7 +104,7 @@ def communication_graph(dec: CycleDecomposition, pi=None) -> CommunicationGraph:
     I[np.abs(I) < _ZERO_FLOOR] = 0.0
     uncovered = np.flatnonzero(I.sum(axis=1) == 0.0)
     if uncovered.size:
-        raise ValueError(f"node index {int(uncovered[0])} is covered by no cycle")
+        raise dec.uncovered_error(int(uncovered[0]))
     return CommunicationGraph(intensity=I, nodes=dec.nodes)
 
 

@@ -100,6 +100,12 @@ class CycleDecomposition:
     def rows(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.cycles)), self.lengths)
 
+    def uncovered_error(self, x: int) -> ValueError:
+        """The error for node index x lying on no cycle of the decomposition."""
+        hint = "; a longer walk (a larger --T) may reach it" if self.kind == "sampled" else ""
+        return ValueError(f"node {self.node_ids([x])[0]!r} is covered by no cycle, so the "
+                          f"decomposition does not span the graph{hint}")
+
     def weight(self, cycle) -> float:
         return self.weights.get(canonical_cycle(cycle), 0.0)
 
@@ -156,20 +162,20 @@ def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) ->
     # the chain is eta[:L]; it holds each node at most once, so n_nodes slots suffice
     eta = [first] * n_nodes
     L = 1
-    pos = [-1] * n_nodes  # each node's position in the chain, -1 when off it
+    # pos[x] is where x last joined the chain; x is still on it iff that slot
+    # lies below L and holds x, so an erasure leaves pos untouched.  Nodes
+    # never on the chain start at n_nodes, which is never below L.
+    pos = [n_nodes] * n_nodes
     pos[first] = 0
     for x in states:
         p = pos[x]
-        if p < 0:
+        if p >= L or eta[p] != x:
             pos[x] = L
             eta[L] = x
             L += 1
             continue
         c = tuple(eta[p:L])  # x itself sits at position p: c is (x, eta_{p+1}, ..., eta_l)
         raw[c] = raw.get(c, 0) + 1
-        for y in c:
-            pos[y] = -1
-        pos[x] = p
         L = p + 1
         # the chain still ends at the walker's current node x (position p)
     counts: dict[Cycle, int] = {}
@@ -345,7 +351,8 @@ def decomposition_to_json(dec: CycleDecomposition, extra: dict | None = None) ->
     entry has its node ids, its weight and, when sampled, its count.  The cycle list is
     rendered in bulk, each node id quoted once and all weights formatted in one repr.
     """
-    order = sorted(dec.weights, key=lambda c: (-dec.weights[c], c))
+    # stable: equal weights keep the canonical order of dec.cycles
+    order = sorted(dec.cycles, key=dec.weights.__getitem__, reverse=True)
     quoted = [json.dumps(v) for v in dec.node_ids(range(dec.n_nodes))]
     weights = _json_floats([float(dec.weights[c]) for c in order])
     members = [",\n        ".join([quoted[v] for v in c]) for c in order]

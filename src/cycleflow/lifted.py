@@ -45,8 +45,7 @@ def node_to_cycle_matrix(dec: CycleDecomposition) -> np.ndarray:
     mass = dec.node_mass()
     uncovered = np.flatnonzero(mass == 0.0)
     if uncovered.size:
-        raise ValueError(f"node index {int(uncovered[0])} is covered by no cycle; "
-                         "the decomposition does not span the graph")
+        raise dec.uncovered_error(int(uncovered[0]))
     B = np.zeros((dec.n_nodes, len(dec.cycles)))
     B[dec.members, dec.rows] = dec.w[dec.rows] / mass[dec.members]
     return B

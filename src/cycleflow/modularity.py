@@ -95,72 +95,107 @@ def _canonical_labels(labels: np.ndarray) -> np.ndarray:
 def _greedy_maximize(E: np.ndarray, pi: np.ndarray):
     """Agglomerative merging from singletons, then one single-node sweep.
 
-    E must be symmetric.  Each step takes the merge with the largest strictly
-    positive score gain 2 * (E_ab - pi_a pi_b) on the aggregated system, ties
-    broken by the smallest (module, module) index pair.  After merging stalls,
-    one pass of best single-node moves is applied.
+    E must be exactly symmetric.  Each step takes the merge with the largest
+    strictly positive score gain 2 * (E_ab - pi_a pi_b) on the aggregated
+    system, ties broken by the smallest (module, module) index pair.  After
+    merging stalls, one pass of best single-node moves is applied.
     """
     n = len(pi)
     # Slot a holds the module whose smallest member is a (b merges into a < b),
     # so live slots in index order are the modules ordered by smallest member.
-    owner = np.arange(n)
-    live = np.ones(n, dtype=bool)
+    # agg_e stays exactly symmetric: a merge adds row b into row a and copies
+    # row a into column a.  Its diagonal is -inf, and `dead` adds -inf at the
+    # dead slots, whose columns keep stale couplings, to every gains row.
     agg_e = E.copy()
+    np.fill_diagonal(agg_e, -np.inf)
     agg_pi = pi.copy()
-    gains = 2.0 * (agg_e - np.outer(agg_pi, agg_pi))
-    np.fill_diagonal(gains, -np.inf)
-    # each row's best gain and its first column: the first row with the
-    # largest best gives the row-major argmax of `gains`
+    dead = np.zeros(n)
+    g = np.empty(n)
+    # Row c's record (row_best[c], row_arg[c]) bounds each gain in row c, and
+    # each column before row_arg[c] gains less than the bound.  The record is
+    # exact while row c still gains row_best[c] at row_arg[c]; the first row
+    # with the largest exact bound then holds the row-major argmax of gains.
+    gains = np.outer(agg_pi, agg_pi)
+    np.subtract(agg_e, gains, out=gains)
+    np.multiply(2.0, gains, out=gains)
     row_best, row_arg = gains.max(axis=1), gains.argmax(axis=1)
-    history = []
+    del gains
 
+    def gain(c, j):
+        return 2.0 * (agg_e[c, j] - agg_pi[c] * agg_pi[j]) + dead[j]
+
+    def rescan(c):
+        """Gains row c into g, and its exact record."""
+        np.multiply(agg_pi[c], agg_pi, out=g)
+        np.subtract(agg_e[c], g, out=g)
+        np.multiply(2.0, g, out=g)
+        np.add(g, dead, out=g)
+        row_arg[c] = j = g.argmax()
+        row_best[c] = g[j]
+
+    history, merges = [], []
     for _ in range(n - 1):
-        a = int(np.argmax(row_best))
+        a = int(row_best.argmax())
+        while row_best[a] > 1e-15 and row_best[a] != gain(a, row_arg[a]):
+            rescan(a)
+            a = int(row_best.argmax())
         best = float(row_best[a])
         if best <= 1e-15:
             break
-        a, b = min(a, int(row_arg[a])), max(a, int(row_arg[a]))
+        b = int(row_arg[a])  # b > a, as row b ties a's best at column a
         history.append(best)
-        owner[owner == b] = a
-        live[b] = False
-        agg_e[a, :] += agg_e[b, :]
-        agg_e[:, a] += agg_e[:, b]
+        merges.append((a, b))
+        ea = agg_e[a]
+        ea += agg_e[b]
+        agg_e[:, a] = ea
         agg_pi[a] += agg_pi[b]
-        gains[b, :] = gains[:, b] = -np.inf
-        gains[a, :] = 2.0 * (agg_e[a, :] - agg_pi[a] * agg_pi)
-        gains[:, a] = 2.0 * (agg_e[:, a] - agg_pi * agg_pi[a])
-        gains[a, ~live] = gains[~live, a] = gains[a, a] = -np.inf
-        # A row whose best column was neither a nor b compares it with column
-        # a.  One whose best was a or b takes a if column a did not drop below
-        # the old best (every column before b was below it); else a rescan.
-        col = gains[:, a]
-        was = live & ((row_arg == a) | (row_arg == b))
-        up = live & ((col > row_best) | ((col == row_best) & (row_arg > a))
-                     | (was & (col >= row_best)))
-        rescan = was & ~up
-        rescan[a] = True
-        row_best[up], row_arg[up] = col[up], a
-        row_best[b] = -np.inf
-        idx = np.flatnonzero(rescan)
-        row_arg[idx] = gains[idx].argmax(axis=1)
-        row_best[idx] = gains[idx, row_arg[idx]]
-    labels = np.unique(owner, return_inverse=True)[1]
+        dead[b] = row_best[b] = -np.inf
+        rescan(a)
+        # Row c's gains changed only at column a (now g[c]) and column b (now
+        # -inf).  Its record moves to a when g[c] beats the bound, or ties it
+        # with a no later than row_arg[c], as the columns before a then gain
+        # less.  Otherwise it stays a bound, exact or not.
+        up = (g > row_best) | ((g == row_best) & (row_arg >= a))
+        np.copyto(row_best, g, where=up)
+        np.copyto(row_arg, a, where=up)
 
-    # one refinement sweep of single-node moves between existing modules
-    members = [np.flatnonzero(owner == a) for a in np.flatnonzero(live)]
-    if len(members) > 1:
-        mass = [pi[mod].sum() for mod in members]
-        for x in range(n):
-            a = int(labels[x])
+    # Replayed backwards, merge (a, b) hands b the final owner of a, which
+    # the later merges have already set, before the earlier merges into b
+    # read it.
+    owner = list(range(n))
+    for a, b in reversed(merges):
+        owner[b] = owner[a]
+    labels = np.unique(owner, return_inverse=True)[1]
+    return _refine(E, pi, labels), history
+
+
+def _refine(E: np.ndarray, pi: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """One sweep of best single-node moves between the modules of `labels`.
+
+    Node x moves to the module with the largest gain above 1e-15, the first
+    such module on ties.  A module holding no neighbour of x has an E block
+    sum of exactly 0.0, so only the modules next to x are gathered.
+    """
+    k = int(labels.max()) + 1
+    if k > 1:
+        members = [np.flatnonzero(labels == b) for b in range(k)]
+        # Python floats round as numpy's float64 scalars do, at less cost
+        mass = [float(pi[mod].sum()) for mod in members]
+        for x, px in enumerate(pi.tolist()):
+            row, a = E[x], int(labels[x])
             own_wo = members[a][members[a] != x]
-            own_mass = pi[own_wo].sum()
-            loss = 2.0 * (E[x, own_wo].sum() - pi[x] * own_mass)
+            own_mass = float(pi[own_wo].sum())
+            loss = 2.0 * (float(row[own_wo].sum()) - px * own_mass)
+            # per module, how many of x's couplings are non-zero
+            near = np.bincount(labels, weights=row != 0.0, minlength=k).tolist()
             best_gain = 1e-15
             best_mod = -1
-            for b, tgt in enumerate(members):
+            for b in range(k):
+                tgt = members[b]
                 if b == a or tgt.size == 0:
                     continue
-                gain = 2.0 * (E[x, tgt].sum() - pi[x] * mass[b]) - loss
+                s = float(row[tgt].sum()) if near[b] else 0.0
+                gain = 2.0 * (s - px * mass[b]) - loss
                 if gain > best_gain:
                     best_gain = gain
                     best_mod = b
@@ -169,8 +204,8 @@ def _greedy_maximize(E: np.ndarray, pi: np.ndarray):
                 members[a], mass[a] = own_wo, own_mass
                 tgt = members[best_mod]
                 tgt = np.insert(tgt, np.searchsorted(tgt, x), x)
-                members[best_mod], mass[best_mod] = tgt, pi[tgt].sum()
-    return _canonical_labels(labels), history
+                members[best_mod], mass[best_mod] = tgt, float(pi[tgt].sum())
+    return _canonical_labels(labels)
 
 
 def enumerate_set_partitions(n: int):
@@ -199,8 +234,9 @@ def maximize(objective: str, *, pi: np.ndarray, I: np.ndarray | None = None,
     ----------
     objective : "qbar" (needs I) or "q" (needs P)
     pi : stationary distribution
-    mode : "greedy" for agglomerative merging (any size), "exhaustive" for
-        global enumeration (refused above 12 nodes).
+    mode : "greedy" for agglomerative merging (any size; I must equal its
+        transpose exactly), "exhaustive" for global enumeration (refused
+        above 12 nodes).
 
     Returns
     -------
@@ -210,23 +246,26 @@ def maximize(objective: str, *, pi: np.ndarray, I: np.ndarray | None = None,
     """
     pi = np.asarray(pi, dtype=float)
     n = len(pi)
+    # S scores a partition; its symmetric part E, which scores full partitions
+    # the same, is what the search uses
     if objective == "qbar":
         if I is None:
             raise ValueError("qbar maximization needs the intensity matrix")
-        E = np.asarray(I, dtype=float)
-        scorer = lambda lab: score_qbar(I, pi, lab)
+        S = E = np.asarray(I, dtype=float)
     elif objective == "q":
         if P is None:
             raise ValueError("q maximization needs the transition matrix")
-        F = edge_flow(P, pi)
-        E = 0.5 * (F + F.T)  # the score of a full partition is unchanged
-        scorer = lambda lab: score_q_directed(P, pi, lab)
+        S = edge_flow(P, pi)
+        E = 0.5 * (S + S.T)
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
     if mode == "greedy":
+        if not np.array_equal(E, E.T):
+            raise ValueError("greedy maximization needs an exactly symmetric "
+                             "intensity matrix")
         labels, history = _greedy_maximize(E, pi)
-        return labels, scorer(labels), history
+        return labels, _block_score(S, pi, labels), history
     if mode == "exhaustive":
         if n > _EXHAUSTIVE_CAP:
             raise ValueError(
@@ -238,7 +277,7 @@ def maximize(objective: str, *, pi: np.ndarray, I: np.ndarray | None = None,
             if s > best_score + 1e-15:
                 best_score = s
                 best_labels = labels.copy()
-        return best_labels, scorer(best_labels), []
+        return best_labels, _block_score(S, pi, best_labels), []
     raise ValueError(f"unknown mode {mode!r}")
 
 

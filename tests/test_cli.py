@@ -210,6 +210,20 @@ def test_modularity_rejects_partial_partition(barbell_tsv, tmp_path):
                  "--partition", str(part), "--output-dir", str(tmp_path / "m")]) == 2
 
 
+@pytest.mark.parametrize("bad_line, message", [
+    ("r0\tone", "module index 'one' is not an integer"),
+    ("r0\t-1", "negative module index -1 for node 'r0'"),
+    ("l2\t1", "node 'l2' listed again (first on line 3)"),
+], ids=["non-integer", "negative", "listed-twice"])
+def test_modularity_partition_file_errors(barbell_tsv, tmp_path, capsys, bad_line, message):
+    part = tmp_path / "part.tsv"
+    lines = [f"l{k}\t0" for k in range(4)] + [bad_line] + [f"r{k}\t1" for k in range(4)]
+    part.write_text("\n".join(lines) + "\n")
+    assert main(["modularity", "--input", str(barbell_tsv), "--decomposer", "iterative",
+                 "--partition", str(part), "--output-dir", str(tmp_path / "m")]) == 2
+    assert f"{part}:5: {message}" in capsys.readouterr().err
+
+
 def test_export_graph_formats(barbell_tsv, tmp_path):
     out = tmp_path / "K.tsv"
     assert main(["export-graph", "--input", str(barbell_tsv), "--decomposer",
@@ -248,6 +262,15 @@ def test_validation_exit_codes(tmp_path):
                  "--output-dir", str(tmp_path / "u")]) == 2
     assert main(["decompose", "--input", str(good), "--start", "nope",
                  "--output-dir", str(tmp_path / "v")]) == 2
+
+
+def test_walk_too_short_to_cover_exit_code(barbell_tsv, tmp_path, capsys):
+    # 10 steps from l0 close no cycle through the r ring
+    for command in (["spectrum"], ["cluster", "--method", "qbar-max"]):
+        assert main([*command, "--input", str(barbell_tsv), "--T", "10", "--seed", "0",
+                     "--output-dir", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert "node 'r0' is covered by no cycle" in err and "larger --T" in err
 
 
 def test_out_of_memory_exit_code(barbell_tsv, tmp_path, monkeypatch, capsys):

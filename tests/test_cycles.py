@@ -425,8 +425,11 @@ NESTED_EXTRA = {
     (lambda: cf.CycleDecomposition(weights={(0, 1): float("inf"), (2,): 0.5},
                                    kind="iterative", n_nodes=3),
      {"max_flow": float("-inf"), "cycles_seen": [float("nan")]}),
+    # equal weights, inserted out of canonical order
+    (lambda: cf.CycleDecomposition(weights={(1, 2): 0.25, (0, 1): 0.25, (0, 2): 0.5, (2,): 0.25},
+                                   kind="iterative", n_nodes=3), None),
 ], ids=["sampled", "sampled_extra", "iterative_extra", "iterative", "empty", "nodes_none",
-        "non_finite"])
+        "non_finite", "ties"])
 def test_decomposition_json_matches_json_dumps(make_dec, extra):
     dec = make_dec()
     text = cf.decomposition_to_json(dec, extra)

@@ -142,7 +142,7 @@ def test_greedy_never_below_trivial(seed):
         assert score >= -1e-12  # the one-module partition scores exactly zero
 
 
-def rebuilt_greedy(E, pi):
+def rebuilt_greedy(E, pi, sweep=True):
     """Reference greedy: rebuilds and compacts the k x k gain matrix every merge."""
     n = len(pi)
     modules = [[i] for i in range(n)]
@@ -168,7 +168,7 @@ def rebuilt_greedy(E, pi):
     labels = np.empty(n, dtype=int)
     for j, mod in enumerate(modules):
         labels[mod] = j
-    if len(modules) > 1:
+    if sweep and len(modules) > 1:
         for x in range(n):
             a = int(labels[x])
             own_wo = np.flatnonzero(labels == a)
@@ -191,7 +191,7 @@ def rebuilt_greedy(E, pi):
     return np.array([first.setdefault(lab, len(first)) for lab in labels]), history
 
 
-def assert_greedy_matches_rebuilt(pipe):
+def assert_greedy_matches_rebuilt(pipe, sweep_moves=False):
     F = cf.edge_flow(pipe.P, pipe.pi)
     for objective, kw, E in (("qbar", {"I": pipe.K.intensity}, pipe.K.intensity),
                              ("q", {"P": pipe.P}, 0.5 * (F + F.T))):
@@ -199,6 +199,9 @@ def assert_greedy_matches_rebuilt(pipe):
         ref_labels, ref_history = rebuilt_greedy(np.asarray(E, dtype=float), pipe.pi)
         assert labels.tolist() == ref_labels.tolist(), objective
         assert history == ref_history, objective
+        if sweep_moves:  # the sweep moved at least one node
+            merged, _ = rebuilt_greedy(np.asarray(E, dtype=float), pipe.pi, sweep=False)
+            assert merged.tolist() != ref_labels.tolist(), objective
 
 
 @pytest.mark.parametrize("n", [5, 12, 60])
@@ -206,6 +209,14 @@ def assert_greedy_matches_rebuilt(pipe):
 def test_greedy_matches_rebuilt_random(n, seed):
     assert_greedy_matches_rebuilt(
         build_pipeline(random_strong_graph(np.random.default_rng(seed), n)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_greedy_matches_rebuilt_n200(seed):
+    # both objectives, and on these graphs the sweep moves nodes for both
+    assert_greedy_matches_rebuilt(
+        build_pipeline(random_strong_graph(np.random.default_rng(seed), 200)),
+        sweep_moves=True)
 
 
 @pytest.mark.parametrize("G", [cf.ring(6), cf.barbell(4, 0.1), two_triangles()],
@@ -234,6 +245,24 @@ def test_greedy_matches_rebuilt_exact_ties():
         assert history == ref_history, seed
 
 
+def test_greedy_tie_with_merged_module_keeps_earlier_column():
+    # Gains in units of 1/128.  The first merge joins 3 and 5 (gain 10).  Row 0
+    # then gains 6 both at column 1 and at the merged module 3, and the smaller
+    # pair (0, 1) must merge next.
+    E = np.array([[0, 3, 0, 2, 1, 2],
+                  [3, 0, 0, 1, 3, 2],
+                  [0, 0, 0, 0, 2, 1],
+                  [2, 1, 0, 0, 0, 4],
+                  [1, 3, 2, 0, 0, 1],
+                  [2, 2, 1, 4, 1, 0]]) / 64
+    pi = np.array([2, 3, 2, 2, 2, 3]) / 16
+    labels, _, history = cf.maximize("qbar", pi=pi, I=E, mode="greedy")
+    ref_labels, ref_history = rebuilt_greedy(E, pi)
+    assert history[:2] == [10 / 128, 6 / 128]
+    assert labels.tolist() == ref_labels.tolist()
+    assert history == ref_history
+
+
 def test_greedy_matches_rebuilt_barbell40(barbell40):
     assert_greedy_matches_rebuilt(barbell40)
     # acceptance criterion 7 stays red, with the same module sizes
@@ -252,6 +281,15 @@ def test_maximize_validation(barbell4):
         cf.maximize("nope", pi=barbell4.pi, P=barbell4.P)
     with pytest.raises(ValueError):
         cf.maximize("q", pi=barbell4.pi, P=barbell4.P, mode="annealing")
+
+
+def test_greedy_refuses_asymmetric_intensity(barbell4):
+    I = barbell4.K.intensity.copy()
+    assert I[0, 1] > 0
+    I[0, 1] = np.nextafter(I[0, 1], 1.0)  # one ulp off its mirror entry
+    with pytest.raises(ValueError, match="symmetric"):
+        cf.maximize("qbar", pi=barbell4.pi, I=I, mode="greedy")
+    cf.maximize("qbar", pi=barbell4.pi, I=I, mode="exhaustive")  # scores any I
 
 
 def test_wheel_equal_cuts_are_degenerate():
