@@ -2,13 +2,15 @@
 
 Runs decompose, spectrum, cluster cmsm / qbar-max / q-max and export-graph, the
 job of perfbench/workloads.py, through `cycleflow.cli.main` in this process, and
-prints `sha256  relpath` for each file written, in path order.  Run against two
-source trees on the same input file, it shows whether a change kept every
-artifact byte-identical.  Pass the input by the same path both times: every JSON
-artifact echoes it.
+prints `sha256  relpath` for each file written, in path order.  With
+`--trajectory PATH` it also runs `decompose --trajectory PATH`, writing under
+`trajectory/`.  Run against two source trees on the same input files, it shows
+whether a change kept every artifact byte-identical.  Pass the inputs by the
+same paths both times: every JSON artifact echoes them.
 
 Usage: PYTHONPATH=src python scripts/artifact_digests.py graph.tsv
            [--decomposer sample|iterative] [--T 1000000] [--seed 0]
+           [--trajectory walk.txt]
 """
 
 import argparse
@@ -30,12 +32,18 @@ def main():
     ap.add_argument("--decomposer", choices=["sample", "iterative"], default="sample")
     ap.add_argument("--T", type=int, default=1_000_000)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--trajectory", help="timeseries file, one node id per line")
     args = ap.parse_args()
     # family and n only build a workload's graph; the job reads decomposer and T
     wl = Workload(family="input", n=0, decomposer=args.decomposer, T=args.T)
     with tempfile.TemporaryDirectory() as tmp:
         argvs = job(wl, args.seed, args.input, tmp)
-        for command in COMMANDS:
+        commands = list(COMMANDS)
+        if args.trajectory is not None:
+            argvs["trajectory"] = ["decompose", "--trajectory", args.trajectory,
+                                   "--output-dir", f"{tmp}/trajectory"]
+            commands.append("trajectory")
+        for command in commands:
             with contextlib.redirect_stdout(sys.stderr):
                 code = cli_main(argvs[command])
             if code != 0:

@@ -124,7 +124,7 @@ def cmd_decompose(config: RunConfig, outdir: Path) -> int:
     out = outdir / "decomposition.json"
     out.write_text(decomposition_to_json(dec, extra), encoding="utf-8")
     resid = extra.get("flow_residual")
-    print(f"{len(dec.weights)} cycles -> {out}"
+    print(f"{dec.lengths.size} cycles -> {out}"
           + (f" (flow residual {resid:.3e})" if resid is not None else ""))
     return EXIT_OK
 

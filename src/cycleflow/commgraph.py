@@ -98,7 +98,7 @@ def communication_graph(dec: CycleDecomposition, pi=None) -> CommunicationGraph:
     `pi` is unused, as I depends on the cycles alone; it stays for callers that
     pass it positionally, such as the benchmark's checks.
     """
-    X = np.zeros((len(dec.cycles), dec.n_nodes))
+    X = np.zeros((dec.lengths.size, dec.n_nodes))
     X[dec.rows, dec.members] = np.sqrt(dec.w / dec.lengths)[dec.rows]
     I = X.T @ X
     I[np.abs(I) < _ZERO_FLOOR] = 0.0
@@ -116,7 +116,7 @@ def cycle_graph(dec: CycleDecomposition) -> CycleGraph:
     Z[alpha, x] = w(alpha)/sqrt(m_x) on the cycle's nodes, a symmetric rank-k
     product, so W is exactly symmetric.
     """
-    Z = np.zeros((len(dec.cycles), dec.n_nodes))
+    Z = np.zeros((dec.lengths.size, dec.n_nodes))
     Z[dec.rows, dec.members] = dec.w[dec.rows] / np.sqrt(dec.node_mass()[dec.members])
     W = Z @ Z.T
     W[np.abs(W) < _ZERO_FLOOR] = 0.0

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 
@@ -55,50 +54,80 @@ def reverse_cycle(cycle: Cycle) -> Cycle:
     return canonical_cycle((cycle[0],) + tuple(reversed(cycle[1:])))
 
 
-@dataclass(frozen=True)
 class CycleDecomposition:
     """A collection of simple cycles with strictly positive weights.
 
     `kind` records the provenance ("sampled" or "iterative"); sampled
     decompositions also carry the per-cycle completion counts and the
     trajectory length T used to normalize them.
+
+    The cycle set is held as arrays in canonical order, the order of the cycle
+    tuples: `w` the weights, `k` the completion counts (None when not counted),
+    `lengths`, `members` the cycles' nodes concatenated and `rows` each member's
+    cycle.  `cycles` (the tuples in that order) and the dicts `weights` and
+    `counts` (cycle -> weight or count, in the order the cycles were first seen)
+    are views built on first access.  Constructed from dicts, as the peel and
+    callers holding dicts do, the dicts given are the views; the sampler and the
+    merge build the arrays alone, so a command that needs only the arrays never
+    builds a tuple.
     """
 
-    weights: dict
-    kind: str
-    n_nodes: int
-    counts: dict | None = None
-    T: int | None = None
-    tol: float | None = None
-    nodes: tuple[str, ...] | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        for c, w in self.weights.items():
+    def __init__(self, weights: dict, kind: str, n_nodes: int, counts: dict | None = None,
+                 T: int | None = None, tol: float | None = None,
+                 nodes: tuple[str, ...] | None = None):
+        for c, w in weights.items():
             if not w > 0.0:
                 raise ValueError(f"cycle {c} has non-positive weight {w}")
+        cycles = sorted(weights)
+        lengths = np.fromiter(map(len, cycles), dtype=np.intp, count=len(cycles))
+        rank = dict(zip(cycles, range(len(cycles))))
+        self._set(kind, n_nodes, T, tol, nodes,
+                  members=np.fromiter(chain.from_iterable(cycles), dtype=np.intp,
+                                      count=int(lengths.sum())),
+                  lengths=lengths,
+                  w=np.array([weights[c] for c in cycles], dtype=float),
+                  k=None if counts is None else np.array([counts.get(c, 0) for c in cycles],
+                                                         dtype=np.int64),
+                  seen=np.fromiter(map(rank.__getitem__, weights), dtype=np.intp,
+                                   count=len(cycles)))
+        self.weights, self.counts, self.cycles = weights, counts, cycles
+
+    @classmethod
+    def _sampled(cls, members, lengths, k, seen, T: int, n_nodes: int,
+                 nodes) -> CycleDecomposition:
+        """A sampled decomposition from its arrays; `seen` lists the rows in the
+        order their cycles were first seen."""
+        dec = cls.__new__(cls)
+        dec._set("sampled", n_nodes, T, None, nodes, members=members, lengths=lengths,
+                 w=k / T, k=k, seen=seen)
+        return dec
+
+    def _set(self, kind, n_nodes, T, tol, nodes, *, members, lengths, w, k, seen):
+        self.kind, self.n_nodes, self.T, self.tol, self.nodes = kind, n_nodes, T, tol, nodes
+        self.members, self.lengths, self.w, self.k, self._seen = members, lengths, w, k, seen
 
     @cached_property
     def cycles(self) -> list[Cycle]:
-        """Cycles in canonical (lexicographic) order, the order of the arrays `w`,
-        `lengths`, `members` (their nodes, concatenated) and `rows` (each member's cycle)."""
-        return sorted(self.weights)
+        flat = self.members.tolist()
+        ends = np.cumsum(self.lengths).tolist()
+        return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
+
+    def _first_seen(self, values: np.ndarray) -> dict:
+        """cycle -> value, in the order the cycles were first seen."""
+        return dict(zip(map(self.cycles.__getitem__, self._seen.tolist()),
+                        values[self._seen].tolist()))
 
     @cached_property
-    def w(self) -> np.ndarray:
-        return np.array([self.weights[c] for c in self.cycles], dtype=float)
+    def weights(self) -> dict:
+        return self._first_seen(self.w)
 
     @cached_property
-    def lengths(self) -> np.ndarray:
-        return np.array([len(c) for c in self.cycles], dtype=np.intp)
-
-    @cached_property
-    def members(self) -> np.ndarray:
-        return np.fromiter(chain.from_iterable(self.cycles), dtype=np.intp,
-                           count=int(self.lengths.sum()))
+    def counts(self) -> dict | None:
+        return None if self.k is None else self._first_seen(self.k)
 
     @cached_property
     def rows(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.cycles)), self.lengths)
+        return np.repeat(np.arange(self.lengths.size), self.lengths)
 
     def uncovered_error(self, x: int) -> ValueError:
         """The error for node index x lying on no cycle of the decomposition."""
@@ -127,8 +156,9 @@ def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) ->
     state is appended; when the current state X_i already sits at position p
     of the chain, the segment after p closed a cycle: it is recorded as
     (X_i, eta_{p+1}, ..., eta_l) and erased, leaving the chain ending at X_i.
-    Closures are counted by that raw tuple and canonicalized once per distinct
-    tuple afterwards, merging counts in first-seen order: a cycle's key sits
+    Closures are counted by that raw tuple; the distinct tuples are then
+    rotated, merged and ordered in numpy, straight into the decomposition's
+    arrays.  The `counts` view keeps first-seen order: a cycle's key sits
     where the first closure of any of its rotations fell.  Weights are
     completion counts divided by the trajectory length.
 
@@ -178,45 +208,80 @@ def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) ->
         raw[c] = raw.get(c, 0) + 1
         L = p + 1
         # the chain still ends at the walker's current node x (position p)
-    counts: dict[Cycle, int] = {}
-    for c, k in raw.items():
-        i = c.index(min(c))  # the chain holds each node once, so c is simple
-        c = c[i:] + c[:i]
-        counts[c] = counts.get(c, 0) + k
-    dec = CycleDecomposition(weights={c: k / T for c, k in counts.items()},
-                             counts=counts, kind="sampled", T=T, n_nodes=n_nodes,
-                             nodes=traj.nodes)
+    lengths = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
+    k = np.fromiter(raw.values(), dtype=np.int64, count=len(raw))
     # each step closes at most one cycle, so the counted steps cannot exceed T
-    closed = round(float(dec.lengths @ dec.w) * T)
+    closed = int(lengths @ k)
     if closed > T:
         raise RuntimeError(f"loop erasure counted {closed} cycle steps in {T} states")
-    return dec
+    flat = np.fromiter(chain.from_iterable(raw), dtype=np.intp, count=int(lengths.sum()))
+    return _tally(flat, lengths, k, T, n_nodes, traj.nodes)
+
+
+def _take_rows(lengths: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Indices of the members of rows `order` of a ragged array with row `lengths`,
+    row after row."""
+    starts = np.cumsum(lengths) - lengths
+    sel = lengths[order]
+    return np.repeat(starts[order] - (np.cumsum(sel) - sel), sel) + np.arange(int(sel.sum()))
+
+
+def _tally(flat, lengths, k, T: int, n_nodes: int, nodes) -> CycleDecomposition:
+    """The sampled decomposition of closures counted `k` times in T states.
+
+    Row i of the ragged array (`flat`, `lengths`) is a simple cycle in any
+    rotation, and rows come in the order first seen; a cycle may fill several
+    rows.  Each row is rotated to start at its smallest node, rows of one cycle
+    are counted together where the earliest of them sits, and the cycles are
+    put in the order of their tuples.
+    """
+    starts = np.cumsum(lengths) - lengths
+    # a row's nodes are distinct, so its smallest one matches exactly once
+    mins = np.minimum.reduceat(flat, starts) if lengths.size else flat
+    shift = np.flatnonzero(flat == np.repeat(mins, lengths)) - starts
+    src = np.arange(flat.size) + np.repeat(shift, lengths)
+    src -= np.repeat(lengths, lengths) * (src >= np.repeat(starts + lengths, lengths))
+    canon = flat[src]
+    # Fixed-width big-endian node indices compare bytewise as the indices do, so
+    # each row's bytes, read as latin-1 text (one character per byte), sort as the
+    # tuples: memcmp order, a prefix first.
+    width = 2 if n_nodes <= 1 << 16 else 4
+    text = canon.astype(f">u{width}").tobytes().decode("latin-1")
+    cuts = (width * starts).tolist()
+    group: dict[str, int] = {}  # each cycle's key -> its number, in first-seen order
+    g = np.fromiter((group.setdefault(text[a:b], len(group))
+                     for a, b in zip(cuts, cuts[1:] + [len(text)])),
+                    dtype=np.intp, count=lengths.size)
+    keys = list(group)
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, g, k)
+    first = np.unique(g, return_index=True)[1][order]  # the earliest row of each cycle
+    seen = np.empty_like(order)
+    seen[order] = np.arange(order.size)
+    return CycleDecomposition._sampled(canon[_take_rows(lengths, first)], lengths[first],
+                                       counts[order], seen, T, n_nodes, nodes)
 
 
 def merge_decompositions(decs) -> CycleDecomposition:
     """Merge sampled decompositions from independent trajectories.
 
-    Counts add, lengths add; the merge is associative and independent of
-    input order.
+    Counts add, lengths add; the weights are associative and independent of
+    input order.  The dict views list the cycles as first seen part by part.
     """
     decs = list(decs)
     if not decs:
         raise ValueError("nothing to merge")
-    if any(d.kind != "sampled" or d.counts is None or d.T is None for d in decs):
+    if any(d.kind != "sampled" or d.k is None or d.T is None for d in decs):
         raise ValueError("can only merge sampled decompositions")
     n_nodes = decs[0].n_nodes
     nodes = decs[0].nodes
     if any(d.n_nodes != n_nodes or d.nodes != nodes for d in decs):
         raise ValueError("decompositions live on different node sets")
-    counts: dict[Cycle, int] = {}
-    total = 0
-    for d in decs:
-        total += d.T
-        for c, k in d.counts.items():
-            counts[c] = counts.get(c, 0) + k
-    weights = {c: k / total for c, k in counts.items()}
-    return CycleDecomposition(weights=weights, counts=counts, kind="sampled",
-                              T=total, n_nodes=n_nodes, nodes=nodes)
+    flat = np.concatenate([d.members[_take_rows(d.lengths, d._seen)] for d in decs])
+    lengths = np.concatenate([d.lengths[d._seen] for d in decs])
+    k = np.concatenate([d.k[d._seen] for d in decs])
+    return _tally(flat, lengths, k, sum(d.T for d in decs), n_nodes, nodes)
 
 
 def iterative_decomposition(F: np.ndarray, tol: float | None = None,
@@ -331,16 +396,21 @@ def _json_document(obj: dict, lists: dict[str, list[str]]) -> str:
 
     The values of `obj` are dumped one by one and shifted in by two spaces; JSON text
     holds no raw newline inside a string, so each of its lines is a line of the layout.
+    The pieces are joined once: a list can run to megabytes, and each copy costs.
     """
     merged = {**lists, **obj}
-    members = []
+    parts, sep = ["{"], "\n  "
     for key in sorted(merged):
+        parts.append(f"{sep}{json.dumps(key)}: ")
+        sep = ",\n  "
         if key in obj:
-            text = "\n  ".join(json.dumps(obj[key], sort_keys=True, indent=2).split("\n"))
+            parts.append("\n  ".join(json.dumps(obj[key], sort_keys=True, indent=2).split("\n")))
+        elif lists[key]:
+            parts += ["[\n", ",\n".join(lists[key]), "\n  ]"]
         else:
-            text = "[\n" + ",\n".join(lists[key]) + "\n  ]" if lists[key] else "[]"
-        members.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(members) + "\n}\n"
+            parts.append("[]")
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def decomposition_to_json(dec: CycleDecomposition, extra: dict | None = None) -> str:
@@ -349,23 +419,39 @@ def decomposition_to_json(dec: CycleDecomposition, extra: dict | None = None) ->
     The text is that of `json.dumps(obj, sort_keys=True, indent=2)`, with `obj` holding
     `kind`, `n_nodes`, `T` (sampled), the cycle list and then `extra`'s keys; each cycle
     entry has its node ids, its weight and, when sampled, its count.  The cycle list is
-    rendered in bulk, each node id quoted once and all weights formatted in one repr.
+    rendered from the arrays in one join: each node id is quoted once, and each distinct
+    weight formatted once.
     """
-    # stable: equal weights keep the canonical order of dec.cycles
-    order = sorted(dec.cycles, key=dec.weights.__getitem__, reverse=True)
-    quoted = [json.dumps(v) for v in dec.node_ids(range(dec.n_nodes))]
-    weights = _json_floats([float(dec.weights[c]) for c in order])
-    members = [",\n        ".join([quoted[v] for v in c]) for c in order]
-    if dec.counts is None:
-        items = [f'    {{\n      "cycle": [\n        {m}\n      ],\n      "weight": {w}\n    }}'
-                 for m, w in zip(members, weights)]
-    else:
-        counts = [dec.counts.get(c, 0) for c in order]
-        items = [f'    {{\n      "count": {k},\n      "cycle": [\n        {m}\n      ],'
-                 f'\n      "weight": {w}\n    }}' for k, m, w in zip(counts, members, weights)]
     obj = {"kind": dec.kind, "n_nodes": dec.n_nodes}
     if dec.T is not None:
         obj["T"] = dec.T
     if extra:
         obj.update(extra)
-    return _json_document(obj, {"cycles": items})
+    n = dec.lengths.size
+    if n == 0:
+        return _json_document(obj, {"cycles": []})
+    order = np.argsort(-dec.w, kind="stable")  # equal weights keep the canonical order
+    lengths = dec.lengths[order]
+    members = dec.members[_take_rows(dec.lengths, order)]
+    ends = np.cumsum(lengths)
+    # node v's quoted id followed by the separator to the next node of its cycle, and
+    # at v + n_nodes alone, for the last node of a cycle
+    quoted = [json.dumps(v) for v in dec.node_ids(range(dec.n_nodes))]
+    ids = np.array([q + ",\n        " for q in quoted] + quoted, dtype=object)
+    last = np.zeros(members.size, dtype=np.intp)
+    last[ends - 1] = dec.n_nodes
+    # sampled weights are count / T: few distinct values
+    values, which = np.unique(dec.w[order], return_inverse=True)
+    weights = np.array(_json_floats(values.tolist()), dtype=object)[which].tolist()
+    counts = [""] * n if dec.k is None else [f'"count": {k},\n      '
+                                             for k in dec.k[order].tolist()]
+    opens = [f'    {{\n      {c}"cycle": [\n        ' for c in counts]
+    closes = [f'\n      ],\n      "weight": {w}\n    }}' for w in weights]
+    # each cycle's members, preceded by its opening (after the previous cycle's close)
+    parts = np.empty(members.size + n + 1, dtype=object)
+    at = np.arange(n + 1) + np.concatenate(([0], ends))
+    parts[at] = [opens[0], *map("{},\n{}".format, closes, opens[1:]), closes[-1]]
+    slots = np.ones(parts.size, dtype=bool)
+    slots[at] = False
+    parts[slots] = ids[members + last]
+    return _json_document(obj, {"cycles": ["".join(parts.tolist())]})

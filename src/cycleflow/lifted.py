@@ -46,14 +46,14 @@ def node_to_cycle_matrix(dec: CycleDecomposition) -> np.ndarray:
     uncovered = np.flatnonzero(mass == 0.0)
     if uncovered.size:
         raise dec.uncovered_error(int(uncovered[0]))
-    B = np.zeros((dec.n_nodes, len(dec.cycles)))
+    B = np.zeros((dec.n_nodes, dec.lengths.size))
     B[dec.members, dec.rows] = dec.w[dec.rows] / mass[dec.members]
     return B
 
 
 def cycle_to_node_matrix(dec: CycleDecomposition) -> np.ndarray:
     """|Gamma| x |V| matrix: each cycle row is uniform over its nodes."""
-    V = np.zeros((len(dec.cycles), dec.n_nodes))
+    V = np.zeros((dec.lengths.size, dec.n_nodes))
     V[dec.rows, dec.members] = 1.0 / dec.lengths[dec.rows]
     return V
 

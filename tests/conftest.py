@@ -91,6 +91,26 @@ def random_strong_graph(rng, n=None):
     return cf.DirectedGraph(nodes, edges)
 
 
+def dict_erasure(states):
+    """Reference loop erasure: chain positions in a dict, each closure canonicalized."""
+    counts = {}
+    eta = [states[0]]
+    pos = {states[0]: 0}
+    for x in states[1:]:
+        p = pos.get(x)
+        if p is None:
+            pos[x] = len(eta)
+            eta.append(x)
+            continue
+        tail = eta[p + 1:]
+        cyc = cf.canonical_cycle((x, *tail))
+        counts[cyc] = counts.get(cyc, 0) + 1
+        for y in tail:
+            del pos[y]
+        del eta[p + 1:]
+    return counts
+
+
 def build_pipeline(G):
     """Everything derived from G, with an exact (flow-peeled) decomposition."""
     return cf.Pipeline(G)

@@ -10,6 +10,8 @@ import pytest
 import cycleflow as cf
 from cycleflow.cli import main
 
+from conftest import dict_erasure, random_strong_graph
+
 
 @pytest.fixture()
 def barbell_tsv(tmp_path):
@@ -87,6 +89,22 @@ def test_decompose_trajectory_mode(tmp_path):
     obj = json.loads((outdir / "decomposition.json").read_text())
     assert len(obj["cycles"]) == 1
     assert obj["cycles"][0]["count"] == 10
+
+    # many cycles, self-loops among them, on ids whose sorted order is not the graph's
+    G = random_strong_graph(np.random.default_rng(5), 30)
+    G = cf.DirectedGraph(G.nodes, {**G.edges, ("x7", "x7"): 1.0, ("x21", "x21"): 0.5})
+    traj = cf.simulate(cf.transition_matrix(G), 0, 5_000, seed=2)
+    cf.write_trajectory(cf.Trajectory(states=traj.states, nodes=G.nodes), traj_file)
+    assert main(["decompose", "--trajectory", str(traj_file),
+                 "--output-dir", str(outdir)]) == 0
+    obj = json.loads((outdir / "decomposition.json").read_text())
+    read = cf.read_trajectory(traj_file)
+    counts = dict_erasure(read.states.tolist())
+    assert (obj["T"], obj["n_nodes"]) == (5_000, 30)
+    assert obj["cycles"] == [
+        {"count": counts[c], "cycle": [read.nodes[v] for v in c], "weight": counts[c] / 5_000}
+        for c in sorted(counts, key=lambda c: (-counts[c], c))]
+    assert any(len(c) == 1 for c in counts) and len(counts) > 100
 
 
 def test_decompose_rejects_disconnected(tmp_path):

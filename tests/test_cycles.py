@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import random_strong_graph, three_node_chain, two_triangles
+from conftest import dict_erasure, random_strong_graph, three_node_chain, two_triangles
 
 
 # ------------------------------------------------------------- canonical form
@@ -128,26 +128,6 @@ def test_sample_rejects_out_of_range_states():
         cf.sample_decomposition(cf.Trajectory(states=np.array([1, -1, 1])))
 
 
-def dict_erasure(states):
-    """Reference loop erasure: chain positions in a dict, each closure canonicalized."""
-    counts = {}
-    eta = [states[0]]
-    pos = {states[0]: 0}
-    for x in states[1:]:
-        p = pos.get(x)
-        if p is None:
-            pos[x] = len(eta)
-            eta.append(x)
-            continue
-        tail = eta[p + 1:]
-        cyc = cf.canonical_cycle((x, *tail))
-        counts[cyc] = counts.get(cyc, 0) + 1
-        for y in tail:
-            del pos[y]
-        del eta[p + 1:]
-    return counts
-
-
 SELF_LOOPS = cf.DirectedGraph(["a", "b", "c"], {
     ("a", "a"): 1.0, ("a", "b"): 1.0, ("b", "b"): 0.5, ("b", "c"): 1.0,
     ("c", "a"): 1.0, ("c", "b"): 1.0})
@@ -187,6 +167,70 @@ def test_sampling_memory_does_not_grow_with_T():
     assert peak(1_000_000) <= peak(200_000) + 1_000_000
 
 
+def dict_oracle(states, n_nodes, nodes=None):
+    """The sampled decomposition built the dict way: dict_erasure's counts, given as dicts."""
+    counts = dict_erasure(states)
+    T = len(states)
+    return cf.CycleDecomposition(weights={c: k / T for c, k in counts.items()}, counts=counts,
+                                 kind="sampled", T=T, n_nodes=n_nodes, nodes=nodes)
+
+
+def assert_matches_oracle(dec, ref):
+    assert list(dec.counts.items()) == list(ref.counts.items())
+    assert list(dec.weights.items()) == list(ref.weights.items())
+    assert dec.cycles == ref.cycles
+    for name in ("w", "k", "lengths", "members", "rows"):
+        got, want = getattr(dec, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (dec.T, dec.n_nodes, dec.nodes) == (ref.T, ref.n_nodes, ref.nodes)
+    text = cf.decomposition_to_json(dec)
+    assert text == cf.decomposition_to_json(ref) == json_dumps_decomposition(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 10_000), st.integers(0, 10_000),
+       st.integers(2, 3_000))
+def test_array_decomposition_matches_dict_oracle(n, graph_seed, walk_seed, T):
+    rng = np.random.default_rng(graph_seed)
+    G = random_strong_graph(rng, n)
+    loops = {(v, v): float(rng.uniform(0.2, 3.0)) for v in G.nodes if rng.random() < 0.3}
+    G = cf.DirectedGraph(G.nodes, {**G.edges, **loops})
+    start = int(rng.integers(0, n))
+    traj = cf.simulate(cf.transition_matrix(G), start, T, seed=walk_seed)
+    ref = dict_oracle(traj.states.tolist(), G.n, G.nodes)
+    assert_matches_oracle(cf.Pipeline(G, T=T, seed=walk_seed, start=start).dec, ref)
+    traj = cf.Trajectory(states=traj.states, nodes=G.nodes)
+    assert_matches_oracle(cf.sample_decomposition(traj), ref)
+
+
+@pytest.mark.parametrize("states,n_nodes", [
+    ([0, 1], 2),
+    ([0, 0, 0, 1, 1, 0, 1, 1], 2),
+    # past 65,535 a node takes more than two key bytes; (1, 5) and (1, 65_541)
+    # would share two-byte keys
+    ([1, 65_536, 1, 256, 1, 69_999, 1, 5, 1, 65_541, 1, 300, 65_537, 1], 70_000),
+], ids=["no_closure", "self_loops", "wide_keys"])
+def test_sample_edge_cases_match_dict_oracle(states, n_nodes):
+    dec = cf.sample_decomposition(cf.Trajectory(states=np.array(states)), n_nodes=n_nodes)
+    assert_matches_oracle(dec, dict_oracle(states, n_nodes))
+
+
+def test_sample_memory_stays_ragged():
+    # one 4,000-node cycle, then 10,000 distinct 3-cycles (0, a, b): padding every
+    # cycle to the longest would take 10k x 4k nodes, 160 MB at 4 bytes a node
+    loop = list(range(4_000)) + [0]
+    triangles = [v for a in range(1, 101) for b in range(101, 201) for v in (a, b, 0)]
+    traj = cf.Trajectory(states=np.array(loop + triangles))
+    tracemalloc.start()
+    try:
+        dec = cf.sample_decomposition(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.lengths.size == 10_001 and dec.lengths.max() == 4_000
+    assert peak < 16_000_000
+
+
 def test_sample_walk_checks_index_space():
     walk = cf.Walk(cf.transition_matrix(cf.ring(3)), 0, 10, seed=0)
     with pytest.raises(ValueError, match="outside 0..1"):
@@ -206,6 +250,21 @@ def test_merge_decompositions():
     # associative and order independent
     other = cf.merge_decompositions([parts[2], cf.merge_decompositions(parts[:2])])
     assert other.weights == merged.weights
+
+    # counts add in first-seen order, part after part
+    G = random_strong_graph(np.random.default_rng(5), 12)
+    P = cf.transition_matrix(G)
+    parts = [cf.sample_decomposition(cf.simulate(P, s, 400, seed=s), n_nodes=G.n)
+             for s in (0, 1, 2)]
+    for order in ([0, 1, 2], [2, 0, 1]):
+        expected = {}
+        for i in order:
+            for c, k in parts[i].counts.items():
+                expected[c] = expected.get(c, 0) + k
+        merged = cf.merge_decompositions([parts[i] for i in order])
+        assert list(merged.counts.items()) == list(expected.items())
+        assert merged.cycles == sorted(expected)
+        assert merged.w.tolist() == [expected[c] / 1200 for c in merged.cycles]
 
     it = cf.iterative_decomposition(cf.edge_flow(P, cf.stationary_distribution(P)))
     with pytest.raises(ValueError):
