@@ -186,6 +186,8 @@ class Pipeline:
     @cached_property
     def dec(self) -> CycleDecomposition:
         if self._sampling is None:
+            # not self.F: a flow freed after the peel keeps F off the peak of
+            # every command but decompose, the only one that reads F later
             return iterative_decomposition(edge_flow(self.P, self.pi), nodes=self.G.nodes)
         start, T, seed = self._sampling
         return sample_decomposition(Walk(self.P, start, T, seed, nodes=self.G.nodes),

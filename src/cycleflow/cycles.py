@@ -298,12 +298,14 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
     eight times the flow's own conservation error: entries below that level
     are rounding dust, not extractable circulation.
 
-    Raises ValueError if F is not conservative at every node.
+    Raises ValueError unless F is finite, non-negative and conservative.
     """
     F = np.asarray(F, dtype=float)
     n = F.shape[0]
     if F.shape != (n, n):
         raise ValueError("flow must be a square matrix")
+    if not np.isfinite(F).all():
+        raise ValueError("flow entries must be finite")
     if np.any(F < 0):
         raise ValueError("flow entries must be non-negative")
     fmax = float(F.max())
@@ -315,55 +317,52 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
     if tol is None:
         tol = max(1e-12 * fmax, 8.0 * cons)
 
-    # Out-edge lists of the support: node x's edges are the slots
-    # start[x]:start[x+1] in ascending column order, holding the residual.
-    # Off the support the residual is 0, so a dense argmax picks the same edge.
+    # Out-edge lists of the support, columns ascending: residuals R[x] and columns C[x].
+    # Off it the residual is 0, so R[x]'s first maximum is the dense argmax.  A node
+    # without out-edges gets R[x] = [0.0], dust, so max() needs no (slow) default.
     rows, cols = np.nonzero(F)
+    cut = np.searchsorted(rows, np.arange(n + 1)).tolist()
     res, cols = F[rows, cols].tolist(), cols.tolist()
-    start = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    R, C = zip(*[(res[a:b] or [0.0], cols[a:b]) for a, b in zip(cut, cut[1:])])
 
     weights: dict[Cycle, float] = {}
-    max_steps = 2 * len(res) + n + 1
     first = 0  # residuals only shrink, so the smallest live node never moves back
-    path: list[int] = []
-    for _ in range(max_steps):
-        while first < n and max(res[start[first]:start[first + 1]], default=0.0) <= tol:
+    path, at = [], [-1] * n  # the walk, and each node's position on it (-1 off it)
+    for _ in range(2 * len(rows) + n + 1):
+        while first < n and max(R[first]) <= tol:
             first += 1
         if first == n:
             break
         if not path or path[0] != first:
-            path, seen, slots = [first], {first: 0}, []
+            for v in path:
+                at[v] = -1
+            path, out, at[first] = [first], [], 0  # out[m]: the slot of R[path[m]] taken
         x = path[-1]
-        while True:
-            k = max(range(start[x], start[x + 1]), key=res.__getitem__, default=-1)
-            if k < 0 or res[k] <= 0.0:
-                # walked onto non-conservative dust; drop the inbound edge
-                if not slots or res[slots[-1]] > tol:
-                    raise RuntimeError(
-                        "residual flow lost conservation during peeling")
-                res[slots[-1]] = 0.0
-                path = []
-                break
-            slots.append(k)
-            y = cols[k]
-            if y in seen:
-                i = seen[y]
+        while (r := max(R[x])) > 0.0:
+            k = R[x].index(r)
+            out.append(k)
+            y = C[x][k]
+            if (i := at[y]) >= 0:
                 j = path.index(min(path[i:]), i)  # path[i:] is simple: rotate its min first
                 cyc = tuple(path[j:] + path[i:j])
-                w = min(res[k] for k in slots[i:])
-                for k in slots[i:]:
-                    res[k] -= w
+                w = min([R[v][s] for v, s in zip(path[i:], out[i:])])
+                for v, s in zip(path[i:], out[i:]):
+                    R[v][s] -= w
                 if w > tol:
                     weights[cyc] = weights.get(cyc, 0.0) + w
-                # the rows before y are untouched, so a walk from `first`
-                # would retrace them: resume it at y
-                for v in path[i + 1:]:
-                    del seen[v]
-                del path[i + 1:], slots[i:]
                 break
-            seen[y] = len(path)
+            at[y] = len(path)
             path.append(y)
             x = y
+        else:  # walked onto non-conservative dust: drop the inbound edge, restart at `first`
+            if not out or R[path[-2]][out[-1]] > tol:
+                raise RuntimeError("residual flow lost conservation during peeling")
+            R[path[-2]][out[-1]] = 0.0
+            i = 0
+        # walk on from path[i]: a walk from `first` would retrace the rows before it
+        for v in path[i + 1:]:
+            at[v] = -1
+        del path[i + 1:], out[i:]
     else:
         raise RuntimeError("cycle peeling did not terminate")
     return CycleDecomposition(weights=weights, kind="iterative", n_nodes=n,

@@ -7,6 +7,7 @@ stationary vectors and flows are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -61,7 +62,7 @@ class DirectedGraph:
             if x not in self._index or y not in self._index:
                 raise ValueError(f"edge ({x}, {y}) references unknown node")
             w = float(w)
-            if not np.isfinite(w) or w <= 0.0:
+            if not math.isfinite(w) or w <= 0.0:
                 raise ValueError(f"edge ({x}, {y}) has non-positive weight {w}")
             edge_map[(x, y)] = w
         if not edge_map:
@@ -167,7 +168,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
     One dense solve of (P^T - Id) pi = 0 with its last equation replaced by
     sum(pi) = 1; least squares when that system is singular.  Raises
-    RuntimeError if the l1 residual |pi P - pi| exceeds 1e-8.
+    RuntimeError if the l1 residual |pi P - pi| exceeds 1e-8 or is NaN.
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
@@ -181,11 +182,11 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
         pi, *_ = np.linalg.lstsq(A, b, rcond=None)
     pi = np.maximum(pi, 0.0)
     s = pi.sum()
-    if s <= 0:
-        raise RuntimeError("stationary solve produced a non-positive vector")
+    if not s > 0:
+        raise RuntimeError("stationary solve produced a non-positive or NaN vector")
     pi /= s
     res = float(np.abs(pi @ P - pi).sum())
-    if res > 1e-8:
+    if not res <= 1e-8:
         raise RuntimeError(f"stationary solve failed, residual {res:.3e}")
     return pi
 

@@ -74,8 +74,12 @@ def reciprocal_ring4(seed=1):
     return cf.DirectedGraph(nodes, edges)
 
 
-def random_strong_graph(rng, n=None):
-    """Random strongly connected graph: a random ring plus random extra edges."""
+def random_strong_graph(rng, n=None, extra=None):
+    """Random strongly connected graph: a random ring plus random extra edges.
+
+    `extra` fixes the number of extra-edge draws, otherwise drawn below 2n;
+    with n=500 and extra=1000 this is the benchmark's random-peeled input.
+    """
     if n is None:
         n = int(rng.integers(3, 8))
     nodes = [f"x{k}" for k in range(n)]
@@ -84,7 +88,7 @@ def random_strong_graph(rng, n=None):
     for i in range(n):
         a, b = perm[i], perm[(i + 1) % n]
         edges[(f"x{a}", f"x{b}")] = float(rng.uniform(0.2, 3.0))
-    for _ in range(int(rng.integers(0, 2 * n))):
+    for _ in range(int(rng.integers(0, 2 * n)) if extra is None else extra):
         a, b = rng.integers(0, n, 2)
         if a != b:
             edges[(f"x{a}", f"x{b}")] = float(rng.uniform(0.2, 3.0))

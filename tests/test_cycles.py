@@ -316,7 +316,9 @@ def dense_peel(F, tol=None):
 
 
 def assert_peel_matches_dense(F, tol=None):
+    F0 = F.copy()
     dec = cf.iterative_decomposition(F, tol=tol)
+    np.testing.assert_array_equal(F, F0)  # the peel works on its own residual
     ref = dense_peel(F, tol)
     assert dec.weights == ref
     assert list(dec.weights) == list(ref)  # same peeling order
@@ -337,6 +339,15 @@ def test_iterative_matches_dense_peel_random(seed, n):
 def test_iterative_matches_dense_peel_benchmarks(G):
     P = cf.transition_matrix(G)
     assert_peel_matches_dense(cf.edge_flow(P, cf.stationary_distribution(P)))
+
+
+@pytest.mark.parametrize("seed", [1, 12])
+def test_iterative_matches_dense_peel_at_benchmark_scale(seed):
+    # the random-peeled benchmark input: ~1.5k edges, ~1k cycles of ~25 nodes
+    G = random_strong_graph(np.random.default_rng(seed), 500, extra=1000)
+    P = cf.transition_matrix(G)
+    dec = assert_peel_matches_dense(cf.edge_flow(P, cf.stationary_distribution(P)))
+    assert len(dec.weights) > 500
 
 
 def test_iterative_ties_go_to_smallest_node():
@@ -400,6 +411,12 @@ def test_iterative_rejects_bad_flow():
         cf.iterative_decomposition(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         cf.iterative_decomposition(-np.eye(2))
+    # an infinite flow would peel to nothing, a NaN one would never finish
+    with pytest.raises(ValueError, match="finite"):
+        cf.iterative_decomposition(np.full((2, 2), np.inf))
+    F = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, np.nan]])
+    with pytest.raises(ValueError, match="finite"):
+        cf.iterative_decomposition(F)
 
 
 @settings(max_examples=30, deadline=None)

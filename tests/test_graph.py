@@ -110,6 +110,15 @@ def test_stationary_slow_chain_above_2000_states():
     assert pi[G.index("l0")] == pytest.approx((1 + eps) * w, rel=1e-12)
 
 
+def test_stationary_rejects_nan():
+    # NaN compares false both ways, so each check must be one that NaN fails
+    with pytest.raises(RuntimeError, match="NaN vector"):
+        cf.stationary_distribution(np.array([[0.0, 1.0], [np.nan, 0.0]]))
+    # the solve replaces the last column's equation, so only the residual sees this NaN
+    with pytest.raises(RuntimeError, match="residual nan"):
+        cf.stationary_distribution(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+
 def test_stationary_solve_to_rounding_on_dense_random_graph():
     # 500 nodes, 1449 edges: a solve that stops at an l1 step of 1e-12 leaves
     # ~6e-13 here, and the peel tolerance (8x the conservation error) inherits it
