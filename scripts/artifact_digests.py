@@ -4,13 +4,16 @@ Runs decompose, spectrum, cluster cmsm / qbar-max / q-max and export-graph, the
 job of perfbench/workloads.py, through `cycleflow.cli.main` in this process, and
 prints `sha256  relpath` for each file written, in path order.  With
 `--trajectory PATH` it also runs `decompose --trajectory PATH`, writing under
-`trajectory/`.  Run against two source trees on the same input files, it shows
-whether a change kept every artifact byte-identical.  Pass the inputs by the
-same paths both times: every JSON artifact echoes them.
+`trajectory/`.  With `--exports` it also runs export-graph in every other
+format, with and without self-loops, writing under `exports/`; the cycle graph
+only for `--decomposer iterative`, as a sampled cycle graph is |cycles|^2 dense.
+Run against two source trees on the same input files, it shows whether a change
+kept every artifact byte-identical.  Pass the inputs by the same paths both
+times: every JSON artifact echoes them.
 
 Usage: PYTHONPATH=src python scripts/artifact_digests.py graph.tsv
            [--decomposer sample|iterative] [--T 1000000] [--seed 0]
-           [--trajectory walk.txt]
+           [--trajectory walk.txt] [--exports]
 """
 
 import argparse
@@ -33,6 +36,8 @@ def main():
     ap.add_argument("--T", type=int, default=1_000_000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--trajectory", help="timeseries file, one node id per line")
+    ap.add_argument("--exports", action="store_true",
+                    help="also export the graphs in every format, with and without self-loops")
     args = ap.parse_args()
     # family and n only build a workload's graph; the job reads decomposer and T
     wl = Workload(family="input", n=0, decomposer=args.decomposer, T=args.T)
@@ -43,6 +48,20 @@ def main():
             argvs["trajectory"] = ["decompose", "--trajectory", args.trajectory,
                                    "--output-dir", f"{tmp}/trajectory"]
             commands.append("trajectory")
+        if args.exports:
+            Path(tmp, "exports").mkdir()
+            kinds = ["communication"] + (["cycle"] if args.decomposer == "iterative" else [])
+            for which in kinds:
+                for fmt in ("tsv", "dot", "json"):
+                    for loops in ([], ["--no-self-loops"]):
+                        if (which, fmt, loops) == ("communication", "tsv", []):
+                            continue  # the job's own export
+                        name = f"{which}{'-no-self-loops' if loops else ''}.{fmt}"
+                        argvs[name] = ["export-graph", "--input", args.input, "--decomposer",
+                                       args.decomposer, "--T", str(args.T), "--seed",
+                                       str(args.seed), "--which", which, "--format", fmt,
+                                       *loops, "--output", f"{tmp}/exports/{name}"]
+                        commands.append(name)
         for command in commands:
             with contextlib.redirect_stdout(sys.stderr):
                 code = cli_main(argvs[command])

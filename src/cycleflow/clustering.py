@@ -113,17 +113,16 @@ def _vertex_centers(X: np.ndarray, m: int) -> np.ndarray:
 
 
 def _soft_memberships(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Inverse-squared-distance memberships, rows summing to 1."""
+    """Inverse-squared-distance memberships, rows summing to 1.  A row at
+    distance 0 from some centers is shared equally among those centers."""
     d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    out = np.zeros((X.shape[0], centers.shape[0]))
-    for i in range(X.shape[0]):
-        zero = d2[i] <= 1e-300
-        if zero.any():
-            out[i, zero] = 1.0 / zero.sum()
-        else:
-            inv = 1.0 / d2[i]
-            out[i] = inv / inv.sum()
-    return out
+    zero = d2 <= 1e-300
+    on_center = zero.any(axis=1)
+    with np.errstate(divide="ignore", over="ignore"):
+        # rows contiguous, so that each row sums as it would alone
+        inv = np.divide(1.0, d2, order="C")
+    inv[on_center] = zero[on_center]
+    return inv / inv.sum(axis=1, keepdims=True)
 
 
 def find_cores(K: CommunicationGraph, m: int, theta: float = 0.9) -> ModuleCores:

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cycles import (CycleDecomposition, _json_document, _json_floats, iterative_decomposition,
-                     sample_decomposition)
+from .cycles import (CycleDecomposition, _json_document, _json_floats, _reprs,
+                     iterative_decomposition, sample_decomposition)
 from .graph import DirectedGraph, Walk, edge_flow, stationary_distribution, transition_matrix
 from .lifted import cycle_stationary, cycle_to_node_matrix, node_to_cycle_matrix
 
@@ -32,6 +32,9 @@ __all__ = [
 
 # entries below this are sampling-noise floor and stored as exact zeros
 _ZERO_FLOOR = 1e-15
+
+# Edges per block of exported lines: bounds the export's working lists.
+_EXPORT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,34 @@ def cycle_graph(dec: CycleDecomposition) -> CycleGraph:
                       nodes=dec.nodes)
 
 
-def _edge_iter(M: np.ndarray, include_self_loops: bool):
-    """(i, j, M[i, j]) over the non-zero upper triangle, row by row in index order."""
-    first = 0 if include_self_loops else 1
-    for i in range(M.shape[0]):
-        cols = np.flatnonzero(M[i, i + first:]) + i + first
-        yield from zip([i] * cols.size, cols.tolist(), M[i, cols].tolist())
+def _edge_blocks(M: np.ndarray, include_self_loops: bool, line: str, sep: str, ids,
+                 render) -> list[str]:
+    """`line` with its three `{}` filled by ids[i], ids[j] and the text of M[i, j],
+    over the non-zero upper triangle, row by row in index order; the lines are
+    joined by `sep` in blocks.
+
+    `render` maps the list of distinct weights to their text in one call: pairs
+    on the same cycles often get bitwise-equal sums, so there are far fewer
+    distinct weights than edges.  Each block is joined as soon as it is built,
+    so no list of every line is held.
+    """
+    src, dst = np.nonzero(np.triu(M != 0.0, 0 if include_self_loops else 1))
+    values, which = np.unique(M[src, dst], return_inverse=True)
+    # a line is heads[i] + mids[j] + tails[weight], cut from `line` at its fields
+    lead, gap1, gap2, end = line.split("{}")
+    heads = np.array([lead + v + gap1 for v in ids], dtype=object)
+    mids = np.array([v + gap2 for v in ids], dtype=object)
+    tails = np.array([w + end for w in render(values.tolist())], dtype=object)
+    blocks = []
+    for start in range(0, src.size, _EXPORT_BLOCK):
+        b = slice(start, start + _EXPORT_BLOCK)
+        parts = np.empty(4 * len(src[b]), dtype=object)
+        parts[0::4] = heads[src[b]]
+        parts[1::4] = mids[dst[b]]
+        parts[2::4] = tails[which[b]]
+        parts[3::4] = sep
+        blocks.append("".join(parts[:-1].tolist()))  # no sep after the block's last line
+    return blocks
 
 
 def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
@@ -140,30 +165,25 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
     for visualization only.
     """
     if isinstance(graph, CommunicationGraph):
-        M, ids = graph.intensity, graph.node_ids()
+        M = graph.intensity
     elif isinstance(graph, CycleGraph):
-        M, ids = graph.exchange, graph.node_ids()
+        M = graph.exchange
     else:
         raise TypeError(f"cannot export {type(graph).__name__}")
-    edges = _edge_iter(M, include_self_loops)
-
+    ids = graph.node_ids()
     if fmt == "tsv":
-        lines = [f"{ids[i]}\t{ids[j]}\t{wij!r}" for i, j, wij in edges]
-        return "\n".join(lines) + "\n"
+        blocks = _edge_blocks(M, include_self_loops, "{}\t{}\t{}", "\n", ids, _reprs)
+        return "\n".join([*blocks, ""]) if blocks else "\n"  # "\n" alone for no edges
     if fmt == "dot":
-        lines = ["graph G {"]
-        for i, j, wij in edges:
-            lines.append(f'  "{ids[i]}" -- "{ids[j]}" [weight={wij!r}];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        blocks = _edge_blocks(M, include_self_loops, '  "{}" -- "{}" [weight={}];', "\n",
+                              ids, _reprs)
+        return "\n".join(["graph G {", *blocks, "}", ""])
     if fmt == "json":
         # the text of json.dumps({"edges": [...], "nodes": [...]}, sort_keys=True, indent=2)
         quoted = [json.dumps(v) for v in ids]
-        edges = list(edges)
-        weights = _json_floats([wij for _, _, wij in edges])
-        items = [f'    {{\n      "source": {quoted[i]},\n      "target": {quoted[j]},'
-                 f'\n      "weight": {w}\n    }}' for (i, j, _), w in zip(edges, weights)]
-        return _json_document({}, {"edges": items, "nodes": ["    " + q for q in quoted]})
+        item = '    {\n      "source": {},\n      "target": {},\n      "weight": {}\n    }'
+        blocks = _edge_blocks(M, include_self_loops, item, ",\n", quoted, _json_floats)
+        return _json_document({}, {"edges": blocks, "nodes": ["    " + q for q in quoted]})
     raise ValueError(f"unknown export format {fmt!r} (expected dot, tsv or json)")
 
 

@@ -382,10 +382,15 @@ def verify_flow_decomposition(dec: CycleDecomposition, F: np.ndarray) -> float:
     return float(np.max(np.abs(F - S)))
 
 
+def _reprs(xs: list[float]) -> list[str]:
+    """Each float's repr, cut from one repr of the whole list."""
+    return repr(xs)[1:-1].split(", ") if xs else []
+
+
 def _json_floats(xs: list[float]) -> list[str]:
     """Each float as `json` writes it: its repr, or Infinity, -Infinity and NaN."""
     if all(map(math.isfinite, xs)):
-        return repr(xs)[1:-1].split(", ") if xs else []
+        return _reprs(xs)
     return [json.dumps(x) for x in xs]
 
 
@@ -405,7 +410,10 @@ def _json_document(obj: dict, lists: dict[str, list[str]]) -> str:
         if key in obj:
             parts.append("\n  ".join(json.dumps(obj[key], sort_keys=True, indent=2).split("\n")))
         elif lists[key]:
-            parts += ["[\n", ",\n".join(lists[key]), "\n  ]"]
+            parts.append("[\n")
+            for entry in lists[key]:
+                parts += [entry, ",\n"]
+            parts[-1] = "\n  ]"
         else:
             parts.append("[]")
     parts.append("\n}\n")

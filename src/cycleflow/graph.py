@@ -63,7 +63,8 @@ class DirectedGraph:
                 raise ValueError(f"edge ({x}, {y}) references unknown node")
             w = float(w)
             if not math.isfinite(w) or w <= 0.0:
-                raise ValueError(f"edge ({x}, {y}) has non-positive weight {w}")
+                raise ValueError(f"edge ({x}, {y}) has weight {w}; "
+                                 "weights must be finite and positive")
             edge_map[(x, y)] = w
         if not edge_map:
             raise ValueError("graph has no edges")
@@ -148,16 +149,22 @@ def transition_matrix(G: DirectedGraph) -> np.ndarray:
     """Row-stochastic walk matrix: each row of K divided by its out-weight.
 
     Rejects graphs with a sink or, more generally, graphs that are not
-    strongly connected (the walk would not be ergodic).
+    strongly connected (the walk would not be ergodic), and nodes whose
+    out-weights sum beyond the float range.
     """
     K = G.weight_matrix()
-    out = K.sum(axis=1)
+    with np.errstate(over="ignore"):
+        out = K.sum(axis=1)
     sinks = np.flatnonzero(out == 0.0)
     if sinks.size:
         raise ValueError(
             f"node {G.nodes[sinks[0]]!r} has zero out-degree (sink); "
             "the graph is not strongly connected"
         )
+    overflow = np.flatnonzero(~np.isfinite(out))
+    if overflow.size:
+        raise ValueError(f"node {G.nodes[overflow[0]]!r} has out-weights summing to "
+                         f"{out[overflow[0]]}; the sum must be finite")
     if not check_strongly_connected(G):
         raise ValueError("graph is not strongly connected")
     return K / out[:, None]

@@ -1,5 +1,7 @@
 """Shared graph builders and pipeline helpers for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,30 @@ def build_pipeline(G):
 
 def sampled_pipeline(G, T, seed=0, start=0):
     return cf.Pipeline(G, T=T, seed=seed, start=start)
+
+
+def reference_edges(M, include_self_loops):
+    """(i, j, M[i, j]) over the non-zero upper triangle, row by row in index order."""
+    first = 0 if include_self_loops else 1
+    for i in range(M.shape[0]):
+        cols = np.flatnonzero(M[i, i + first:]) + i + first
+        yield from zip([i] * cols.size, cols.tolist(), M[i, cols].tolist())
+
+
+def reference_export(graph, fmt, include_self_loops=True):
+    """Reference export: one line per edge, each weight rendered on its own;
+    JSON through json.dumps of the whole object."""
+    M = graph.intensity if isinstance(graph, cf.CommunicationGraph) else graph.exchange
+    ids = graph.node_ids()
+    edges = list(reference_edges(M, include_self_loops))
+    if fmt == "tsv":
+        return "\n".join(f"{ids[i]}\t{ids[j]}\t{w!r}" for i, j, w in edges) + "\n"
+    if fmt == "dot":
+        lines = [f'  "{ids[i]}" -- "{ids[j]}" [weight={w!r}];' for i, j, w in edges]
+        return "\n".join(["graph G {", *lines, "}"]) + "\n"
+    obj = {"nodes": list(ids),
+           "edges": [{"source": ids[i], "target": ids[j], "weight": w} for i, j, w in edges]}
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def mc_hitting_probabilities(P_walk, cores, start, n_walkers, seed, max_steps=100_000):

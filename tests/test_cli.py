@@ -1,6 +1,7 @@
 import json
 import runpy
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -280,6 +281,24 @@ def test_validation_exit_codes(tmp_path):
                  "--output-dir", str(tmp_path / "u")]) == 2
     assert main(["decompose", "--input", str(good), "--start", "nope",
                  "--output-dir", str(tmp_path / "v")]) == 2
+
+
+@pytest.mark.parametrize("lines, message", [
+    # two finite out-weights whose sum overflows
+    (["a\tb\t1.7e308", "a\tc\t1.7e308", "b\ta\t1", "c\ta\t1"],
+     "node 'a' has out-weights summing to inf; the sum must be finite"),
+    # duplicate edge lines whose aggregate overflows
+    (["a\tb\t1e308", "a\tb\t1e308", "b\ta\t1"],
+     "edge (a, b) has weight inf; weights must be finite and positive"),
+])
+def test_overflowing_weights_exit_code(tmp_path, capsys, lines, message):
+    path = tmp_path / "huge.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["decompose", "--input", str(path), "--decomposer", "iterative",
+                     "--output-dir", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_walk_too_short_to_cover_exit_code(barbell_tsv, tmp_path, capsys):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import cycleflow as cf
-from cycleflow.clustering import ModuleCores
+from cycleflow.clustering import (ModuleCores, _soft_memberships, _spectral_embedding,
+                                  _vertex_centers)
 
-from conftest import (build_pipeline, mc_hitting_probabilities, sampled_pipeline,
-                      shared_node_cliques, three_cliques)
+from conftest import (build_pipeline, mc_hitting_probabilities, random_strong_graph,
+                      sampled_pipeline, shared_node_cliques, three_cliques)
 
 
 # -------------------------------------------------------- module count choice
@@ -86,6 +87,38 @@ def test_find_cores_validation(barbell4):
         cf.find_cores(barbell4.K, 2, 0.4)
     with pytest.raises(ValueError):
         cf.find_cores(barbell4.K, 2, 1.0)
+
+
+def loop_soft_memberships(X, centers):
+    """Reference memberships, row by row: 1/d^2 normalized, or an equal share
+    of the centers at distance 0."""
+    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    out = np.zeros((X.shape[0], centers.shape[0]))
+    for i in range(X.shape[0]):
+        zero = d2[i] <= 1e-300
+        if zero.any():
+            out[i, zero] = 1.0 / zero.sum()
+        else:
+            inv = 1.0 / d2[i]
+            out[i] = inv / inv.sum()
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 9])
+def test_soft_memberships_match_loop(m):
+    K = build_pipeline(random_strong_graph(np.random.default_rng(m), 60)).K
+    X = _spectral_embedding(K, m)
+    centers = _vertex_centers(X, m)  # rows of X: those rows sit on a center
+    got = _soft_memberships(X, centers)
+    assert np.array_equal(got, loop_soft_memberships(X, centers))
+    assert np.any(got == 1.0)
+    # a row on two equal centers splits evenly between them
+    twin = np.vstack([centers, centers[:1]])
+    X = np.vstack([X, centers[0] + 1e-9])
+    got = _soft_memberships(X, twin)
+    assert np.array_equal(got, loop_soft_memberships(X, twin))
+    on_twin = np.flatnonzero(np.all(X == centers[0], axis=1))
+    assert on_twin.size and np.all(got[on_twin][:, [0, m]] == 0.5)
 
 
 # ---------------------------------------------------------------- committors

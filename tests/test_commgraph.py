@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import build_pipeline, random_strong_graph
+from conftest import (build_pipeline, random_strong_graph, reference_export,
+                      sampled_pipeline)
 
 
 def barbell_expected_intensity(n, eps):
@@ -127,16 +128,6 @@ def test_export_deterministic(barbell4):
     assert cf.export_graph(barbell4.K, "json") == cf.export_graph(barbell4.K, "json")
 
 
-def json_dumps_graph(M, ids, include_self_loops):
-    """Reference JSON export: the whole object through json.dumps(..., indent=2)."""
-    edges = [(i, j) for i in range(M.shape[0]) for j in range(M.shape[0])
-             if j >= i + (not include_self_loops) and M[i, j] != 0.0]
-    obj = {"nodes": list(ids),
-           "edges": [{"source": ids[i], "target": ids[j], "weight": float(M[i, j])}
-                     for i, j in edges]}
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 @pytest.mark.parametrize("which", ["communication", "cycle"])
 @pytest.mark.parametrize("include_self_loops", [True, False])
 def test_export_json_matches_json_dumps(which, include_self_loops):
@@ -145,4 +136,85 @@ def test_export_json_matches_json_dumps(which, include_self_loops):
     M = graph.intensity if which == "communication" else graph.exchange
     assert np.all(np.diag(M) > 0)  # self-loops to keep or drop
     text = cf.export_graph(graph, "json", include_self_loops=include_self_loops)
-    assert text == json_dumps_graph(M, graph.node_ids(), include_self_loops)
+    assert text == reference_export(graph, "json", include_self_loops)
+
+
+def assert_same_text(got, want):
+    """Equal texts; a mismatch names its first differing line, as a diff of
+    megabytes of text would take pytest minutes."""
+    if got != want:
+        a, b = got.split("\n"), want.split("\n")
+        k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {k + 1} differs: {a[k:k + 1]} != {b[k:k + 1]} "
+                    f"({len(a)} and {len(b)} lines)")
+
+
+@pytest.fixture(scope="module")
+def export_graphs():
+    peeled = build_pipeline(random_strong_graph(np.random.default_rng(3), 200))
+    sampled = sampled_pipeline(cf.barbell(40, 0.1), T=200_000)
+    return {"random200-peeled": peeled, "barbell40-sampled": sampled}
+
+
+@pytest.mark.parametrize("pipeline", ["random200-peeled", "barbell40-sampled"])
+@pytest.mark.parametrize("which", ["communication", "cycle"])
+@pytest.mark.parametrize("fmt", ["tsv", "dot", "json"])
+@pytest.mark.parametrize("include_self_loops", [True, False])
+@pytest.mark.parametrize("block", [None, 1000])
+def test_export_matches_reference(export_graphs, monkeypatch, pipeline, which, fmt,
+                                  include_self_loops, block):
+    if block is not None:  # these graphs fit in one block of the default size
+        monkeypatch.setattr("cycleflow.commgraph._EXPORT_BLOCK", block)
+    pipe = export_graphs[pipeline]
+    graph = pipe.K if which == "communication" else cf.cycle_graph(pipe.dec)
+    assert_same_text(cf.export_graph(graph, fmt, include_self_loops),
+                     reference_export(graph, fmt, include_self_loops))
+
+
+def hand_built_graphs():
+    """Intensity matrices that probe the export's corners."""
+    repeated = np.array([[0.5, 0.25, 0.0, 0.1],
+                         [0.25, 0.5, 0.1, 0.25],
+                         [0.0, 0.1, 0.0, 0.0],   # row 2: nothing in the upper triangle
+                         [0.1, 0.25, 0.0, 0.5]])
+    # weights one ulp apart, which must not share a text
+    a = 0.1
+    b = np.nextafter(a, 1.0)
+    c = np.nextafter(b, 1.0)
+    close = np.array([[0.0, a, b], [a, 0.0, c], [b, c, 0.0]])
+    diagonal = np.diag([0.5, 0.25, 0.25])  # no off-diagonal entry
+    with_inf = np.array([[1.0, np.inf], [np.inf, 2.0]])
+    return {"repeated": repeated, "close": close, "diagonal": diagonal, "inf": with_inf}
+
+
+@pytest.mark.parametrize("name", ["repeated", "close", "diagonal", "inf"])
+@pytest.mark.parametrize("which", ["communication", "cycle"])
+@pytest.mark.parametrize("fmt", ["tsv", "dot", "json"])
+@pytest.mark.parametrize("include_self_loops", [True, False])
+@pytest.mark.parametrize("block", [None, 2])
+def test_export_hand_built_matches_reference(monkeypatch, name, which, fmt,
+                                             include_self_loops, block):
+    if block is not None:
+        monkeypatch.setattr("cycleflow.commgraph._EXPORT_BLOCK", block)
+    M = hand_built_graphs()[name]
+    n = M.shape[0]
+    if which == "communication":
+        graph = cf.CommunicationGraph(intensity=M, nodes=tuple(f"v{k}" for k in range(n)))
+    else:
+        graph = cf.CycleGraph(exchange=M, mu=np.full(n, 1 / n),
+                              cycles=tuple((k, (k + 1) % n) for k in range(n)))
+    assert_same_text(cf.export_graph(graph, fmt, include_self_loops),
+                     reference_export(graph, fmt, include_self_loops))
+
+
+def test_export_corner_texts():
+    graphs = hand_built_graphs()
+    no_edges = cf.CommunicationGraph(intensity=graphs["diagonal"])
+    assert cf.export_graph(no_edges, "tsv", include_self_loops=False) == "\n"
+    assert cf.export_graph(no_edges, "dot", include_self_loops=False) == "graph G {\n}\n"
+    assert json.loads(cf.export_graph(no_edges, "json", include_self_loops=False))["edges"] == []
+    with_inf = cf.CommunicationGraph(intensity=graphs["inf"])
+    assert cf.export_graph(with_inf, "tsv") == "0\t0\t1.0\n0\t1\tinf\n1\t1\t2.0\n"
+    assert '"weight": Infinity' in cf.export_graph(with_inf, "json")
+    close = cf.export_graph(cf.CommunicationGraph(intensity=graphs["close"]), "tsv")
+    assert len({line.split("\t")[2] for line in close.split("\n")[:-1]}) == 3

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,22 @@ def test_transition_matrix_rejects_sink_and_disconnected():
          ("a", "c"): 1.0})
     with pytest.raises(ValueError, match="strongly connected"):
         cf.transition_matrix(G)
+
+
+def test_transition_matrix_rejects_overflowing_out_weight():
+    # each weight is finite, their sum is not: P's row would come out all zeros
+    G = cf.DirectedGraph(["a", "b", "c"], {("a", "b"): 1.7e308, ("a", "c"): 1.7e308,
+                                           ("b", "a"): 1.0, ("c", "a"): 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="node 'a' has out-weights summing to inf"):
+            cf.transition_matrix(G)
+
+
+def test_duplicate_edges_summing_to_inf_are_refused():
+    with pytest.raises(ValueError, match=r"weight inf; weights must be finite and positive"):
+        cf.DirectedGraph.from_edge_list([("a", "b", 1e308), ("a", "b", 1e308),
+                                         ("b", "a", 1.0)])
 
 
 # ----------------------------------------------------------- walk quantities
