@@ -39,7 +39,6 @@ from .lifted import (
 )
 from .commgraph import (
     CommunicationGraph,
-    CycleGraph,
     communication_graph,
     cycle_graph,
     export_graph,

@@ -3,9 +3,9 @@
 The communication graph weights node pairs by how easily the walk carries
 probability between them: many short, heavy cycles through both nodes mean
 intense communication.  The cycle graph weights cycle pairs by the flux they
-exchange per step.  Both matrices are exactly symmetric by construction, and
-their walks are the two lifted chains.  `Pipeline` chains every stage from a
-graph to these matrices.
+exchange per step.  Both are a `CommunicationGraph`, exactly symmetric by
+construction, and their walks are the two lifted chains.  `Pipeline` chains
+every stage from a graph to these matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .lifted import cycle_stationary, cycle_to_node_matrix, node_to_cycle_matrix
 
 __all__ = [
     "CommunicationGraph",
-    "CycleGraph",
     "communication_graph",
     "cycle_graph",
     "export_graph",
@@ -39,7 +38,7 @@ _EXPORT_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class CommunicationGraph:
-    """Symmetric node-communication intensities, with the walk's spectral forms."""
+    """Symmetric intensities between nodes, or cycles, with the walk's spectral forms."""
 
     intensity: np.ndarray
     nodes: tuple[str, ...] | None = field(default=None, repr=False)
@@ -72,25 +71,6 @@ class CommunicationGraph:
         return self.nodes if self.nodes is not None else tuple(str(i) for i in range(self.n))
 
 
-@dataclass(frozen=True)
-class CycleGraph:
-    """Symmetric per-step flux exchange between cycles, with their stationary mu."""
-
-    exchange: np.ndarray
-    mu: np.ndarray
-    cycles: tuple
-    nodes: tuple[str, ...] | None = field(default=None, repr=False)
-
-    @property
-    def n(self) -> int:
-        return int(self.exchange.shape[0])
-
-    def node_ids(self):
-        if self.nodes is None:
-            return tuple("(" + ",".join(str(v) for v in c) + ")" for c in self.cycles)
-        return tuple("(" + ",".join(self.nodes[v] for v in c) + ")" for c in self.cycles)
-
-
 def communication_graph(dec: CycleDecomposition, pi=None) -> CommunicationGraph:
     """Intensity matrix I[x, y] = sum over cycles through x and y of w/|cycle|.
 
@@ -111,20 +91,20 @@ def communication_graph(dec: CycleDecomposition, pi=None) -> CommunicationGraph:
     return CommunicationGraph(intensity=I, nodes=dec.nodes)
 
 
-def cycle_graph(dec: CycleDecomposition) -> CycleGraph:
+def cycle_graph(dec: CycleDecomposition) -> CommunicationGraph:
     """Exchange matrix W[a, b] = sum over shared nodes x of w(a) w(b) / m_x.
 
     m_x is the node mass.  W is the stationary flux |a| w(a) (V B)[a, b] of
-    the cycle chain, so its rows sum to |a| w(a).  Computed as Z Z^T with
-    Z[alpha, x] = w(alpha)/sqrt(m_x) on the cycle's nodes, a symmetric rank-k
-    product, so W is exactly symmetric.
+    the cycle chain, so its mass is |a| w(a), mu unnormalized.  W = Z Z^T, with
+    Z[alpha, x] = w(alpha)/sqrt(m_x) on alpha's nodes, is exactly symmetric.
+    Each vertex is labelled by its cycle's node ids, as "(a,b,c)".
     """
     Z = np.zeros((dec.lengths.size, dec.n_nodes))
     Z[dec.rows, dec.members] = dec.w[dec.rows] / np.sqrt(dec.node_mass()[dec.members])
     W = Z @ Z.T
     W[np.abs(W) < _ZERO_FLOOR] = 0.0
-    return CycleGraph(exchange=W, mu=cycle_stationary(dec), cycles=tuple(dec.cycles),
-                      nodes=dec.nodes)
+    return CommunicationGraph(intensity=W, nodes=tuple(
+        "(" + ",".join(dec.node_ids(c)) + ")" for c in dec.cycles))
 
 
 def _edge_blocks(M: np.ndarray, include_self_loops: bool, line: str, sep: str, ids,
@@ -164,13 +144,9 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
     output is deterministic.  `include_self_loops=False` drops the diagonal,
     for visualization only.
     """
-    if isinstance(graph, CommunicationGraph):
-        M = graph.intensity
-    elif isinstance(graph, CycleGraph):
-        M = graph.exchange
-    else:
+    if not isinstance(graph, CommunicationGraph):
         raise TypeError(f"cannot export {type(graph).__name__}")
-    ids = graph.node_ids()
+    M, ids = graph.intensity, graph.node_ids()
     if fmt == "tsv":
         blocks = _edge_blocks(M, include_self_loops, "{}\t{}\t{}", "\n", ids, _reprs)
         return "\n".join([*blocks, ""]) if blocks else "\n"  # "\n" alone for no edges
@@ -183,7 +159,7 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
         quoted = [json.dumps(v) for v in ids]
         item = '    {\n      "source": {},\n      "target": {},\n      "weight": {}\n    }'
         blocks = _edge_blocks(M, include_self_loops, item, ",\n", quoted, _json_floats)
-        return _json_document({}, {"edges": blocks, "nodes": ["    " + q for q in quoted]})
+        return _json_document({"nodes": list(ids)}, "edges", blocks)
     raise ValueError(f"unknown export format {fmt!r} (expected dot, tsv or json)")
 
 

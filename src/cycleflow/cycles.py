@@ -394,71 +394,49 @@ def _json_floats(xs: list[float]) -> list[str]:
     return [json.dumps(x) for x in xs]
 
 
-def _json_document(obj: dict, lists: dict[str, list[str]]) -> str:
-    """The text of `json.dumps(lists | obj, sort_keys=True, indent=2) + "\n"`, where each
-    value of `lists` is a list given as its entries' JSON text at the 4-space indent.
+def _json_document(obj: dict, key: str, entries: list[str]) -> str:
+    """The text of `json.dumps({**obj, key: [...]}, sort_keys=True, indent=2) + "\n"`, where
+    the list at `key` is given as its entries' JSON text at the 4-space indent.
 
-    The values of `obj` are dumped one by one and shifted in by two spaces; JSON text
-    holds no raw newline inside a string, so each of its lines is a line of the layout.
-    The pieces are joined once: a list can run to megabytes, and each copy costs.
+    json lays out the document with null at `key`; deeper keys are indented further and
+    JSON strings hold no raw newline, so that line occurs once.  The entries are spliced
+    in there and all pieces joined once: the entries can run to megabytes.
     """
-    merged = {**lists, **obj}
-    parts, sep = ["{"], "\n  "
-    for key in sorted(merged):
-        parts.append(f"{sep}{json.dumps(key)}: ")
-        sep = ",\n  "
-        if key in obj:
-            parts.append("\n  ".join(json.dumps(obj[key], sort_keys=True, indent=2).split("\n")))
-        elif lists[key]:
-            parts.append("[\n")
-            for entry in lists[key]:
-                parts += [entry, ",\n"]
-            parts[-1] = "\n  ]"
-        else:
-            parts.append("[]")
-    parts.append("\n}\n")
-    return "".join(parts)
+    line = f"\n  {json.dumps(key)}: "
+    head, _, tail = json.dumps({**obj, key: None}, sort_keys=True, indent=2).partition(
+        line + "null")
+    if not entries:
+        return f"{head}{line}[]{tail}\n"
+    parts = [",\n"] * (2 * len(entries) - 1)
+    parts[::2] = entries
+    return "".join([head, line, "[\n", *parts, "\n  ]", tail, "\n"])
 
 
 def decomposition_to_json(dec: CycleDecomposition, extra: dict | None = None) -> str:
     """JSON export: cycles sorted by weight descending, then canonical order.
 
     The text is that of `json.dumps(obj, sort_keys=True, indent=2)`, with `obj` holding
-    `kind`, `n_nodes`, `T` (sampled), the cycle list and then `extra`'s keys; each cycle
-    entry has its node ids, its weight and, when sampled, its count.  The cycle list is
-    rendered from the arrays in one join: each node id is quoted once, and each distinct
-    weight formatted once.
+    `kind`, `n_nodes`, `T` (sampled), `extra`'s keys and the cycle list; each cycle
+    entry has its node ids, its weight and, when sampled, its count.  Each node id is
+    quoted once, and each distinct weight formatted once.
     """
     obj = {"kind": dec.kind, "n_nodes": dec.n_nodes}
     if dec.T is not None:
         obj["T"] = dec.T
     if extra:
         obj.update(extra)
-    n = dec.lengths.size
-    if n == 0:
-        return _json_document(obj, {"cycles": []})
     order = np.argsort(-dec.w, kind="stable")  # equal weights keep the canonical order
-    lengths = dec.lengths[order]
-    members = dec.members[_take_rows(dec.lengths, order)]
-    ends = np.cumsum(lengths)
-    # node v's quoted id followed by the separator to the next node of its cycle, and
-    # at v + n_nodes alone, for the last node of a cycle
     quoted = [json.dumps(v) for v in dec.node_ids(range(dec.n_nodes))]
-    ids = np.array([q + ",\n        " for q in quoted] + quoted, dtype=object)
-    last = np.zeros(members.size, dtype=np.intp)
-    last[ends - 1] = dec.n_nodes
+    ids = np.array(quoted, dtype=object)[dec.members].tolist()
+    ends = np.cumsum(dec.lengths)
+    starts, ends = (ends - dec.lengths).tolist(), ends.tolist()  # each cycle's slice of ids
     # sampled weights are count / T: few distinct values
-    values, which = np.unique(dec.w[order], return_inverse=True)
-    weights = np.array(_json_floats(values.tolist()), dtype=object)[which].tolist()
-    counts = [""] * n if dec.k is None else [f'"count": {k},\n      '
-                                             for k in dec.k[order].tolist()]
-    opens = [f'    {{\n      {c}"cycle": [\n        ' for c in counts]
-    closes = [f'\n      ],\n      "weight": {w}\n    }}' for w in weights]
-    # each cycle's members, preceded by its opening (after the previous cycle's close)
-    parts = np.empty(members.size + n + 1, dtype=object)
-    at = np.arange(n + 1) + np.concatenate(([0], ends))
-    parts[at] = [opens[0], *map("{},\n{}".format, closes, opens[1:]), closes[-1]]
-    slots = np.ones(parts.size, dtype=bool)
-    slots[at] = False
-    parts[slots] = ids[members + last]
-    return _json_document(obj, {"cycles": ["".join(parts.tolist())]})
+    values, which = np.unique(dec.w, return_inverse=True)
+    weights = np.array(_json_floats(values.tolist()), dtype=object)[which[order]].tolist()
+    counts = ([""] * order.size if dec.k is None
+              else [f'"count": {k},\n      ' for k in dec.k[order].tolist()])
+    sep = ",\n        "
+    entries = [f'    {{\n      {c}"cycle": [\n        {sep.join(ids[starts[i]:ends[i]])}\n'
+               f'      ],\n      "weight": {w}\n    }}'
+               for i, c, w in zip(order.tolist(), counts, weights)]
+    return _json_document(obj, "cycles", entries)

@@ -149,8 +149,8 @@ def transition_matrix(G: DirectedGraph) -> np.ndarray:
     """Row-stochastic walk matrix: each row of K divided by its out-weight.
 
     Rejects graphs with a sink or, more generally, graphs that are not
-    strongly connected (the walk would not be ergodic), and nodes whose
-    out-weights sum beyond the float range.
+    strongly connected (the walk would not be ergodic), out-weights summing
+    beyond the float range, and edge probabilities below it.
     """
     K = G.weight_matrix()
     with np.errstate(over="ignore"):
@@ -167,7 +167,13 @@ def transition_matrix(G: DirectedGraph) -> np.ndarray:
                          f"{out[overflow[0]]}; the sum must be finite")
     if not check_strongly_connected(G):
         raise ValueError("graph is not strongly connected")
-    return K / out[:, None]
+    P = K / out[:, None]
+    # each edge is one positive entry of K; one whose quotient underflows leaves the walk
+    if np.count_nonzero(P) < len(G.edges):
+        x, y = np.argwhere((P == 0.0) & (K > 0.0))[0]
+        raise ValueError(f"edge ({G.nodes[x]}, {G.nodes[y]}) has probability {K[x, y]} / "
+                         f"{out[x]}, which underflows to 0; it must be a positive float")
+    return P
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:

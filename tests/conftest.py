@@ -137,7 +137,7 @@ def reference_edges(M, include_self_loops):
 def reference_export(graph, fmt, include_self_loops=True):
     """Reference export: one line per edge, each weight rendered on its own;
     JSON through json.dumps of the whole object."""
-    M = graph.intensity if isinstance(graph, cf.CommunicationGraph) else graph.exchange
+    M = graph.intensity
     ids = graph.node_ids()
     edges = list(reference_edges(M, include_self_loops))
     if fmt == "tsv":

@@ -1,5 +1,8 @@
 import json
+import os
+import re
 import runpy
+import subprocess
 import sys
 import warnings
 from collections import Counter
@@ -301,6 +304,27 @@ def test_overflowing_weights_exit_code(tmp_path, capsys, lines, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_underflowing_probability_exit_code(tmp_path, capsys):
+    # P[a, c] = 1e-300 / 1e300 is below the float range: the walk would lose node c
+    path = tmp_path / "tiny.tsv"
+    path.write_text("a\tb\t1e300\na\tc\t1e-300\nb\ta\t1\nc\ta\t1\n")
+    part = tmp_path / "part.tsv"
+    part.write_text("a\t0\nb\t0\nc\t1\n")
+    out = ["--output-dir", str(tmp_path / "o")]
+    commands = [["decompose", *out], ["decompose", "--decomposer", "iterative", *out],
+                ["spectrum", *out],
+                *(["cluster", "--method", m, *out] for m in ("cmsm", "qbar-max", "q-max")),
+                ["modularity", "--partition", str(part), *out],
+                ["export-graph", "--output", str(tmp_path / "g.tsv")]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in commands:
+            assert main([*command, "--input", str(path), "--T", "1000"]) == 2, command
+            assert capsys.readouterr().err == (
+                "error: edge (a, c) has probability 1e-300 / 1e+300, which underflows "
+                "to 0; it must be a positive float\n")
+
+
 def test_walk_too_short_to_cover_exit_code(barbell_tsv, tmp_path, capsys):
     # 10 steps from l0 close no cycle through the r ring
     for command in (["spectrum"], ["cluster", "--method", "qbar-max"]):
@@ -341,3 +365,31 @@ def test_scripts_run(script, args, tmp_path, monkeypatch, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert any(tmp_path.glob("*.csv"))
     assert capsys.readouterr().out
+
+
+def test_artifact_digests_script(barbell_tsv, tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    walk = tmp_path / "walk.txt"
+    G = cf.read_edge_list(barbell_tsv)
+    traj = cf.simulate(cf.transition_matrix(G), 0, 2_000, seed=1)
+    cf.write_trajectory(cf.Trajectory(states=traj.states, nodes=G.nodes), walk)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def digests(*args):
+        run = subprocess.run([sys.executable, str(root / "scripts" / "artifact_digests.py"),
+                              str(barbell_tsv), *args], capture_output=True, text=True,
+                             env=env, check=True)
+        lines = [line for line in run.stdout.split("\n") if line]
+        assert lines and all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+        return lines
+
+    for args, expected in (
+            (["--decomposer", "iterative", "--exports"],
+             {"decomposition.json", "communication.tsv", "cmsm/partition.json",
+              "exports/communication.json", "exports/cycle.json",
+              "exports/cycle-no-self-loops.dot"}),
+            (["--T", "20000", "--trajectory", str(walk)],
+             {"decomposition.json", "communication.tsv", "trajectory/decomposition.json"})):
+        lines = digests(*args)
+        assert expected <= {line.split("  ")[1] for line in lines}
+        assert digests(*args) == lines

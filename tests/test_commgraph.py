@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,25 +57,31 @@ def test_cycle_graph_barbell(barbell4):
     j_r = cycles.index(tuple(range(4, 8)))
     eps = 0.1
     w = 1.0 / (2 * (4 + eps))
-    assert Bc.exchange[j_l, j_c] == pytest.approx(w * eps / (1 + eps), abs=1e-14)
-    assert Bc.exchange[j_c, j_r] == pytest.approx(w * eps / (1 + eps), abs=1e-14)
+    assert Bc.intensity[j_l, j_c] == pytest.approx(w * eps / (1 + eps), abs=1e-14)
+    assert Bc.intensity[j_c, j_r] == pytest.approx(w * eps / (1 + eps), abs=1e-14)
     # the two rings exchange nothing directly: a 3-node path off the diagonal
-    assert Bc.exchange[j_l, j_r] == 0.0
-    assert np.array_equal(Bc.exchange, Bc.exchange.T)
+    assert Bc.intensity[j_l, j_r] == 0.0
+    assert np.array_equal(Bc.intensity, Bc.intensity.T)
 
 
 def test_cycle_graph_chain(chain3):
     Bc = cf.cycle_graph(chain3.dec)
-    assert Bc.exchange[0, 1] == pytest.approx(1 / 8, abs=1e-14)
-    assert np.allclose(Bc.mu, [0.5, 0.5], atol=1e-13)
+    assert Bc.intensity[0, 1] == pytest.approx(1 / 8, abs=1e-14)
+    assert np.allclose(Bc.mass / Bc.mass.sum(), [0.5, 0.5], atol=1e-13)
+
+
+def test_cycle_graph_labels(barbell4):
+    # each vertex is labelled by its cycle's node ids, in canonical cycle order
+    labels = cf.cycle_graph(barbell4.dec).node_ids()
+    assert labels == ("(l0,l1,l2,l3)", "(l0,r0)", "(r0,r1,r2,r3)")
 
 
 def test_cycle_graph_ring_single_node():
     # one cycle: the whole flux recirculates, so the self-exchange is mu = 1
     pipe = build_pipeline(cf.ring(4))
     Bc = cf.cycle_graph(pipe.dec)
-    assert Bc.exchange.shape == (1, 1)
-    assert Bc.exchange[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert Bc.intensity.shape == (1, 1)
+    assert Bc.intensity[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
@@ -86,7 +93,7 @@ def test_marginals_property(seed):
     assert I.min() >= 0.0
     assert np.abs(I.sum(axis=1) - pipe.pi).max() <= 1e-10
     assert I.sum() == pytest.approx(1.0, abs=1e-10)
-    W = cf.cycle_graph(pipe.dec).exchange
+    W = cf.cycle_graph(pipe.dec).intensity
     assert np.array_equal(W, W.T)
     assert W.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.abs(W.sum(axis=1) - pipe.mu).max() <= 1e-10
@@ -133,7 +140,7 @@ def test_export_deterministic(barbell4):
 def test_export_json_matches_json_dumps(which, include_self_loops):
     pipe = build_pipeline(random_strong_graph(np.random.default_rng(5), 12))
     graph = pipe.K if which == "communication" else cf.cycle_graph(pipe.dec)
-    M = graph.intensity if which == "communication" else graph.exchange
+    M = graph.intensity
     assert np.all(np.diag(M) > 0)  # self-loops to keep or drop
     text = cf.export_graph(graph, "json", include_self_loops=include_self_loops)
     assert text == reference_export(graph, "json", include_self_loops)
@@ -153,10 +160,14 @@ def assert_same_text(got, want):
 def export_graphs():
     peeled = build_pipeline(random_strong_graph(np.random.default_rng(3), 200))
     sampled = sampled_pipeline(cf.barbell(40, 0.1), T=200_000)
-    return {"random200-peeled": peeled, "barbell40-sampled": sampled}
+    # a decomposition without node ids: vertices are labelled by index
+    dec = cf.iterative_decomposition(build_pipeline(cf.barbell(4, 0.1)).F)
+    unnamed = SimpleNamespace(K=cf.communication_graph(dec), dec=dec)
+    return {"random200-peeled": peeled, "barbell40-sampled": sampled, "barbell4-unnamed": unnamed}
 
 
-@pytest.mark.parametrize("pipeline", ["random200-peeled", "barbell40-sampled"])
+@pytest.mark.parametrize("pipeline", ["random200-peeled", "barbell40-sampled",
+                                      "barbell4-unnamed"])
 @pytest.mark.parametrize("which", ["communication", "cycle"])
 @pytest.mark.parametrize("fmt", ["tsv", "dot", "json"])
 @pytest.mark.parametrize("include_self_loops", [True, False])
@@ -167,6 +178,8 @@ def test_export_matches_reference(export_graphs, monkeypatch, pipeline, which, f
         monkeypatch.setattr("cycleflow.commgraph._EXPORT_BLOCK", block)
     pipe = export_graphs[pipeline]
     graph = pipe.K if which == "communication" else cf.cycle_graph(pipe.dec)
+    if pipeline == "barbell4-unnamed" and which == "cycle":
+        assert graph.node_ids() == ("(0,1,2,3)", "(0,4)", "(4,5,6,7)")
     assert_same_text(cf.export_graph(graph, fmt, include_self_loops),
                      reference_export(graph, fmt, include_self_loops))
 
@@ -201,8 +214,8 @@ def test_export_hand_built_matches_reference(monkeypatch, name, which, fmt,
     if which == "communication":
         graph = cf.CommunicationGraph(intensity=M, nodes=tuple(f"v{k}" for k in range(n)))
     else:
-        graph = cf.CycleGraph(exchange=M, mu=np.full(n, 1 / n),
-                              cycles=tuple((k, (k + 1) % n) for k in range(n)))
+        graph = cf.CommunicationGraph(intensity=M,
+                                      nodes=tuple(f"({k},{(k + 1) % n})" for k in range(n)))
     assert_same_text(cf.export_graph(graph, fmt, include_self_loops),
                      reference_export(graph, fmt, include_self_loops))
 

@@ -504,8 +504,11 @@ NESTED_EXTRA = {
     # equal weights, inserted out of canonical order
     (lambda: cf.CycleDecomposition(weights={(1, 2): 0.25, (0, 1): 0.25, (0, 2): 0.5, (2,): 0.25},
                                    kind="iterative", n_nodes=3), None),
+    # a nested "cycles" key, and a string holding the top-level line the writer splices at
+    (lambda: cf.Pipeline(cf.barbell(4, 0.1)).dec,
+     {"config": {"cycles": None}, "note": '\n  "cycles": null'}),
 ], ids=["sampled", "sampled_extra", "iterative_extra", "iterative", "empty", "nodes_none",
-        "non_finite", "ties"])
+        "non_finite", "ties", "splice_lookalikes"])
 def test_decomposition_json_matches_json_dumps(make_dec, extra):
     dec = make_dec()
     text = cf.decomposition_to_json(dec, extra)

@@ -142,7 +142,7 @@ def test_array_form_on_many_sampled_cycles():
     assert cf.detailed_balance_residual(pipe.P_lift, pipe.pi_lift) <= 1e-12
     assert cf.detailed_balance_residual(pipe.Q_lift, pipe.mu) <= 1e-12
     # the cycle graph is the flux of the cycle chain: symmetric, with rows len * w
-    W = cf.cycle_graph(dec).exchange
+    W = cf.cycle_graph(dec).intensity
     assert np.array_equal(W, W.T)
     assert np.allclose(W, (dec.lengths * dec.w)[:, None] * pipe.Q_lift,
                        rtol=1e-12, atol=1e-15)
