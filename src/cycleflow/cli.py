@@ -65,8 +65,15 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _write(path: Path, text: str) -> None:
+    """Write an artifact into its output directory, made on the first write, so a
+    command refused before then leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def _dump_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _tag(config: RunConfig, input_path=None) -> dict:
@@ -122,7 +129,7 @@ def cmd_decompose(config: RunConfig, outdir: Path) -> int:
         extra["flow_residual"] = verify_flow_decomposition(dec, pipe.F)
         extra["max_flow"] = float(pipe.F.max())
     out = outdir / "decomposition.json"
-    out.write_text(decomposition_to_json(dec, extra), encoding="utf-8")
+    _write(out, decomposition_to_json(dec, extra))
     resid = extra.get("flow_residual")
     print(f"{dec.lengths.size} cycles -> {out}"
           + (f" (flow residual {resid:.3e})" if resid is not None else ""))
@@ -133,8 +140,8 @@ def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
     pipe = _load_pipeline(config)
     rep_walk = spectrum(pipe.P, k=config.k)
     rep_lift = SpectrumReport.from_eigenvalues(np.linalg.eigvalsh(pipe.K.normalized), config.k)
-    (outdir / "spectrum_walk.csv").write_text(rep_walk.csv_text(), encoding="utf-8")
-    (outdir / "spectrum_lifted.csv").write_text(rep_lift.csv_text(), encoding="utf-8")
+    _write(outdir / "spectrum_walk.csv", rep_walk.csv_text())
+    _write(outdir / "spectrum_lifted.csv", rep_lift.csv_text())
     _dump_json(outdir / "spectrum.json", {
         **_tag(config, config.input),
         "walk_top": [[lam.real, lam.imag] for lam in rep_walk.eigenvalues[:10]],
@@ -176,7 +183,7 @@ def cmd_cluster(config: RunConfig, outdir: Path) -> int:
         for v in G.nodes:
             qs = ",".join(repr(x) for x in result["committors"][v])
             lines.append(f"{v},{result['labels'][v]},{int(v in tie_set)},{qs}")
-        (outdir / "partition.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(outdir / "partition.csv", "\n".join(lines) + "\n")
     elif config.method in ("qbar-max", "q-max"):
         if config.method == "qbar-max":
             labels, score, history = maximize("qbar", pi=pi, I=pipe.K.intensity, mode="greedy")
@@ -342,7 +349,6 @@ def main(argv=None) -> int:
         if args.command == "export-graph":
             return cmd_export_graph(config, Path(args.output))
         outdir = Path(args.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "decompose":
             return cmd_decompose(config, outdir)
         if args.command == "spectrum":

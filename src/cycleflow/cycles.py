@@ -162,6 +162,10 @@ def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) ->
     where the first closure of any of its rotations fell.  Weights are
     completion counts divided by the trajectory length.
 
+    Drawing and erasing are one loop: each step goes from x to `rows[x][g]`,
+    over a Walk's table and bins (see `Walk`), or over a stored Trajectory's
+    states as the bins and one shared identity row.
+
     Parameters
     ----------
     traj : Trajectory or Walk
@@ -178,13 +182,14 @@ def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) ->
     if isinstance(traj, Walk):
         lo, hi = 0, traj.n - 1
         n_nodes = traj.n if n_nodes is None else n_nodes
-        first, states = traj.start, chain.from_iterable(traj.chunks())
+        first, rows, bins = traj.start, traj._table[2], chain.from_iterable(traj.bins())
     else:
         lo, hi = int(traj.states.min()), int(traj.states.max())
         if n_nodes is None:
             n_nodes = len(traj.nodes) if traj.nodes is not None else hi + 1
         states = traj.states.tolist()
-        first, states = states[0], islice(states, 1, None)
+        first, bins = states[0], islice(states, 1, None)
+        rows = [list(range(n_nodes))] * n_nodes  # a stored state is its own bin, from any node
     if lo < 0 or hi >= n_nodes:
         raise ValueError(f"trajectory states span {lo}..{hi}, outside 0..{n_nodes - 1}")
 
@@ -197,7 +202,9 @@ def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) ->
     # never on the chain start at n_nodes, which is never below L.
     pos = [n_nodes] * n_nodes
     pos[first] = 0
-    for x in states:
+    x = first
+    for g in bins:
+        x = rows[x][g]
         p = pos[x]
         if p >= L or eta[p] != x:
             pos[x] = L

@@ -8,7 +8,6 @@ stationary vectors and flows are immutable after construction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -214,6 +213,37 @@ def flow_conservation_residual(F: np.ndarray) -> float:
     return float(np.max(np.abs(F.sum(axis=0) - F.sum(axis=1))))
 
 
+def _bin_grid(cuts: np.ndarray):
+    """The power-of-two grid that `_bins` reads bins off, for sorted unique `cuts`.
+
+    Cell c of the M cells holds the uniforms in [c/M, (c+1)/M): `base[c]` counts
+    the cuts at or below c/M, and at most `passes` cuts lie inside any cell.  None
+    when the densest cell holds more cuts than a binary search over all of them
+    compares.
+    """
+    m = cuts.size
+    M = 1 << (m.bit_length() + 2)
+    edges = np.arange(M + 1) / M  # exact: M is a power of two
+    base = np.searchsorted(cuts, edges[:-1], side="right")
+    passes = int((np.searchsorted(cuts, edges[1:], side="left") - base).max())
+    if passes > m.bit_length():
+        return None
+    # past the last cut a pass reads 2.0, which no uniform reaches
+    return M, base, np.append(cuts, 2.0), passes
+
+
+def _bins(cuts: np.ndarray, grid, us: np.ndarray) -> np.ndarray:
+    """Each uniform's bin, the number of cuts at or below it:
+    `np.searchsorted(cuts, us, side="right")`, read off `grid` unless it is None."""
+    if grid is None:
+        return np.searchsorted(cuts, us, side="right")
+    M, base, padded, passes = grid
+    g = base[(us * M).astype(np.intp)]  # u*M is exact, so each u lands in its own cell
+    for _ in range(passes):
+        g += padded[g] <= us
+    return g
+
+
 @dataclass(frozen=True, eq=False)
 class Walk:
     """The walk on P from index `start`, `length` states long, drawn on demand.
@@ -223,6 +253,13 @@ class Walk:
     chunks of `_WALK_CHUNK`; PCG64 spends one 64-bit draw per double, so the
     states do not depend on the chunk size.  The length, the start index and
     every row of P are checked on construction, before any uniform is drawn.
+
+    A step is one table lookup.  The cuts, every row's cumulative probabilities
+    but its last, sorted and unique, split [0, 1) into bins; no cut falls inside
+    a bin, so the inverse-CDF pick of every row is constant on each.  The table
+    holds, per row, the successor on each bin (n rows of one more entry than
+    there are cuts, sharing their int objects), and a step from x on bin g goes
+    to `rows[x][g]`.
     """
 
     P: np.ndarray
@@ -236,41 +273,46 @@ class Walk:
             raise ValueError("trajectory length must be >= 1")
         if not 0 <= self.start < self.n:
             raise ValueError(f"start index {self.start} out of range")
-        self._rows  # raises on a row with no successor
+        self._table  # raises on a row with no successor
 
     @property
     def n(self) -> int:
         return int(np.shape(self.P)[0])
 
     @cached_property
-    def _rows(self):
-        """Per row: successor indices, their cumulative probabilities, and the
-        successor itself for a row with one, which needs no search."""
+    def _table(self):
+        """(cuts, the grid `_bins` reads them off, and per row the successor on each bin)."""
         P = np.asarray(self.P, dtype=float)
-        succ = []
-        cums = []
+        succ, cums = [], []
         for i in range(self.n):
             idx = np.flatnonzero(P[i])
             if idx.size == 0:
                 raise ValueError(f"state {i} has no successors")
             c = np.cumsum(P[i, idx])
-            c /= c[-1]
-            c[-1] = 1.0  # uniforms in [0,1) always land inside the row
-            succ.append(idx.tolist())
-            cums.append(c.tolist())
-        return succ, cums, [s[0] if len(s) == 1 else None for s in succ]
+            # normalized, the last cumulative probability is 1, above every uniform: no cut
+            succ.append(idx)
+            cums.append(c[:-1] / c[-1])
+        cuts = np.unique(np.concatenate(cums))
+        lows = np.concatenate(([0.0], cuts))  # the smallest uniform in each bin
+        ints = list(range(self.n))  # shared by all rows: an entry costs a pointer, not an int
+        rows = [list(map(ints.__getitem__, idx[np.searchsorted(c, lows, side="right")].tolist()))
+                for idx, c in zip(succ, cums)]
+        return cuts, _bin_grid(cuts), rows
+
+    def bins(self):
+        """Yield the bins of the `length - 1` steps after `start`, in lists of up to
+        `_WALK_CHUNK`; the step from x on bin g goes to the table's `rows[x][g]`."""
+        cuts, grid, _ = self._table
+        rng = np.random.default_rng(self.seed)
+        for lo in range(1, self.length, _WALK_CHUNK):
+            yield _bins(cuts, grid, rng.random(min(_WALK_CHUNK, self.length - lo))).tolist()
 
     def chunks(self):
         """Yield the `length - 1` states after `start`, in lists of up to `_WALK_CHUNK`."""
-        succ, cums, det = self._rows
-        rng = np.random.default_rng(self.seed)
-        x = self.start
-        for lo in range(1, self.length, _WALK_CHUNK):
-            us = rng.random(min(_WALK_CHUNK, self.length - lo)).tolist()
-            # x carries the walker's node across chunks; a row with one successor
-            # skips the search but its uniform is drawn all the same
-            yield [x := det[x] if det[x] is not None else succ[x][bisect_right(cums[x], u)]
-                   for u in us]
+        rows = self._table[2]
+        x = self.start  # carries the walker's node across chunks
+        for gs in self.bins():
+            yield [x := rows[x][g] for g in gs]
 
 
 def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:

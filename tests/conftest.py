@@ -76,6 +76,20 @@ def reciprocal_ring4(seed=1):
     return cf.DirectedGraph(nodes, edges)
 
 
+def star(weights):
+    """Hub `h` with out-edges of the given weights to leaves l00, l01, ..., each leaf
+    stepping back to h: the walk's cuts are the hub's cumulative probabilities."""
+    leaves = [f"l{k:02d}" for k in range(len(weights))]
+    edges = {("h", v): w for v, w in zip(leaves, weights)}
+    return cf.DirectedGraph(["h", *leaves], {**edges, **{(v, "h"): 1.0 for v in leaves}})
+
+
+# cuts 0.25 and 0.75: each sits exactly on a point of the walk's bin grid
+GRID_CUTS = star([1.0, 2.0, 1.0])
+# 20 cuts within 2e-3 below 1: they crowd one grid cell, so the bins come from a search
+CROWDED_HUB = star([1.0] + [1e-4] * 20)
+
+
 def random_strong_graph(rng, n=None, extra=None):
     """Random strongly connected graph: a random ring plus random extra edges.
 

@@ -323,6 +323,7 @@ def test_underflowing_probability_exit_code(tmp_path, capsys):
             assert capsys.readouterr().err == (
                 "error: edge (a, c) has probability 1e-300 / 1e+300, which underflows "
                 "to 0; it must be a positive float\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_walk_too_short_to_cover_exit_code(barbell_tsv, tmp_path, capsys):
@@ -332,6 +333,7 @@ def test_walk_too_short_to_cover_exit_code(barbell_tsv, tmp_path, capsys):
                      "--output-dir", str(tmp_path / "s")]) == 2
         err = capsys.readouterr().err
         assert "node 'r0' is covered by no cycle" in err and "larger --T" in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_out_of_memory_exit_code(barbell_tsv, tmp_path, monkeypatch, capsys):

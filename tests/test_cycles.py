@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import dict_erasure, random_strong_graph, three_node_chain, two_triangles
+from conftest import (CROWDED_HUB, GRID_CUTS, dict_erasure, random_strong_graph, three_node_chain,
+                      two_triangles)
 
 
 # ------------------------------------------------------------- canonical form
@@ -139,7 +140,10 @@ SELF_LOOPS = cf.DirectedGraph(["a", "b", "c"], {
     (random_strong_graph(np.random.default_rng(3), 120), 0, 200_000),
     (SELF_LOOPS, 0, 50_000),
     (cf.barbell(40, 0.1), 57, 100_000),
-], ids=["barbell40", "wheel0.7", "random120", "self_loops", "barbell40_mid"])
+    (GRID_CUTS, 0, 50_000),
+    (CROWDED_HUB, 0, 200_000),
+], ids=["barbell40", "wheel0.7", "random120", "self_loops", "barbell40_mid", "grid_cuts",
+        "crowded_hub"])
 def test_sample_matches_dict_erasure(G, start, T):
     traj = cf.simulate(cf.transition_matrix(G), start, T, seed=11)
     dec = cf.sample_decomposition(traj, n_nodes=G.n)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import random_strong_graph, three_node_chain
+from conftest import CROWDED_HUB, GRID_CUTS, random_strong_graph, three_node_chain
+from cycleflow.graph import _bin_grid, _bins
 
 
 # ---------------------------------------------------------------- validation
@@ -232,15 +234,58 @@ SELF_LOOPS = cf.DirectedGraph(["a", "b", "c"], {
 
 def test_simulate_independent_of_chunk_size():
     # several uniform chunks plus a ragged tail: x must carry across boundaries;
-    # rows with a single successor skip the search but still consume their uniform
+    # every step consumes one uniform, rows with a single successor too.  Every graph
+    # but the crowded hub reads its bins off the grid.
     length = 3 * 65536 + 5
-    for G, single in ((cf.wheel_switch(10, 0.7), 16), (cf.barbell(40, 0.1), 78),
-                      (SELF_LOOPS, 1)):
+    for G, single, grid in ((cf.wheel_switch(10, 0.7), 16, True), (cf.barbell(40, 0.1), 78, True),
+                            (SELF_LOOPS, 1, True), (GRID_CUTS, 3, True),
+                            (CROWDED_HUB, 21, False)):
         P = cf.transition_matrix(G)
         assert np.sum(np.count_nonzero(P, axis=1) == 1) == single
+        assert (cf.Walk(P, 1, length, seed=3)._table[1] is not None) == grid
         traj = cf.simulate(P, 1, length, seed=3)
         assert traj.length == length
         assert np.array_equal(traj.states, reference_walk(P, 1, length, seed=3))
+
+
+def spread_and_cluster(spread, cluster):
+    """`spread` cuts far apart, and `cluster` cuts within 1e-6 above 0.3."""
+    return np.sort(np.concatenate([np.linspace(0.05, 0.95, spread + 1)[1:] - 0.01,
+                                   0.3 + 1e-7 * np.arange(1, cluster + 1)]))
+
+
+@pytest.mark.parametrize("cuts,grid", [
+    (np.array([]), True),
+    (np.array([0.25, 0.75]), True),  # on grid points
+    (np.array([np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)]), True),
+    (np.unique(np.random.default_rng(0).random(234)), True),
+    # 8 cuts, which a binary search takes 4 compares over: a cell of 4 keeps the grid, 5 do not
+    (spread_and_cluster(4, 4), True),
+    (spread_and_cluster(3, 5), False),
+    (0.5 + 1e-4 * np.arange(20), False),
+    (cf.Walk(cf.transition_matrix(CROWDED_HUB), 0, 2, seed=0)._table[0], False),
+], ids=["none", "on_grid_points", "extremes", "uniform234", "cluster_at_limit",
+        "cluster_past_limit", "crowded", "crowded_hub"])
+def test_bins_match_searchsorted(cuts, grid):
+    assert (_bin_grid(cuts) is not None) == grid
+    above, below = np.nextafter(cuts, 1.0), np.nextafter(cuts, 0.0)
+    points = np.arange(1 << 12) / (1 << 12)  # c/M for every power of two M up to 2^12
+    us = np.concatenate([cuts, above, below, points, [0.0, np.nextafter(1.0, 0.0)],
+                         np.random.default_rng(1).random(10_000)])
+    us = us[(us >= 0.0) & (us < 1.0)]
+    assert np.array_equal(_bins(cuts, _bin_grid(cuts), us), np.searchsorted(cuts, us, side="right"))
+
+
+def test_walk_table_memory():
+    # 800 rows of 643 bins; a fresh int object in every entry would take about 3x
+    P = cf.transition_matrix(random_strong_graph(np.random.default_rng(7), 800))
+    tracemalloc.start()
+    try:
+        cf.Walk(P, 0, 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 def test_simulate_rejects_bad_length(monkeypatch):
