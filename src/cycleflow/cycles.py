@@ -182,7 +182,7 @@ def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) ->
     if isinstance(traj, Walk):
         lo, hi = 0, traj.n - 1
         n_nodes = traj.n if n_nodes is None else n_nodes
-        first, rows, bins = traj.start, traj._table[2], chain.from_iterable(traj.bins())
+        first, rows, bins = traj.start, traj.rows, chain.from_iterable(traj.bins())
     else:
         lo, hi = int(traj.states.min()), int(traj.states.max())
         if n_nodes is None:

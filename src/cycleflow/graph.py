@@ -8,9 +8,11 @@ stationary vectors and flows are immutable after construction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,9 @@ __all__ = [
 
 # Steps per chunk of a `Walk`: bounds its working lists to 64k.
 _WALK_CHUNK = 1 << 16
+# A `Walk`'s table holds at most this many entries per entry of P (8 bytes each,
+# as P's); a denser graph's walk searches each row instead.
+_TABLE_PER_P = 4
 
 
 class DirectedGraph:
@@ -244,6 +249,21 @@ def _bins(cuts: np.ndarray, grid, us: np.ndarray) -> np.ndarray:
     return g
 
 
+class _Table(NamedTuple):
+    """How a `Walk` steps: from x on bin g to `rows[x][g]`.
+
+    With `cuts`, a uniform's bin is the number of cuts at or below it, read off
+    `grid` (see `_bins`).  Without, the table would outgrow P: `search` holds
+    each row's successors and their cuts, the bins are the states searched
+    from them, and `rows` are identity rows.
+    """
+
+    rows: list
+    cuts: np.ndarray | None
+    grid: tuple | None
+    search: tuple | None
+
+
 @dataclass(frozen=True, eq=False)
 class Walk:
     """The walk on P from index `start`, `length` states long, drawn on demand.
@@ -259,7 +279,10 @@ class Walk:
     a bin, so the inverse-CDF pick of every row is constant on each.  The table
     holds, per row, the successor on each bin (n rows of one more entry than
     there are cuts, sharing their int objects), and a step from x on bin g goes
-    to `rows[x][g]`.
+    to `rows[x][g]`.  Where that table would hold more than `_TABLE_PER_P`
+    entries per entry of P, as on a dense graph whose cuts number about its
+    edges, each step instead searches its row's cumulative probabilities, and
+    the bins are the states themselves, stepped to through identity rows.
     """
 
     P: np.ndarray
@@ -279,9 +302,13 @@ class Walk:
     def n(self) -> int:
         return int(np.shape(self.P)[0])
 
+    @property
+    def rows(self) -> list[list[int]]:
+        """Per row, the successor on each bin: the step from x on bin g goes to `rows[x][g]`."""
+        return self._table.rows
+
     @cached_property
-    def _table(self):
-        """(cuts, the grid `_bins` reads them off, and per row the successor on each bin)."""
+    def _table(self) -> _Table:
         P = np.asarray(self.P, dtype=float)
         succ, cums = [], []
         for i in range(self.n):
@@ -293,23 +320,32 @@ class Walk:
             succ.append(idx)
             cums.append(c[:-1] / c[-1])
         cuts = np.unique(np.concatenate(cums))
-        lows = np.concatenate(([0.0], cuts))  # the smallest uniform in each bin
         ints = list(range(self.n))  # shared by all rows: an entry costs a pointer, not an int
+        if self.n * (cuts.size + 1) > _TABLE_PER_P * P.size:
+            search = [s.tolist() for s in succ], [c.tolist() for c in cums]
+            return _Table([ints] * self.n, None, None, search)
+        lows = np.concatenate(([0.0], cuts))  # the smallest uniform in each bin
         rows = [list(map(ints.__getitem__, idx[np.searchsorted(c, lows, side="right")].tolist()))
                 for idx, c in zip(succ, cums)]
-        return cuts, _bin_grid(cuts), rows
+        return _Table(rows, cuts, _bin_grid(cuts), None)
 
     def bins(self):
         """Yield the bins of the `length - 1` steps after `start`, in lists of up to
-        `_WALK_CHUNK`; the step from x on bin g goes to the table's `rows[x][g]`."""
-        cuts, grid, _ = self._table
+        `_WALK_CHUNK`; the step from x on bin g goes to `rows[x][g]`."""
+        t = self._table
         rng = np.random.default_rng(self.seed)
+        x = self.start  # a searching walk carries its node across chunks
         for lo in range(1, self.length, _WALK_CHUNK):
-            yield _bins(cuts, grid, rng.random(min(_WALK_CHUNK, self.length - lo))).tolist()
+            us = rng.random(min(_WALK_CHUNK, self.length - lo))
+            if t.search is None:
+                yield _bins(t.cuts, t.grid, us).tolist()
+            else:
+                succ, cums = t.search
+                yield [x := succ[x][bisect_right(cums[x], u)] for u in us.tolist()]
 
     def chunks(self):
         """Yield the `length - 1` states after `start`, in lists of up to `_WALK_CHUNK`."""
-        rows = self._table[2]
+        rows = self.rows
         x = self.start  # carries the walker's node across chunks
         for gs in self.bins():
             yield [x := rows[x][g] for g in gs]

@@ -111,6 +111,11 @@ def random_strong_graph(rng, n=None, extra=None):
     return cf.DirectedGraph(nodes, edges)
 
 
+
+# 12 nodes, 88 edges: its 76 cuts would make a table of more than four entries per
+# entry of P, so a walk on it searches each row instead
+DENSE = random_strong_graph(np.random.default_rng(5), 12, extra=144)
+
 def dict_erasure(states):
     """Reference loop erasure: chain positions in a dict, each closure canonicalized."""
     counts = {}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import (CROWDED_HUB, GRID_CUTS, dict_erasure, random_strong_graph, three_node_chain,
+from conftest import (CROWDED_HUB, DENSE, GRID_CUTS, dict_erasure, random_strong_graph, three_node_chain,
                       two_triangles)
 
 
@@ -142,8 +142,9 @@ SELF_LOOPS = cf.DirectedGraph(["a", "b", "c"], {
     (cf.barbell(40, 0.1), 57, 100_000),
     (GRID_CUTS, 0, 50_000),
     (CROWDED_HUB, 0, 200_000),
+    (DENSE, 0, 100_000),
 ], ids=["barbell40", "wheel0.7", "random120", "self_loops", "barbell40_mid", "grid_cuts",
-        "crowded_hub"])
+        "crowded_hub", "dense"])
 def test_sample_matches_dict_erasure(G, start, T):
     traj = cf.simulate(cf.transition_matrix(G), start, T, seed=11)
     dec = cf.sample_decomposition(traj, n_nodes=G.n)

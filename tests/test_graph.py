@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import CROWDED_HUB, GRID_CUTS, random_strong_graph, three_node_chain
+from conftest import CROWDED_HUB, DENSE, GRID_CUTS, random_strong_graph, three_node_chain
 from cycleflow.graph import _bin_grid, _bins
 
 
@@ -232,17 +232,23 @@ SELF_LOOPS = cf.DirectedGraph(["a", "b", "c"], {
     ("a", "a"): 1.0, ("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "a"): 1.0, ("c", "c"): 0.5})
 
 
+def bin_source(walk):
+    """Where a walk's bins come from: its grid, np.searchsorted, or a search of each row."""
+    t = walk._table
+    return "rows" if t.search is not None else "grid" if t.grid is not None else "searchsorted"
+
+
 def test_simulate_independent_of_chunk_size():
     # several uniform chunks plus a ragged tail: x must carry across boundaries;
-    # every step consumes one uniform, rows with a single successor too.  Every graph
-    # but the crowded hub reads its bins off the grid.
+    # every step consumes one uniform, rows with a single successor too.  The graphs
+    # take each of the three ways to a bin.
     length = 3 * 65536 + 5
-    for G, single, grid in ((cf.wheel_switch(10, 0.7), 16, True), (cf.barbell(40, 0.1), 78, True),
-                            (SELF_LOOPS, 1, True), (GRID_CUTS, 3, True),
-                            (CROWDED_HUB, 21, False)):
+    for G, single, source in ((cf.wheel_switch(10, 0.7), 16, "grid"), (cf.barbell(40, 0.1), 78, "grid"),
+                              (SELF_LOOPS, 1, "grid"), (GRID_CUTS, 3, "grid"),
+                              (CROWDED_HUB, 21, "searchsorted"), (DENSE, 0, "rows")):
         P = cf.transition_matrix(G)
         assert np.sum(np.count_nonzero(P, axis=1) == 1) == single
-        assert (cf.Walk(P, 1, length, seed=3)._table[1] is not None) == grid
+        assert bin_source(cf.Walk(P, 1, length, seed=3)) == source
         traj = cf.simulate(P, 1, length, seed=3)
         assert traj.length == length
         assert np.array_equal(traj.states, reference_walk(P, 1, length, seed=3))
@@ -263,7 +269,7 @@ def spread_and_cluster(spread, cluster):
     (spread_and_cluster(4, 4), True),
     (spread_and_cluster(3, 5), False),
     (0.5 + 1e-4 * np.arange(20), False),
-    (cf.Walk(cf.transition_matrix(CROWDED_HUB), 0, 2, seed=0)._table[0], False),
+    (cf.Walk(cf.transition_matrix(CROWDED_HUB), 0, 2, seed=0)._table.cuts, False),
 ], ids=["none", "on_grid_points", "extremes", "uniform234", "cluster_at_limit",
         "cluster_past_limit", "crowded", "crowded_hub"])
 def test_bins_match_searchsorted(cuts, grid):
@@ -286,6 +292,19 @@ def test_walk_table_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16_000_000
+
+
+def test_dense_walk_memory():
+    # 300 rows and about 56k cuts: a table would take about 135 MB, so each row is searched
+    P = cf.transition_matrix(random_strong_graph(np.random.default_rng(7), 300, extra=90_000))
+    tracemalloc.start()
+    try:
+        walk = cf.Walk(P, 0, 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+    assert bin_source(walk) == "rows"
 
 
 def test_simulate_rejects_bad_length(monkeypatch):
