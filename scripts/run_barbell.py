@@ -76,11 +76,11 @@ def main():
     print(f"{'closed form (two rings)':28s} {0.5 - eps / (n + eps):12.6f} "
           f"{0.5 - 0.5 * eps / (n + eps):12.6f}")
 
-    lab_g, score_g, _ = cf.maximize("q", pi=pi, P=P, mode="greedy")
+    lab_g, score_g, _ = cf.maximize("q", pi=pi, P=P)
     sizes = sorted(len(m) for m in cf.modules_from_labels(lab_g))
     print(f"\ngreedy Q maximization: {len(sizes)} modules, sizes {sizes}, "
           f"Q = {score_g:.6f}")
-    lab_b, score_b, _ = cf.maximize("qbar", pi=pi, I=K.intensity, mode="greedy")
+    lab_b, score_b, _ = cf.maximize("qbar", pi=pi, I=K.intensity)
     sizes_b = sorted(len(m) for m in cf.modules_from_labels(lab_b))
     print(f"greedy Qbar maximization: {len(sizes_b)} modules, sizes {sizes_b}, "
           f"Qbar = {score_b:.6f}")

@@ -17,7 +17,6 @@ from .graph import (
 )
 from .cycles import (
     canonical_cycle,
-    reverse_cycle,
     CycleDecomposition,
     sample_decomposition,
     merge_decompositions,
@@ -26,16 +25,8 @@ from .cycles import (
     decomposition_to_json,
 )
 from .lifted import (
-    node_to_cycle_matrix,
-    cycle_to_node_matrix,
-    cycle_stationary,
     SpectrumReport,
     spectrum,
-    spectrum_reversible,
-    verify_spectral_match,
-    detailed_balance_residual,
-    entropy_production_edge,
-    entropy_production_cycle,
 )
 from .commgraph import (
     CommunicationGraph,
@@ -58,8 +49,6 @@ from .modularity import (
     score_qbar,
     score_q_directed,
     maximize,
-    check_symmetrization_invariance,
-    enumerate_set_partitions,
 )
 from .generators import barbell, barbell_closed_forms, wheel_switch, wheel_switch_beta_cycles, ring
 

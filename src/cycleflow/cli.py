@@ -186,9 +186,9 @@ def cmd_cluster(config: RunConfig, outdir: Path) -> int:
         _write(outdir / "partition.csv", "\n".join(lines) + "\n")
     elif config.method in ("qbar-max", "q-max"):
         if config.method == "qbar-max":
-            labels, score, history = maximize("qbar", pi=pi, I=pipe.K.intensity, mode="greedy")
+            labels, score, history = maximize("qbar", pi=pi, I=pipe.K.intensity)
         else:
-            labels, score, history = maximize("q", pi=pi, P=P, mode="greedy")
+            labels, score, history = maximize("q", pi=pi, P=P)
         result = {
             "objective": "qbar" if config.method == "qbar-max" else "q",
             "value": score,

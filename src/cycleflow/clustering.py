@@ -90,18 +90,9 @@ def _spectral_embedding(K: CommunicationGraph, m: int) -> np.ndarray:
     return X / norms[:, None]
 
 
-def _farthest_point_seeds(X: np.ndarray, m: int) -> list[int]:
-    center = X.mean(axis=0)
-    seeds = [int(np.argmax(np.linalg.norm(X - center, axis=1)))]
-    while len(seeds) < m:
-        d = np.min(
-            np.stack([np.linalg.norm(X - X[s], axis=1) for s in seeds]), axis=0)
-        seeds.append(int(np.argmax(d)))
-    return seeds
-
-
 def _vertex_centers(X: np.ndarray, m: int) -> np.ndarray:
-    """Cluster centers fixed at the farthest-point seeds.
+    """Cluster centers fixed at m farthest-point seeds: the row farthest from
+    the mean, then each time the row farthest from the seeds so far.
 
     The seeds are the most extreme embedded rows, i.e. the vertices of the
     membership geometry.  Keeping the centers there (instead of Lloyd mean
@@ -109,7 +100,12 @@ def _vertex_centers(X: np.ndarray, m: int) -> np.ndarray:
     they fall into the transition region rather than being absorbed into a
     cluster average.
     """
-    return X[_farthest_point_seeds(X, m)].copy()
+    seeds = [int(np.argmax(np.linalg.norm(X - X.mean(axis=0), axis=1)))]
+    while len(seeds) < m:
+        d = np.min(
+            np.stack([np.linalg.norm(X - X[s], axis=1) for s in seeds]), axis=0)
+        seeds.append(int(np.argmax(d)))
+    return X[seeds]
 
 
 def _soft_memberships(X: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ import numpy as np
 from .cycles import (CycleDecomposition, _json_document, _json_floats, _reprs,
                      iterative_decomposition, sample_decomposition)
 from .graph import DirectedGraph, Walk, edge_flow, stationary_distribution, transition_matrix
-from .lifted import cycle_stationary, cycle_to_node_matrix, node_to_cycle_matrix
 
 __all__ = [
     "CommunicationGraph",
@@ -51,10 +50,6 @@ class CommunicationGraph:
     def mass(self) -> np.ndarray:
         """Row sums of the intensity: the node mass, pi for exact weights."""
         return self.intensity.sum(axis=1)
-
-    def walk_matrix(self) -> np.ndarray:
-        """Row-normalized intensity: the random walk, i.e. the lifted node chain B V."""
-        return self.intensity / self.mass[:, None]
 
     @cached_property
     def normalized(self) -> np.ndarray:
@@ -164,12 +159,11 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
 
 
 class Pipeline:
-    """Everything derived from one graph; all but P and pi is built on first access.
+    """What the commands read of one graph: the walk P and its stationary pi,
+    built on construction, and the decomposition `dec`, the flow F and the
+    communication graph K, each built on first access.
     The decomposition peels the exact flow or, with T given, erases T states of
-    the walk from `start` as they are drawn, holding no trajectory.  B, V,
-    P_lift = B V and Q_lift = V B are the explicit lifting, kept as the reference
-    the walks on K and on the cycle graph are checked against; `pi_lift`, the
-    normalized node mass, is what P_lift is reversible with (pi for exact weights).
+    the walk from `start` as they are drawn, holding no trajectory.
     """
 
     def __init__(self, G: DirectedGraph, T: int | None = None, seed: int = 0,
@@ -192,32 +186,6 @@ class Pipeline:
     @cached_property
     def F(self) -> np.ndarray:
         return edge_flow(self.P, self.pi)
-
-    @cached_property
-    def B(self) -> np.ndarray:
-        return node_to_cycle_matrix(self.dec)
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        return cycle_to_node_matrix(self.dec)
-
-    @cached_property
-    def P_lift(self) -> np.ndarray:
-        # a fresh V, freed after the product: P_lift alone needs no cached V
-        return self.B @ cycle_to_node_matrix(self.dec)
-
-    @cached_property
-    def pi_lift(self) -> np.ndarray:
-        mass = self.dec.node_mass()
-        return mass / mass.sum()
-
-    @cached_property
-    def Q_lift(self) -> np.ndarray:
-        return self.V @ self.B
-
-    @cached_property
-    def mu(self) -> np.ndarray:
-        return cycle_stationary(self.dec)
 
     @cached_property
     def K(self) -> CommunicationGraph:

@@ -23,7 +23,6 @@ from .graph import Trajectory, Walk, flow_conservation_residual
 __all__ = [
     "Cycle",
     "canonical_cycle",
-    "reverse_cycle",
     "CycleDecomposition",
     "sample_decomposition",
     "merge_decompositions",
@@ -46,12 +45,6 @@ def canonical_cycle(seq) -> Cycle:
         raise ValueError(f"not a simple cycle: {seq}")
     k = seq.index(min(seq))
     return seq[k:] + seq[:k]
-
-
-def reverse_cycle(cycle: Cycle) -> Cycle:
-    """The same cycle walked in the opposite orientation, re-canonicalized."""
-    cycle = canonical_cycle(cycle)
-    return canonical_cycle((cycle[0],) + tuple(reversed(cycle[1:])))
 
 
 class CycleDecomposition:

@@ -19,11 +19,7 @@ __all__ = [
     "score_qbar",
     "score_q_directed",
     "maximize",
-    "check_symmetrization_invariance",
-    "enumerate_set_partitions",
 ]
-
-_EXHAUSTIVE_CAP = 12
 
 
 def labels_from_modules(modules, n: int) -> np.ndarray:
@@ -208,91 +204,45 @@ def _refine(E: np.ndarray, pi: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return _canonical_labels(labels)
 
 
-def enumerate_set_partitions(n: int):
-    """All set partitions of range(n) as label vectors, in restricted-growth order."""
-    labels = [0] * n
-    maxes = [0] * n
-
-    def rec(i):
-        if i == n:
-            yield np.array(labels, dtype=int)
-            return
-        top = maxes[i - 1] if i else -1
-        for lab in range(top + 2):
-            labels[i] = lab
-            maxes[i] = max(top, lab)
-            yield from rec(i + 1)
-
-    yield from rec(0)
+def _couplings(objective: str, pi: np.ndarray, I: np.ndarray | None,
+               P: np.ndarray | None):
+    """(S, E): S scores a partition under `objective`; its symmetric part E
+    scores full partitions the same."""
+    if objective == "qbar":
+        if I is None:
+            raise ValueError("qbar maximization needs the intensity matrix")
+        S = np.asarray(I, dtype=float)
+        return S, S
+    if objective == "q":
+        if P is None:
+            raise ValueError("q maximization needs the transition matrix")
+        S = edge_flow(P, pi)
+        return S, 0.5 * (S + S.T)
+    raise ValueError(f"unknown objective {objective!r}")
 
 
 def maximize(objective: str, *, pi: np.ndarray, I: np.ndarray | None = None,
-             P: np.ndarray | None = None, mode: str = "greedy"):
-    """Maximize a modularity objective over full partitions.
+             P: np.ndarray | None = None):
+    """Maximize a modularity objective over full partitions by greedy
+    agglomerative merging, for any number of nodes.
 
     Parameters
     ----------
-    objective : "qbar" (needs I) or "q" (needs P)
+    objective : "qbar" (needs I, which must equal its transpose exactly) or
+        "q" (needs P)
     pi : stationary distribution
-    mode : "greedy" for agglomerative merging (any size; I must equal its
-        transpose exactly), "exhaustive" for global enumeration (refused
-        above 12 nodes).
 
     Returns
     -------
     labels : canonical label vector of the best partition found
     score : its modularity value
-    history : greedy merge gains (empty for exhaustive mode)
+    history : the gain of each merge, in merge order
     """
     pi = np.asarray(pi, dtype=float)
-    n = len(pi)
-    # S scores a partition; its symmetric part E, which scores full partitions
-    # the same, is what the search uses
-    if objective == "qbar":
-        if I is None:
-            raise ValueError("qbar maximization needs the intensity matrix")
-        S = E = np.asarray(I, dtype=float)
-    elif objective == "q":
-        if P is None:
-            raise ValueError("q maximization needs the transition matrix")
-        S = edge_flow(P, pi)
-        E = 0.5 * (S + S.T)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-
-    if mode == "greedy":
-        if not np.array_equal(E, E.T):
-            raise ValueError("greedy maximization needs an exactly symmetric "
-                             "intensity matrix")
-        labels, history = _greedy_maximize(E, pi)
-        return labels, _block_score(S, pi, labels), history
-    if mode == "exhaustive":
-        if n > _EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"exhaustive enumeration refused for {n} > {_EXHAUSTIVE_CAP} nodes")
-        best_labels = None
-        best_score = -np.inf
-        for labels in enumerate_set_partitions(n):
-            s = _block_score(E, pi, labels)
-            if s > best_score + 1e-15:
-                best_score = s
-                best_labels = labels.copy()
-        return best_labels, _block_score(S, pi, best_labels), []
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def check_symmetrization_invariance(P: np.ndarray, pi: np.ndarray,
-                                    partitions, tol: float = 1e-12) -> bool:
-    """True iff the directed score matches its flux-symmetrized variant.
-
-    For every supplied partition, compares the score computed from pi_x p_xy
-    with the one computed from (pi_x p_xy + pi_y p_yx) / 2.
-    """
-    pi = np.asarray(pi, dtype=float)
-    F = edge_flow(P, pi)
-    Fs = 0.5 * (F + F.T)
-    for labels in partitions:
-        labels = validate_partition(labels, len(pi))
-        if abs(_block_score(F, pi, labels) - _block_score(Fs, pi, labels)) > tol:
-            return False
-    return True
+    # the search runs on E, the partition is scored on S
+    S, E = _couplings(objective, pi, I, P)
+    if not np.array_equal(E, E.T):
+        raise ValueError("greedy maximization needs an exactly symmetric "
+                         "intensity matrix")
+    labels, history = _greedy_maximize(E, pi)
+    return labels, _block_score(S, pi, labels), history

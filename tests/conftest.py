@@ -1,4 +1,4 @@
-"""Shared graph builders and pipeline helpers for the test suite."""
+"""Shared graph builders, reference loops and fixtures for the test suite."""
 
 import json
 
@@ -136,15 +136,6 @@ def dict_erasure(states):
     return counts
 
 
-def build_pipeline(G):
-    """Everything derived from G, with an exact (flow-peeled) decomposition."""
-    return cf.Pipeline(G)
-
-
-def sampled_pipeline(G, T, seed=0, start=0):
-    return cf.Pipeline(G, T=T, seed=seed, start=start)
-
-
 def reference_edges(M, include_self_loops):
     """(i, j, M[i, j]) over the non-zero upper triangle, row by row in index order."""
     first = 0 if include_self_loops else 1
@@ -204,14 +195,14 @@ def mc_hitting_probabilities(P_walk, cores, start, n_walkers, seed, max_steps=10
 
 @pytest.fixture(scope="session")
 def barbell4():
-    return build_pipeline(cf.barbell(4, 0.1))
+    return cf.Pipeline(cf.barbell(4, 0.1))
 
 
 @pytest.fixture(scope="session")
 def barbell40():
-    return build_pipeline(cf.barbell(40, 0.1))
+    return cf.Pipeline(cf.barbell(40, 0.1))
 
 
 @pytest.fixture(scope="session")
 def chain3():
-    return build_pipeline(three_node_chain())
+    return cf.Pipeline(three_node_chain())

@@ -15,9 +15,12 @@ import pytest
 import cycleflow as cf
 from cycleflow.clustering import ModuleCores
 
-from conftest import (ACCEPTANCE_LINES, build_pipeline, mc_hitting_probabilities,
-                      reciprocal_ring4, sampled_pipeline, three_node_chain,
-                      two_triangles)
+from conftest import (ACCEPTANCE_LINES, mc_hitting_probabilities, reciprocal_ring4,
+                      three_node_chain, two_triangles)
+from reference import (Lifting, check_symmetrization_invariance, detailed_balance_residual,
+                       entropy_production_cycle, entropy_production_edge,
+                       maximize_exhaustive, spectrum_reversible, verify_spectral_match,
+                       walk_matrix)
 
 
 def report(num, name, ok, detail=""):
@@ -80,7 +83,7 @@ def test_criterion_2_communication_blocks():
     failures = []
     for n in (4, 40):
         eps = 0.1
-        pipe = build_pipeline(cf.barbell(n, eps))
+        pipe = cf.Pipeline(cf.barbell(n, eps))
         w = 1.0 / (2 * (n + eps))
         expected = np.zeros((2 * n, 2 * n))
         expected[:n, :n] = w / n
@@ -97,11 +100,12 @@ def test_criterion_2_communication_blocks():
 # --------------------------------------------------------------- criterion 3
 
 def test_criterion_3_spectra():
-    pipe = build_pipeline(cf.barbell(40, 0.1))
+    pipe = cf.Pipeline(cf.barbell(40, 0.1))
     failures = []
 
-    rep_lift = cf.spectrum_reversible(pipe.P_lift, pipe.pi)
-    nonsym_imag = float(np.max(np.abs(np.linalg.eigvals(pipe.P_lift).imag)))
+    lift = Lifting(pipe.dec)
+    rep_lift = spectrum_reversible(lift.P_lift, pipe.pi)
+    nonsym_imag = float(np.max(np.abs(np.linalg.eigvals(lift.P_lift).imag)))
     if max(rep_lift.max_imag, nonsym_imag) > 1e-8:
         failures.append(f"lifted chain has imaginary parts {nonsym_imag:.2e}")
 
@@ -113,8 +117,8 @@ def test_criterion_3_spectra():
     if not any(abs(z) > 0.99 and abs(z.imag) > 0.1 for z in rep_walk.eigenvalues):
         failures.append("walk spectrum lacks near-unit complex eigenvalues")
 
-    lem = cf.verify_spectral_match(pipe.P_lift, pipe.Q_lift, pipe.B, pipe.V,
-                           pipe.pi, pipe.mu, tol=1e-6)
+    lem = verify_spectral_match(lift.P_lift, lift.Q_lift, lift.B, lift.V,
+                                pipe.pi, lift.mu, tol=1e-6)
     if not lem.spectra_match:
         failures.append(lem.detail)
     report(3, "spectra of the lifted chains", not failures, "; ".join(failures))
@@ -126,7 +130,7 @@ def test_criterion_4_modularity_closed_forms():
     failures = []
     for n in (8, 16, 40):
         for eps in (0.01, 0.1):
-            pipe = build_pipeline(cf.barbell(n, eps))
+            pipe = cf.Pipeline(cf.barbell(n, eps))
             two = np.array([0] * n + [1] * n)
             three = np.concatenate([np.zeros(n // 2, int),
                                     np.ones(n - n // 2, int), np.full(n, 2)])
@@ -163,7 +167,7 @@ def test_criterion_5_symmetrization_invariance():
         P = cf.transition_matrix(G)
         pi = cf.stationary_distribution(P)
         parts = [rng.integers(0, 4, G.n) for _ in range(50)]
-        if not cf.check_symmetrization_invariance(P, pi, parts, tol=1e-12):
+        if not check_symmetrization_invariance(P, pi, parts, tol=1e-12):
             ok = False
     report(5, "flux-symmetrization invariance of Q", ok,
            "50 random partitions on 3 graphs, tol 1e-12")
@@ -213,7 +217,7 @@ def test_criterion_6_wheel_switch():
     n = 10
 
     # CMSM at p = 0.7 with the two-module structure: beta cores, 0.5 elsewhere
-    pipe = sampled_pipeline(cf.wheel_switch(n, 0.7), T=10**6, seed=0)
+    pipe = cf.Pipeline(cf.wheel_switch(n, 0.7), T=10**6, seed=0)
     cores = cf.find_cores(pipe.K, 2, 0.9)
     beta1 = {pipe.G.index(v) for v in ("o0", "o1", "i0", "i1")}
     beta2 = {pipe.G.index(v) for v in ("o5", "o6", "i5", "i6")}
@@ -227,8 +231,8 @@ def test_criterion_6_wheel_switch():
             failures.append(f"p=0.7 affiliations deviate from 0.5 by {dev:.2e}")
 
     # CMSM at p = 0.3: outer/inner split, no transition region
-    pipe = sampled_pipeline(cf.wheel_switch(n, 0.3), T=10**6, seed=0)
-    rep = cf.spectrum_reversible(pipe.P_lift, pipe.pi)
+    pipe = cf.Pipeline(cf.wheel_switch(n, 0.3), T=10**6, seed=0)
+    rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
     m = cf.estimate_num_modules(rep, 8)
     cores = cf.find_cores(pipe.K, m, 0.9)
     sets = {frozenset(c) for c in cores.cores}
@@ -244,7 +248,7 @@ def test_criterion_6_wheel_switch():
     types = []
     for pc in range(55, 71):
         G = cf.wheel_switch(n, pc / 100)
-        sub = build_pipeline(G)
+        sub = cf.Pipeline(G)
         _, z = _best_bipartition(sub.K.intensity, sub.pi)
         sets = [set(np.flatnonzero(z == j).tolist()) for j in (0, 1)]
         kind = _wheel_partition_type(G, sets)
@@ -273,8 +277,8 @@ def test_criterion_7_q_overpartitioning():
     stall with every module below 8 nodes, so the '< 8' clause cannot hold;
     it is asserted faithfully regardless.
     """
-    pipe = build_pipeline(cf.barbell(40, 0.1))
-    labels, score, _ = cf.maximize("q", pi=pipe.pi, P=pipe.P, mode="greedy")
+    pipe = cf.Pipeline(cf.barbell(40, 0.1))
+    labels, score, _ = cf.maximize("q", pi=pipe.pi, P=pipe.P)
     sizes = [len(m) for m in cf.modules_from_labels(labels)]
     two = np.array([0] * 40 + [1] * 40)
     q_two = cf.score_q_directed(pipe.P, pipe.pi, two)
@@ -296,18 +300,19 @@ def test_criterion_8_property_suite():
 
     # conservation, stochasticity, detailed balance, flow reproduction
     for G in suite:
-        pipe = build_pipeline(G)
+        pipe = cf.Pipeline(G)
         if cf.flow_conservation_residual(pipe.F) > 1e-10:
             failures.append(f"{G!r}: flow conservation")
         if cf.verify_flow_decomposition(pipe.dec, pipe.F) > pipe.dec.tol:
             failures.append(f"{G!r}: iterative residual")
-        for name, M in (("B", pipe.B), ("V", pipe.V),
-                        ("P_lift", pipe.P_lift), ("Q_lift", pipe.Q_lift)):
+        lift = Lifting(pipe.dec)
+        for name, M in (("B", lift.B), ("V", lift.V),
+                        ("P_lift", lift.P_lift), ("Q_lift", lift.Q_lift)):
             if np.abs(M.sum(axis=1) - 1).max() > 1e-10:
                 failures.append(f"{G!r}: {name} not row-stochastic")
-        if cf.detailed_balance_residual(pipe.P_lift, pipe.pi) > 1e-10:
+        if detailed_balance_residual(lift.P_lift, pipe.pi) > 1e-10:
             failures.append(f"{G!r}: node chain detailed balance")
-        if cf.detailed_balance_residual(pipe.Q_lift, pipe.mu) > 1e-10:
+        if detailed_balance_residual(lift.Q_lift, lift.mu) > 1e-10:
             failures.append(f"{G!r}: cycle chain detailed balance")
 
     # sampled flow reproduction at T = 1e6: median residual over seeds 0..2
@@ -330,24 +335,24 @@ def test_criterion_8_property_suite():
         failures.append("sampled residual on the reversible chain")
 
     # committor checks: partition of unity and the Monte-Carlo oracle
-    wheel = sampled_pipeline(cf.wheel_switch(10, 0.7), T=10**6, seed=0)
+    wheel = cf.Pipeline(cf.wheel_switch(10, 0.7), T=10**6, seed=0)
     cores = cf.find_cores(wheel.K, 2, 0.9)
     q = cf.committors(wheel.K, cores)
     if np.abs(q.sum(axis=1) - 1).max() > 1e-10:
         failures.append("partition of unity on the wheel")
-    walk = wheel.K.walk_matrix()
+    walk = walk_matrix(wheel.K)
     for x in list(cores.transition)[:4]:
         est = mc_hitting_probabilities(walk, cores.cores, x, 100_000, seed=11)
         if np.abs(est - q[x]).max() > 0.02:
             failures.append(f"MC committor mismatch at node {x}")
 
-    bb = build_pipeline(cf.barbell(4, 0.1))
+    bb = cf.Pipeline(cf.barbell(4, 0.1))
     cores_bb = ModuleCores(cores=(tuple(range(1, 4)), tuple(range(5, 8))),
                            transition=(0, 4), memberships=np.zeros((8, 2)), theta=0.9)
     q_bb = cf.committors(bb.K, cores_bb)
     if np.abs(q_bb.sum(axis=1) - 1).max() > 1e-10:
         failures.append("partition of unity on the barbell")
-    walk_bb = bb.K.walk_matrix()
+    walk_bb = walk_matrix(bb.K)
     for x in (0, 4):
         est = mc_hitting_probabilities(walk_bb, cores_bb.cores, x, 100_000, seed=13)
         if np.abs(est - q_bb[x]).max() > 0.02:
@@ -357,18 +362,18 @@ def test_criterion_8_property_suite():
     G = reciprocal_ring4()
     P = cf.transition_matrix(G)
     pi = cf.stationary_distribution(P)
-    ep_edge = cf.entropy_production_edge(P, pi)
+    ep_edge = entropy_production_edge(P, pi)
     dec = cf.sample_decomposition(cf.simulate(P, 0, 10**7, seed=0), n_nodes=G.n)
-    ep_cycle = cf.entropy_production_cycle(dec)
+    ep_cycle = entropy_production_cycle(dec)
     if not math.isfinite(ep_edge) or abs(ep_cycle - ep_edge) / ep_edge > 0.02:
         failures.append(f"entropy rates {ep_cycle:.5f} vs {ep_edge:.5f}")
 
     # greedy against the exhaustive oracle on small graphs
     for G in (two_triangles(), cf.barbell(4, 0.1)):
-        pipe = build_pipeline(G)
+        pipe = cf.Pipeline(G)
         for objective, kw in (("q", {"P": pipe.P}), ("qbar", {"I": pipe.K.intensity})):
-            _, sg, _ = cf.maximize(objective, pi=pipe.pi, mode="greedy", **kw)
-            _, se, _ = cf.maximize(objective, pi=pipe.pi, mode="exhaustive", **kw)
+            _, sg, _ = cf.maximize(objective, pi=pipe.pi, **kw)
+            _, se, _ = maximize_exhaustive(objective, pi=pipe.pi, **kw)
             if abs(sg - se) > 1e-12:
                 failures.append(f"{G!r}: greedy {objective} {sg:.6f} != optimum {se:.6f}")
 

@@ -5,27 +5,28 @@ import cycleflow as cf
 from cycleflow.clustering import (ModuleCores, _soft_memberships, _spectral_embedding,
                                   _vertex_centers)
 
-from conftest import (build_pipeline, mc_hitting_probabilities, random_strong_graph,
-                      sampled_pipeline, shared_node_cliques, three_cliques)
+from conftest import (mc_hitting_probabilities, random_strong_graph, shared_node_cliques,
+                      three_cliques)
+from reference import Lifting, spectrum_reversible, walk_matrix
 
 
 # -------------------------------------------------------- module count choice
 
 def test_estimate_modules_barbell(barbell40):
-    rep = cf.spectrum_reversible(barbell40.P_lift, barbell40.pi)
+    rep = spectrum_reversible(Lifting(barbell40.dec).P_lift, barbell40.pi)
     assert cf.estimate_num_modules(rep, 8) == 2
 
 
 def test_estimate_modules_three_cliques():
-    pipe = build_pipeline(three_cliques())
-    rep = cf.spectrum_reversible(pipe.P_lift, pipe.pi)
+    pipe = cf.Pipeline(three_cliques())
+    rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
     assert cf.estimate_num_modules(rep, 8) == 3
 
 
 def test_estimate_modules_wheel_switch():
     # below the switching threshold the split is outer loop vs inner loop
-    pipe = sampled_pipeline(cf.wheel_switch(10, 0.3), T=200_000)
-    rep = cf.spectrum_reversible(pipe.P_lift, pipe.pi)
+    pipe = cf.Pipeline(cf.wheel_switch(10, 0.3), T=200_000)
+    rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
     assert cf.estimate_num_modules(rep, 8) == 2
 
 
@@ -33,14 +34,14 @@ def test_estimate_modules_wheel_switch_high_p():
     # at high switch probability the spectrum spreads evenly over the two
     # 4-cycles and the two arc groups, so the gap rule resolves four blocks,
     # not the two-module structure; two-module runs must pass m explicitly
-    pipe = sampled_pipeline(cf.wheel_switch(10, 0.7), T=400_000)
-    rep = cf.spectrum_reversible(pipe.P_lift, pipe.pi)
+    pipe = cf.Pipeline(cf.wheel_switch(10, 0.7), T=400_000)
+    rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
     assert cf.estimate_num_modules(rep, 8) == 4
 
 
 def test_estimate_modules_degenerate_warns():
-    pipe = build_pipeline(cf.ring(6))
-    rep = cf.spectrum_reversible(pipe.P_lift, pipe.pi)
+    pipe = cf.Pipeline(cf.ring(6))
+    rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
     with pytest.warns(UserWarning):
         assert cf.estimate_num_modules(rep, 4) == 2
 
@@ -62,7 +63,7 @@ def test_find_cores_barbell_full_rings(barbell40):
 
 
 def test_find_cores_wheel_betas():
-    pipe = sampled_pipeline(cf.wheel_switch(10, 0.7), T=10**6)
+    pipe = cf.Pipeline(cf.wheel_switch(10, 0.7), T=10**6)
     cores = cf.find_cores(pipe.K, 2, 0.9)
     G = pipe.G
     beta1 = {G.index(v) for v in ("o0", "o1", "i0", "i1")}
@@ -73,7 +74,7 @@ def test_find_cores_wheel_betas():
 
 
 def test_find_cores_shared_node_in_transition():
-    pipe = build_pipeline(shared_node_cliques())
+    pipe = cf.Pipeline(shared_node_cliques())
     cores = cf.find_cores(pipe.K, 2, 0.9)
     shared = pipe.G.index("s2")
     assert shared in cores.transition
@@ -106,7 +107,7 @@ def loop_soft_memberships(X, centers):
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8, 9])
 def test_soft_memberships_match_loop(m):
-    K = build_pipeline(random_strong_graph(np.random.default_rng(m), 60)).K
+    K = cf.Pipeline(random_strong_graph(np.random.default_rng(m), 60)).K
     X = _spectral_embedding(K, m)
     centers = _vertex_centers(X, m)  # rows of X: those rows sit on a center
     got = _soft_memberships(X, centers)
@@ -132,7 +133,7 @@ def test_committor_midpoint_symmetry(chain3):
 
 
 def test_committor_wheel_half_affiliations():
-    pipe = sampled_pipeline(cf.wheel_switch(10, 0.7), T=10**6)
+    pipe = cf.Pipeline(cf.wheel_switch(10, 0.7), T=10**6)
     cores = cf.find_cores(pipe.K, 2, 0.9)
     q = cf.committors(pipe.K, cores)
     tr = list(cores.transition)
@@ -156,10 +157,10 @@ def test_committor_invariants(barbell40):
 
 def test_committor_monte_carlo_oracle():
     # estimates from simulated walks of the communication walk match the solve
-    pipe = sampled_pipeline(cf.wheel_switch(10, 0.7), T=400_000)
+    pipe = cf.Pipeline(cf.wheel_switch(10, 0.7), T=400_000)
     cores = cf.find_cores(pipe.K, 2, 0.9)
     q = cf.committors(pipe.K, cores)
-    walk = pipe.K.walk_matrix()
+    walk = walk_matrix(pipe.K)
     for x in list(cores.transition)[:3]:
         est = mc_hitting_probabilities(walk, cores.cores, x, 20_000, seed=7)
         assert np.abs(est - q[x]).max() <= 0.02
@@ -186,7 +187,7 @@ def test_fuzzy_partition_barbell(barbell40):
 
 
 def test_fuzzy_partition_ties_on_wheel():
-    pipe = sampled_pipeline(cf.wheel_switch(10, 0.7), T=10**6)
+    pipe = cf.Pipeline(cf.wheel_switch(10, 0.7), T=10**6)
     cores = cf.find_cores(pipe.K, 2, 0.9)
     q = cf.committors(pipe.K, cores)
     part = cf.fuzzy_partition(cores, q)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import (build_pipeline, random_strong_graph, reference_export,
-                      sampled_pipeline)
+from conftest import random_strong_graph, reference_export
+from reference import Lifting
 
 
 def barbell_expected_intensity(n, eps):
@@ -30,7 +30,7 @@ def test_barbell_block_structure(barbell4, barbell40):
 
 
 def test_ring_communication_is_complete_uniform():
-    pipe = build_pipeline(cf.ring(5))
+    pipe = cf.Pipeline(cf.ring(5))
     assert np.allclose(pipe.K.intensity, 1 / 25, atol=1e-14)
 
 
@@ -45,7 +45,7 @@ def test_chain_intensities(chain3):
 
 
 def test_intensity_consistency_with_lifted_chain(barbell40):
-    implied = barbell40.pi[:, None] * barbell40.P_lift
+    implied = barbell40.pi[:, None] * Lifting(barbell40.dec).P_lift
     assert np.abs(barbell40.K.intensity - implied).max() <= 1e-10
 
 
@@ -78,7 +78,7 @@ def test_cycle_graph_labels(barbell4):
 
 def test_cycle_graph_ring_single_node():
     # one cycle: the whole flux recirculates, so the self-exchange is mu = 1
-    pipe = build_pipeline(cf.ring(4))
+    pipe = cf.Pipeline(cf.ring(4))
     Bc = cf.cycle_graph(pipe.dec)
     assert Bc.intensity.shape == (1, 1)
     assert Bc.intensity[0, 0] == pytest.approx(1.0, abs=1e-14)
@@ -87,7 +87,7 @@ def test_cycle_graph_ring_single_node():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_marginals_property(seed):
-    pipe = build_pipeline(random_strong_graph(np.random.default_rng(seed)))
+    pipe = cf.Pipeline(random_strong_graph(np.random.default_rng(seed)))
     I = pipe.K.intensity
     assert np.array_equal(I, I.T)
     assert I.min() >= 0.0
@@ -96,7 +96,7 @@ def test_marginals_property(seed):
     W = cf.cycle_graph(pipe.dec).intensity
     assert np.array_equal(W, W.T)
     assert W.sum() == pytest.approx(1.0, abs=1e-10)
-    assert np.abs(W.sum(axis=1) - pipe.mu).max() <= 1e-10
+    assert np.abs(W.sum(axis=1) - Lifting(pipe.dec).mu).max() <= 1e-10
 
 
 # ------------------------------------------------------------------- export
@@ -138,7 +138,7 @@ def test_export_deterministic(barbell4):
 @pytest.mark.parametrize("which", ["communication", "cycle"])
 @pytest.mark.parametrize("include_self_loops", [True, False])
 def test_export_json_matches_json_dumps(which, include_self_loops):
-    pipe = build_pipeline(random_strong_graph(np.random.default_rng(5), 12))
+    pipe = cf.Pipeline(random_strong_graph(np.random.default_rng(5), 12))
     graph = pipe.K if which == "communication" else cf.cycle_graph(pipe.dec)
     M = graph.intensity
     assert np.all(np.diag(M) > 0)  # self-loops to keep or drop
@@ -158,10 +158,10 @@ def assert_same_text(got, want):
 
 @pytest.fixture(scope="module")
 def export_graphs():
-    peeled = build_pipeline(random_strong_graph(np.random.default_rng(3), 200))
-    sampled = sampled_pipeline(cf.barbell(40, 0.1), T=200_000)
+    peeled = cf.Pipeline(random_strong_graph(np.random.default_rng(3), 200))
+    sampled = cf.Pipeline(cf.barbell(40, 0.1), T=200_000)
     # a decomposition without node ids: vertices are labelled by index
-    dec = cf.iterative_decomposition(build_pipeline(cf.barbell(4, 0.1)).F)
+    dec = cf.iterative_decomposition(cf.Pipeline(cf.barbell(4, 0.1)).F)
     unnamed = SimpleNamespace(K=cf.communication_graph(dec), dec=dec)
     return {"random200-peeled": peeled, "barbell40-sampled": sampled, "barbell4-unnamed": unnamed}
 

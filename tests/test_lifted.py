@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import build_pipeline, random_strong_graph, reciprocal_ring4, sampled_pipeline
+from conftest import random_strong_graph, reciprocal_ring4
+from reference import (Lifting, cycle_to_node_matrix, detailed_balance_residual,
+                       entropy_production_cycle, entropy_production_edge, node_to_cycle_matrix,
+                       spectrum_reversible, verify_spectral_match, walk_matrix)
 
 
 # ------------------------------------------------------------- the matrices
 
 def test_node_to_cycle_barbell(barbell4):
     G, dec = barbell4.G, barbell4.dec
-    B = barbell4.B
+    B = Lifting(barbell4.dec).B
     l0 = G.index("l0")
     cycles = dec.cycles
     j_ring = cycles.index(tuple(range(4)))
@@ -28,7 +31,7 @@ def test_node_to_cycle_barbell(barbell4):
 
 def test_node_to_cycle_chain(chain3):
     b = chain3.G.index("b")
-    assert np.allclose(chain3.B[b], [0.5, 0.5], atol=1e-12)
+    assert np.allclose(Lifting(chain3.dec).B[b], [0.5, 0.5], atol=1e-12)
 
 
 def test_node_to_cycle_requires_cover(chain3):
@@ -36,34 +39,35 @@ def test_node_to_cycle_requires_cover(chain3):
     weights = {(0, 1): 0.25}
     partial = cf.CycleDecomposition(weights=weights, kind="iterative", n_nodes=3)
     with pytest.raises(ValueError, match="covered by no cycle"):
-        cf.node_to_cycle_matrix(partial)
+        node_to_cycle_matrix(partial)
 
 
 def test_cycle_to_node_rows():
     dec = cf.CycleDecomposition(weights={(0, 1): 0.3, (1, 2, 3): 0.1},
                                 kind="iterative", n_nodes=4)
-    V = cf.cycle_to_node_matrix(dec)
+    V = cycle_to_node_matrix(dec)
     assert np.allclose(V[0], [0.5, 0.5, 0, 0])
     assert np.allclose(V[1], [0, 1 / 3, 1 / 3, 1 / 3])
 
 
 def test_ring_lifted_chains_are_uniform():
-    pipe = build_pipeline(cf.ring(5))
-    assert pipe.B.shape == (5, 1)
-    assert np.all(pipe.B == 1.0)
-    assert np.allclose(pipe.P_lift, 0.2, atol=1e-14)
-    assert pipe.Q_lift.shape == (1, 1)
-    assert pipe.Q_lift[0, 0] == pytest.approx(1.0, abs=1e-14)
+    lift = Lifting(cf.Pipeline(cf.ring(5)).dec)
+    assert lift.B.shape == (5, 1)
+    assert np.all(lift.B == 1.0)
+    assert np.allclose(lift.P_lift, 0.2, atol=1e-14)
+    assert lift.Q_lift.shape == (1, 1)
+    assert lift.Q_lift[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_lifted_chain_examples(chain3):
     G = chain3.G
     a, b = G.index("a"), G.index("b")
-    assert chain3.P_lift[b, a] == pytest.approx(0.25, abs=1e-13)
-    assert chain3.P_lift[b, b] == pytest.approx(0.5, abs=1e-13)
+    lift = Lifting(chain3.dec)
+    assert lift.P_lift[b, a] == pytest.approx(0.25, abs=1e-13)
+    assert lift.P_lift[b, b] == pytest.approx(0.5, abs=1e-13)
     # cycle chain: two 2-cycles sharing node b
-    assert chain3.Q_lift[0, 1] == pytest.approx(0.25, abs=1e-13)
-    assert np.allclose(chain3.mu, [0.5, 0.5], atol=1e-13)
+    assert lift.Q_lift[0, 1] == pytest.approx(0.25, abs=1e-13)
+    assert np.allclose(lift.mu, [0.5, 0.5], atol=1e-13)
 
 
 def test_barbell_cycle_chain_entry(barbell4):
@@ -71,12 +75,13 @@ def test_barbell_cycle_chain_entry(barbell4):
     j_l = cycles.index(tuple(range(4)))
     j_c = cycles.index((0, 4))
     eps, n = 0.1, 4
-    assert barbell4.Q_lift[j_l, j_c] == pytest.approx(
+    assert Lifting(barbell4.dec).Q_lift[j_l, j_c] == pytest.approx(
         (1 / n) * eps / (1 + eps), abs=1e-13)
 
 
 def test_mu_is_stationary_for_cycle_chain(barbell4):
-    mu, Q = barbell4.mu, barbell4.Q_lift
+    lift = Lifting(barbell4.dec)
+    mu, Q = lift.mu, lift.Q_lift
     assert np.abs(mu @ Q - mu).max() <= 1e-12
     assert mu.sum() == pytest.approx(1.0, abs=1e-13)
 
@@ -84,21 +89,22 @@ def test_mu_is_stationary_for_cycle_chain(barbell4):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_lifted_invariants_property(seed):
-    pipe = build_pipeline(random_strong_graph(np.random.default_rng(seed)))
-    for M in (pipe.B, pipe.V, pipe.P_lift, pipe.Q_lift):
+    pipe = cf.Pipeline(random_strong_graph(np.random.default_rng(seed)))
+    lift = Lifting(pipe.dec)
+    for M in (lift.B, lift.V, lift.P_lift, lift.Q_lift):
         assert np.abs(M.sum(axis=1) - 1).max() <= 1e-10
-    assert cf.detailed_balance_residual(pipe.P_lift, pipe.pi) <= 1e-10
-    assert cf.detailed_balance_residual(pipe.Q_lift, pipe.mu) <= 1e-10
-    assert np.abs(pipe.pi @ pipe.P_lift - pipe.pi).max() <= 1e-8
-    assert np.abs(pipe.mu @ pipe.Q_lift - pipe.mu).max() <= 1e-8
+    assert detailed_balance_residual(lift.P_lift, pipe.pi) <= 1e-10
+    assert detailed_balance_residual(lift.Q_lift, lift.mu) <= 1e-10
+    assert np.abs(pipe.pi @ lift.P_lift - pipe.pi).max() <= 1e-8
+    assert np.abs(lift.mu @ lift.Q_lift - lift.mu).max() <= 1e-8
     # K's one eigendecomposition is the lifted spectrum, and its vectors over
     # sqrt(mass) are right eigenvectors of the walk on K
     K = pipe.K
     vals, U = K.eigh
-    ref = cf.spectrum_reversible(pipe.P_lift, pipe.pi_lift).real_sorted()
+    ref = spectrum_reversible(lift.P_lift, lift.pi_lift).real_sorted()
     assert np.abs(np.sort(vals)[::-1] - ref).max() <= 1e-12
     R = U / np.sqrt(K.mass)[:, None]
-    assert np.abs(K.walk_matrix() @ R - R * vals).max() <= 1e-10
+    assert np.abs(walk_matrix(K) @ R - R * vals).max() <= 1e-10
 
 
 # ------------------------------------------------------------------ spectra
@@ -113,7 +119,7 @@ def test_array_form_on_many_sampled_cycles():
         for j in rng.choice(n, 2, replace=False):
             if j != k:
                 edges[(nodes[k], nodes[j])] = float(rng.uniform(0.2, 3.0))
-    pipe = sampled_pipeline(cf.DirectedGraph(nodes, edges), T=100_000)
+    pipe = cf.Pipeline(cf.DirectedGraph(nodes, edges), T=100_000)
     dec = pipe.dec
     assert len(dec.cycles) > 1000
 
@@ -132,23 +138,24 @@ def test_array_form_on_many_sampled_cycles():
     assert np.allclose(I.sum(axis=1), dec.node_mass(), rtol=0, atol=1e-12)
     assert cf.verify_flow_decomposition(dec, S_ref) <= 1e-15
 
-    for M in (pipe.B, pipe.V):
+    lift = Lifting(dec)
+    for M in (lift.B, lift.V):
         assert np.allclose(M.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     for j, c in enumerate(dec.cycles):
-        assert np.allclose(pipe.B[list(c), j], dec.weights[c] / mass[list(c)], rtol=1e-12)
-        assert np.all(pipe.V[j, list(c)] == 1.0 / len(c))
-    assert np.count_nonzero(pipe.B) == np.count_nonzero(pipe.V) == dec.members.size
+        assert np.allclose(lift.B[list(c), j], dec.weights[c] / mass[list(c)], rtol=1e-12)
+        assert np.all(lift.V[j, list(c)] == 1.0 / len(c))
+    assert np.count_nonzero(lift.B) == np.count_nonzero(lift.V) == dec.members.size
 
-    assert cf.detailed_balance_residual(pipe.P_lift, pipe.pi_lift) <= 1e-12
-    assert cf.detailed_balance_residual(pipe.Q_lift, pipe.mu) <= 1e-12
+    assert detailed_balance_residual(lift.P_lift, lift.pi_lift) <= 1e-12
+    assert detailed_balance_residual(lift.Q_lift, lift.mu) <= 1e-12
     # the cycle graph is the flux of the cycle chain: symmetric, with rows len * w
     W = cf.cycle_graph(dec).intensity
     assert np.array_equal(W, W.T)
-    assert np.allclose(W, (dec.lengths * dec.w)[:, None] * pipe.Q_lift,
+    assert np.allclose(W, (dec.lengths * dec.w)[:, None] * lift.Q_lift,
                        rtol=1e-12, atol=1e-15)
     # each lifted chain is the walk on one of the two undirected graphs
-    BV, VB = pipe.B @ pipe.V, pipe.V @ pipe.B
-    assert np.abs(BV - pipe.K.walk_matrix()).max() <= 1e-13
+    BV, VB = lift.B @ lift.V, lift.V @ lift.B
+    assert np.abs(BV - walk_matrix(pipe.K)).max() <= 1e-13
     assert np.abs(VB - W / W.sum(axis=1)[:, None]).max() <= 1e-13
 
 
@@ -157,7 +164,7 @@ def test_spectrum_leading_eigenvalue(barbell40):
     rep = cf.spectrum(barbell40.P)
     assert abs(abs(rep.eigenvalues[0]) - 1) <= 1e-8
     assert any(abs(z - 1) <= 1e-8 for z in rep.eigenvalues[:4])
-    rep_lift = cf.spectrum_reversible(barbell40.P_lift, barbell40.pi)
+    rep_lift = spectrum_reversible(Lifting(barbell40.dec).P_lift, barbell40.pi)
     assert abs(rep_lift.eigenvalues[0] - 1) <= 1e-8
     assert rep_lift.max_imag == 0.0
 
@@ -178,7 +185,7 @@ def test_spectrum_top_k():
 
 
 def test_barbell_spectral_structure(barbell40):
-    rep = cf.spectrum_reversible(barbell40.P_lift, barbell40.pi)
+    rep = spectrum_reversible(Lifting(barbell40.dec).P_lift, barbell40.pi)
     lam = rep.real_sorted()
     n, eps = 40, 0.1
     assert lam[1] == pytest.approx(1 - eps / (n * (1 + eps)), abs=1e-10)
@@ -191,7 +198,7 @@ def test_barbell_spectral_structure(barbell40):
 
 
 def test_csv_export(barbell4):
-    rep = cf.spectrum_reversible(barbell4.P_lift, barbell4.pi)
+    rep = spectrum_reversible(Lifting(barbell4.dec).P_lift, barbell4.pi)
     text = rep.csv_text()
     lines = text.strip().split("\n")
     assert lines[0] == "re,im"
@@ -204,23 +211,24 @@ def test_csv_export(barbell4):
 
 def test_nonzero_spectra_agree(chain3, barbell4):
     for pipe in (chain3, barbell4):
-        rep = cf.verify_spectral_match(pipe.P_lift, pipe.Q_lift, pipe.B, pipe.V,
-                               pipe.pi, pipe.mu)
+        lift = Lifting(pipe.dec)
+        rep = verify_spectral_match(lift.P_lift, lift.Q_lift, lift.B, lift.V,
+                                    pipe.pi, lift.mu)
         assert rep.ok, rep.detail
         assert rep.max_spectrum_diff <= 1e-8
 
 
 def test_nonzero_spectra_chain_values(chain3):
-    rep = cf.verify_spectral_match(chain3.P_lift, chain3.Q_lift, chain3.B, chain3.V,
-                           chain3.pi, chain3.mu)
+    lift = Lifting(chain3.dec)
+    rep = verify_spectral_match(lift.P_lift, lift.Q_lift, lift.B, lift.V, chain3.pi, lift.mu)
     assert np.allclose(rep.nonzero_cycle, [1.0, 0.5], atol=1e-10)
 
 
 def test_match_report_detects_mismatch(barbell4):
     # pair the chains of two different bridge weights: same shapes, different spectra
-    other = build_pipeline(cf.barbell(4, 0.4))
-    rep = cf.verify_spectral_match(barbell4.P_lift, other.Q_lift, barbell4.B, barbell4.V,
-                           barbell4.pi, other.mu)
+    lift, other = Lifting(barbell4.dec), Lifting(cf.Pipeline(cf.barbell(4, 0.4)).dec)
+    rep = verify_spectral_match(lift.P_lift, other.Q_lift, lift.B, lift.V,
+                                barbell4.pi, other.mu)
     assert not rep.ok
     assert rep.detail
 
@@ -228,22 +236,22 @@ def test_match_report_detects_mismatch(barbell4):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_spectral_match_property(seed):
-    pipe = build_pipeline(random_strong_graph(np.random.default_rng(seed)))
-    rep = cf.verify_spectral_match(pipe.P_lift, pipe.Q_lift, pipe.B, pipe.V,
-                           pipe.pi, pipe.mu)
+    pipe = cf.Pipeline(random_strong_graph(np.random.default_rng(seed)))
+    lift = Lifting(pipe.dec)
+    rep = verify_spectral_match(lift.P_lift, lift.Q_lift, lift.B, lift.V, pipe.pi, lift.mu)
     assert rep.ok, rep.detail
 
 
 # -------------------------------------------------------- entropy production
 
 def test_entropy_zero_for_reversible(chain3):
-    assert cf.entropy_production_edge(chain3.P, chain3.pi) == 0.0
-    assert cf.entropy_production_cycle(chain3.dec) == 0.0
+    assert entropy_production_edge(chain3.P, chain3.pi) == 0.0
+    assert entropy_production_cycle(chain3.dec) == 0.0
 
 
 def test_entropy_infinite_without_reverse_edges(barbell4):
-    assert cf.entropy_production_edge(barbell4.P, barbell4.pi) == math.inf
-    assert cf.entropy_production_cycle(barbell4.dec) == math.inf
+    assert entropy_production_edge(barbell4.P, barbell4.pi) == math.inf
+    assert entropy_production_cycle(barbell4.dec) == math.inf
 
 
 def test_entropy_two_state_chain_is_zero():
@@ -252,14 +260,14 @@ def test_entropy_two_state_chain_is_zero():
                                       ("b", "a"): 0.4, ("b", "b"): 0.6})
     P = cf.transition_matrix(G)
     pi = cf.stationary_distribution(P)
-    assert cf.entropy_production_edge(P, pi) == pytest.approx(0.0, abs=1e-15)
+    assert entropy_production_edge(P, pi) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_entropy_positive_for_driven_ring():
     G = reciprocal_ring4()
     P = cf.transition_matrix(G)
     pi = cf.stationary_distribution(P)
-    ep = cf.entropy_production_edge(P, pi)
+    ep = entropy_production_edge(P, pi)
     assert 0 < ep < math.inf
 
 
@@ -267,8 +275,8 @@ def test_entropy_cycle_matches_edge_formula_sampled():
     G = reciprocal_ring4()
     P = cf.transition_matrix(G)
     pi = cf.stationary_distribution(P)
-    ep_edge = cf.entropy_production_edge(P, pi)
+    ep_edge = entropy_production_edge(P, pi)
     traj = cf.simulate(P, 0, 10**6, seed=0)
     dec = cf.sample_decomposition(traj, n_nodes=G.n)
-    ep_cycle = cf.entropy_production_cycle(dec)
+    ep_cycle = entropy_production_cycle(dec)
     assert ep_cycle == pytest.approx(ep_edge, rel=0.05)

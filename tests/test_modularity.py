@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import build_pipeline, random_strong_graph, two_triangles
+from conftest import random_strong_graph, two_triangles
+from reference import check_symmetrization_invariance, enumerate_set_partitions, maximize_exhaustive
 
 
 def ring_split_labels(n):
@@ -36,7 +37,7 @@ def test_one_module_partition_scores_zero(barbell4, chain3):
 @pytest.mark.parametrize("n", [8, 16, 40])
 @pytest.mark.parametrize("eps", [0.01, 0.1])
 def test_split_difference_signs(n, eps):
-    pipe = build_pipeline(cf.barbell(n, eps))
+    pipe = cf.Pipeline(cf.barbell(n, eps))
     two = np.array([0] * n + [1] * n)
     three = ring_split_labels(n)
     dq = (cf.score_q_directed(pipe.P, pipe.pi, three)
@@ -70,7 +71,7 @@ def test_partition_validation(barbell4):
 def test_symmetrization_invariance_barbell(barbell40):
     n = 40
     parts = [np.array([0] * n + [1] * n), ring_split_labels(n)]
-    assert cf.check_symmetrization_invariance(barbell40.P, barbell40.pi, parts)
+    assert check_symmetrization_invariance(barbell40.P, barbell40.pi, parts)
 
 
 @settings(max_examples=25, deadline=None)
@@ -81,43 +82,43 @@ def test_symmetrization_invariance_property(seed):
     P = cf.transition_matrix(G)
     pi = cf.stationary_distribution(P)
     parts = [rng.integers(0, 3, G.n) for _ in range(10)]
-    assert cf.check_symmetrization_invariance(P, pi, parts)
+    assert check_symmetrization_invariance(P, pi, parts)
 
 
 # ---------------------------------------------------------------- maximizers
 
 def test_exhaustive_enumeration_counts():
     # Bell numbers for small n
-    assert sum(1 for _ in cf.enumerate_set_partitions(3)) == 5
-    assert sum(1 for _ in cf.enumerate_set_partitions(5)) == 52
+    assert sum(1 for _ in enumerate_set_partitions(3)) == 5
+    assert sum(1 for _ in enumerate_set_partitions(5)) == 52
 
 
 def test_exhaustive_refuses_large():
-    pipe = build_pipeline(cf.barbell(7, 0.1))
+    pipe = cf.Pipeline(cf.barbell(7, 0.1))
     with pytest.raises(ValueError):
-        cf.maximize("q", pi=pipe.pi, P=pipe.P, mode="exhaustive")
+        maximize_exhaustive("q", pi=pipe.pi, P=pipe.P)
 
 
 def test_greedy_matches_exhaustive_two_triangles():
-    pipe = build_pipeline(two_triangles())
+    pipe = cf.Pipeline(two_triangles())
     for objective, kw in (("q", {"P": pipe.P}), ("qbar", {"I": pipe.K.intensity})):
-        lg, sg, _ = cf.maximize(objective, pi=pipe.pi, mode="greedy", **kw)
-        le, se, _ = cf.maximize(objective, pi=pipe.pi, mode="exhaustive", **kw)
+        lg, sg, _ = cf.maximize(objective, pi=pipe.pi, **kw)
+        le, se, _ = maximize_exhaustive(objective, pi=pipe.pi, **kw)
         assert sg == pytest.approx(se, abs=1e-12)
         assert cf.modules_from_labels(lg) == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_greedy_matches_exhaustive_barbell(barbell4):
     for objective, kw in (("q", {"P": barbell4.P}), ("qbar", {"I": barbell4.K.intensity})):
-        lg, sg, _ = cf.maximize(objective, pi=barbell4.pi, mode="greedy", **kw)
-        le, se, _ = cf.maximize(objective, pi=barbell4.pi, mode="exhaustive", **kw)
+        lg, sg, _ = cf.maximize(objective, pi=barbell4.pi, **kw)
+        le, se, _ = maximize_exhaustive(objective, pi=barbell4.pi, **kw)
         assert sg == pytest.approx(se, abs=1e-12)
         assert cf.modules_from_labels(lg) == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
 
 def test_qbar_maximization_keeps_rings_whole(barbell40):
     labels, score, _ = cf.maximize("qbar", pi=barbell40.pi,
-                                   I=barbell40.K.intensity, mode="greedy")
+                                   I=barbell40.K.intensity)
     assert cf.modules_from_labels(labels) == [list(range(40)), list(range(40, 80))]
     two = np.array([0] * 40 + [1] * 40)
     assert score == pytest.approx(
@@ -125,7 +126,7 @@ def test_qbar_maximization_keeps_rings_whole(barbell40):
 
 
 def test_q_maximization_overpartitions_rings(barbell40):
-    labels, score, _ = cf.maximize("q", pi=barbell40.pi, P=barbell40.P, mode="greedy")
+    labels, score, _ = cf.maximize("q", pi=barbell40.pi, P=barbell40.P)
     sizes = [len(m) for m in cf.modules_from_labels(labels)]
     two = np.array([0] * 40 + [1] * 40)
     assert score > cf.score_q_directed(barbell40.P, barbell40.pi, two)
@@ -136,9 +137,9 @@ def test_q_maximization_overpartitions_rings(barbell40):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
 def test_greedy_never_below_trivial(seed):
-    pipe = build_pipeline(random_strong_graph(np.random.default_rng(seed)))
+    pipe = cf.Pipeline(random_strong_graph(np.random.default_rng(seed)))
     for objective, kw in (("q", {"P": pipe.P}), ("qbar", {"I": pipe.K.intensity})):
-        _, score, _ = cf.maximize(objective, pi=pipe.pi, mode="greedy", **kw)
+        _, score, _ = cf.maximize(objective, pi=pipe.pi, **kw)
         assert score >= -1e-12  # the one-module partition scores exactly zero
 
 
@@ -195,7 +196,7 @@ def assert_greedy_matches_rebuilt(pipe, sweep_moves=False):
     F = cf.edge_flow(pipe.P, pipe.pi)
     for objective, kw, E in (("qbar", {"I": pipe.K.intensity}, pipe.K.intensity),
                              ("q", {"P": pipe.P}, 0.5 * (F + F.T))):
-        labels, _, history = cf.maximize(objective, pi=pipe.pi, mode="greedy", **kw)
+        labels, _, history = cf.maximize(objective, pi=pipe.pi, **kw)
         ref_labels, ref_history = rebuilt_greedy(np.asarray(E, dtype=float), pipe.pi)
         assert labels.tolist() == ref_labels.tolist(), objective
         assert history == ref_history, objective
@@ -208,14 +209,14 @@ def assert_greedy_matches_rebuilt(pipe, sweep_moves=False):
 @pytest.mark.parametrize("seed", range(8))
 def test_greedy_matches_rebuilt_random(n, seed):
     assert_greedy_matches_rebuilt(
-        build_pipeline(random_strong_graph(np.random.default_rng(seed), n)))
+        cf.Pipeline(random_strong_graph(np.random.default_rng(seed), n)))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_greedy_matches_rebuilt_n200(seed):
     # both objectives, and on these graphs the sweep moves nodes for both
     assert_greedy_matches_rebuilt(
-        build_pipeline(random_strong_graph(np.random.default_rng(seed), 200)),
+        cf.Pipeline(random_strong_graph(np.random.default_rng(seed), 200)),
         sweep_moves=True)
 
 
@@ -223,7 +224,7 @@ def test_greedy_matches_rebuilt_n200(seed):
                          ids=["ring6", "barbell4", "two_triangles"])
 def test_greedy_matches_rebuilt_ties(G):
     # symmetric inputs: many merges tie on the largest gain
-    assert_greedy_matches_rebuilt(build_pipeline(G))
+    assert_greedy_matches_rebuilt(cf.Pipeline(G))
 
 
 def test_greedy_matches_rebuilt_exact_ties():
@@ -239,7 +240,7 @@ def test_greedy_matches_rebuilt_exact_ties():
             pi /= 2.0 ** np.ceil(np.log2(pi.sum()))
         else:
             pi = np.full(n, 1.0 / n)
-        labels, _, history = cf.maximize("qbar", pi=pi, I=E, mode="greedy")
+        labels, _, history = cf.maximize("qbar", pi=pi, I=E)
         ref_labels, ref_history = rebuilt_greedy(E, pi)
         assert labels.tolist() == ref_labels.tolist(), seed
         assert history == ref_history, seed
@@ -256,7 +257,7 @@ def test_greedy_tie_with_merged_module_keeps_earlier_column():
                   [1, 3, 2, 0, 0, 1],
                   [2, 2, 1, 4, 1, 0]]) / 64
     pi = np.array([2, 3, 2, 2, 2, 3]) / 16
-    labels, _, history = cf.maximize("qbar", pi=pi, I=E, mode="greedy")
+    labels, _, history = cf.maximize("qbar", pi=pi, I=E)
     ref_labels, ref_history = rebuilt_greedy(E, pi)
     assert history[:2] == [10 / 128, 6 / 128]
     assert labels.tolist() == ref_labels.tolist()
@@ -266,7 +267,7 @@ def test_greedy_tie_with_merged_module_keeps_earlier_column():
 def test_greedy_matches_rebuilt_barbell40(barbell40):
     assert_greedy_matches_rebuilt(barbell40)
     # acceptance criterion 7 stays red, with the same module sizes
-    labels, _, _ = cf.maximize("q", pi=barbell40.pi, P=barbell40.P, mode="greedy")
+    labels, _, _ = cf.maximize("q", pi=barbell40.pi, P=barbell40.P)
     sizes = [len(m) for m in cf.modules_from_labels(labels)]
     assert (f"largest module has {max(sizes)} nodes (sizes {sorted(set(sizes))})"
             == "largest module has 10 nodes (sizes [8, 10])")
@@ -274,12 +275,12 @@ def test_greedy_matches_rebuilt_barbell40(barbell40):
 
 def test_maximize_validation(barbell4):
     with pytest.raises(ValueError):
-        cf.maximize("qbar", pi=barbell4.pi, mode="greedy")
+        cf.maximize("qbar", pi=barbell4.pi)
     with pytest.raises(ValueError):
-        cf.maximize("q", pi=barbell4.pi, mode="greedy")
+        cf.maximize("q", pi=barbell4.pi)
     with pytest.raises(ValueError):
         cf.maximize("nope", pi=barbell4.pi, P=barbell4.P)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         cf.maximize("q", pi=barbell4.pi, P=barbell4.P, mode="annealing")
 
 
@@ -288,8 +289,8 @@ def test_greedy_refuses_asymmetric_intensity(barbell4):
     assert I[0, 1] > 0
     I[0, 1] = np.nextafter(I[0, 1], 1.0)  # one ulp off its mirror entry
     with pytest.raises(ValueError, match="symmetric"):
-        cf.maximize("qbar", pi=barbell4.pi, I=I, mode="greedy")
-    cf.maximize("qbar", pi=barbell4.pi, I=I, mode="exhaustive")  # scores any I
+        cf.maximize("qbar", pi=barbell4.pi, I=I)
+    maximize_exhaustive("qbar", pi=barbell4.pi, I=I)  # scores any I
 
 
 def test_wheel_equal_cuts_are_degenerate():
