@@ -28,9 +28,6 @@ __all__ = [
     "Pipeline",
 ]
 
-# entries below this are sampling-noise floor and stored as exact zeros
-_ZERO_FLOOR = 1e-15
-
 # Edges per block of exported lines: bounds the export's working lists.
 _EXPORT_BLOCK = 1 << 14
 
@@ -79,7 +76,6 @@ def communication_graph(dec: CycleDecomposition, pi=None) -> CommunicationGraph:
     X = np.zeros((dec.lengths.size, dec.n_nodes))
     X[dec.rows, dec.members] = np.sqrt(dec.w / dec.lengths)[dec.rows]
     I = X.T @ X
-    I[np.abs(I) < _ZERO_FLOOR] = 0.0
     uncovered = np.flatnonzero(I.sum(axis=1) == 0.0)
     if uncovered.size:
         raise dec.uncovered_error(int(uncovered[0]))
@@ -97,7 +93,6 @@ def cycle_graph(dec: CycleDecomposition) -> CommunicationGraph:
     Z = np.zeros((dec.lengths.size, dec.n_nodes))
     Z[dec.rows, dec.members] = dec.w[dec.rows] / np.sqrt(dec.node_mass()[dec.members])
     W = Z @ Z.T
-    W[np.abs(W) < _ZERO_FLOOR] = 0.0
     return CommunicationGraph(intensity=W, nodes=tuple(
         "(" + ",".join(dec.node_ids(c)) + ")" for c in dec.cycles))
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import cycleflow as cf
 
 from conftest import random_strong_graph, reference_export
-from reference import Lifting
+from reference import Lifting, walk_matrix
 
 
 def barbell_expected_intensity(n, eps):
@@ -82,6 +82,23 @@ def test_cycle_graph_ring_single_node():
     Bc = cf.cycle_graph(pipe.dec)
     assert Bc.intensity.shape == (1, 1)
     assert Bc.intensity[0, 0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_peeled_dust_cycles_keep_their_entries():
+    # 395 peeled cycles, 33 of them with weight below 1e-9: their products in
+    # K and W fall below 1e-15 but are real, as X and Z are non-negative
+    pipe = cf.Pipeline(random_strong_graph(np.random.default_rng(3), 200, extra=400))
+    dec = pipe.dec
+    assert len(dec.cycles) == 395 and np.count_nonzero(dec.w < 1e-9) == 33
+    W = cf.cycle_graph(dec)
+    assert np.abs(walk_matrix(W) - Lifting(dec).Q_lift).max() <= 1e-12
+    # the shared-spectrum claim, read off the two undirected graphs
+    nonzero = []
+    for graph in (pipe.K, W):
+        vals = np.linalg.eigvalsh(graph.normalized)
+        nonzero.append(np.sort(vals[np.abs(vals) > 1e-8]))
+    assert nonzero[0].size == nonzero[1].size == 193
+    assert np.abs(nonzero[0] - nonzero[1]).max() <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)
