@@ -2,7 +2,9 @@
 
 Runs decompose, spectrum, cluster cmsm / qbar-max / q-max and export-graph, the
 job of perfbench/workloads.py, through `cycleflow.cli.main` in this process, and
-prints `sha256  relpath` for each file written, in path order.  With
+prints `sha256  relpath` for each file written, in path order.  It also runs
+generate for the barbell, wheel-switch and ring graphs, writing under
+`generate/`, which checks the edge-list writer.  With
 `--trajectory PATH` it also runs `decompose --trajectory PATH`, writing under
 `trajectory/`.  With `--exports` it also runs export-graph in every other
 format, with and without self-loops, writing under `exports/`; the cycle graph
@@ -44,6 +46,12 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         argvs = job(wl, args.seed, args.input, tmp)
         commands = list(COMMANDS)
+        Path(tmp, "generate").mkdir()
+        for name, params in (("barbell", ["--n", "40", "--eps", "0.1"]),
+                             ("wheel-switch", ["--n", "10", "--p", "0.37"]),
+                             ("ring", ["--n", "12"])):
+            argvs[name] = ["generate", name, *params, "--output", f"{tmp}/generate/{name}.tsv"]
+            commands.append(name)
         if args.trajectory is not None:
             argvs["trajectory"] = ["decompose", "--trajectory", args.trajectory,
                                    "--output-dir", f"{tmp}/trajectory"]

@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure or out of memory.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -19,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import generators
+from ._floattext import reprs
 from .clustering import committors, estimate_num_modules, find_cores, fuzzy_partition
 from .commgraph import Pipeline, cycle_graph, export_graph
 from .cycles import decomposition_to_json, sample_decomposition, verify_flow_decomposition
@@ -153,6 +156,7 @@ def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
 
 
 def _cluster_cmsm(config: RunConfig, pipe: Pipeline):
+    """The cmsm result document and the committor matrix it lists, one row per node."""
     if config.m == "auto":
         rep = SpectrumReport.from_eigenvalues(pipe.K.eigh.eigenvalues)
         m = estimate_num_modules(rep, config.m_max)
@@ -170,20 +174,21 @@ def _cluster_cmsm(config: RunConfig, pipe: Pipeline):
         "labels": {G.nodes[v]: int(part.labels[v]) for v in range(G.n)},
         "ties": [G.nodes[v] for v in np.flatnonzero(part.ties)],
         "theta_used": cores.theta,
-    }
+    }, q
 
 
 def cmd_cluster(config: RunConfig, outdir: Path) -> int:
     pipe = _load_pipeline(config)
     G, P, pi = pipe.G, pipe.P, pipe.pi
     if config.method == "cmsm":
-        result = _cluster_cmsm(config, pipe)
-        lines = ["node,label,tie," + ",".join(f"q{j}" for j in range(result["m"]))]
+        result, q = _cluster_cmsm(config, pipe)
         tie_set = set(result["ties"])
-        for v in G.nodes:
-            qs = ",".join(repr(x) for x in result["committors"][v])
-            lines.append(f"{v},{result['labels'][v]},{int(v in tie_set)},{qs}")
-        _write(outdir / "partition.csv", "\n".join(lines) + "\n")
+        qs = np.array(reprs(q), dtype=object).reshape(q.shape).tolist()
+        rows = [["node", "label", "tie", *(f"q{j}" for j in range(result["m"]))]]
+        rows += [[v, result["labels"][v], int(v in tie_set), *row] for v, row in zip(G.nodes, qs)]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)  # quotes ids holding , or "
+        _write(outdir / "partition.csv", text.getvalue())
     elif config.method in ("qbar-max", "q-max"):
         if config.method == "qbar-max":
             labels, score, history = maximize("qbar", pi=pi, I=pipe.K.intensity)

@@ -16,8 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cycles import (CycleDecomposition, _json_document, _json_floats, _reprs,
-                     iterative_decomposition, sample_decomposition)
+from ._floattext import reprs
+from .cycles import (CycleDecomposition, _json_document, _json_floats, iterative_decomposition,
+                     sample_decomposition)
 from .graph import DirectedGraph, Walk, edge_flow, stationary_distribution, transition_matrix
 
 __all__ = [
@@ -103,7 +104,7 @@ def _edge_blocks(M: np.ndarray, include_self_loops: bool, line: str, sep: str, i
     over the non-zero upper triangle, row by row in index order; the lines are
     joined by `sep` in blocks.
 
-    `render` maps the list of distinct weights to their text in one call: pairs
+    `render` maps the array of distinct weights to their text in one call: pairs
     on the same cycles often get bitwise-equal sums, so there are far fewer
     distinct weights than edges.  Each block is joined as soon as it is built,
     so no list of every line is held.
@@ -114,7 +115,7 @@ def _edge_blocks(M: np.ndarray, include_self_loops: bool, line: str, sep: str, i
     lead, gap1, gap2, end = line.split("{}")
     heads = np.array([lead + v + gap1 for v in ids], dtype=object)
     mids = np.array([v + gap2 for v in ids], dtype=object)
-    tails = np.array([w + end for w in render(values.tolist())], dtype=object)
+    tails = np.array([w + end for w in render(values)], dtype=object)
     blocks = []
     for start in range(0, src.size, _EXPORT_BLOCK):
         b = slice(start, start + _EXPORT_BLOCK)
@@ -138,11 +139,13 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
         raise TypeError(f"cannot export {type(graph).__name__}")
     M, ids = graph.intensity, graph.node_ids()
     if fmt == "tsv":
-        blocks = _edge_blocks(M, include_self_loops, "{}\t{}\t{}", "\n", ids, _reprs)
+        blocks = _edge_blocks(M, include_self_loops, "{}\t{}\t{}", "\n", ids, reprs)
         return "\n".join([*blocks, ""]) if blocks else "\n"  # "\n" alone for no edges
     if fmt == "dot":
+        # a quoted DOT ID escapes only the double quote
+        escaped = [v.replace('"', '\\"') for v in ids]
         blocks = _edge_blocks(M, include_self_loops, '  "{}" -- "{}" [weight={}];', "\n",
-                              ids, _reprs)
+                              escaped, reprs)
         return "\n".join(["graph G {", *blocks, "}", ""])
     if fmt == "json":
         # the text of json.dumps({"edges": [...], "nodes": [...]}, sort_keys=True, indent=2)

@@ -12,12 +12,12 @@ dependent solution of the same flow equations whenever cycles share edges.
 from __future__ import annotations
 
 import json
-import math
 from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
 
+from ._floattext import reprs
 from .graph import Trajectory, Walk, flow_conservation_residual
 
 __all__ = [
@@ -382,16 +382,12 @@ def verify_flow_decomposition(dec: CycleDecomposition, F: np.ndarray) -> float:
     return float(np.max(np.abs(F - S)))
 
 
-def _reprs(xs: list[float]) -> list[str]:
-    """Each float's repr, cut from one repr of the whole list."""
-    return repr(xs)[1:-1].split(", ") if xs else []
-
-
-def _json_floats(xs: list[float]) -> list[str]:
+def _json_floats(x: np.ndarray) -> list[str]:
     """Each float as `json` writes it: its repr, or Infinity, -Infinity and NaN."""
-    if all(map(math.isfinite, xs)):
-        return _reprs(xs)
-    return [json.dumps(x) for x in xs]
+    texts = reprs(x)
+    for i in np.flatnonzero(~np.isfinite(x)).tolist():
+        texts[i] = json.dumps(float(x[i]))
+    return texts
 
 
 def _json_document(obj: dict, key: str, entries: list[str]) -> str:
@@ -432,7 +428,7 @@ def decomposition_to_json(dec: CycleDecomposition, extra: dict | None = None) ->
     starts, ends = (ends - dec.lengths).tolist(), ends.tolist()  # each cycle's slice of ids
     # sampled weights are count / T: few distinct values
     values, which = np.unique(dec.w, return_inverse=True)
-    weights = np.array(_json_floats(values.tolist()), dtype=object)[which[order]].tolist()
+    weights = np.array(_json_floats(values), dtype=object)[which[order]].tolist()
     counts = ([""] * order.size if dec.k is None
               else [f'"count": {k},\n      ' for k in dec.k[order].tolist()])
     sep = ",\n        "

@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._floattext import reprs
+
 __all__ = [
     "DirectedGraph",
     "Trajectory",
@@ -409,9 +411,9 @@ def write_edge_list(G: DirectedGraph, path) -> None:
     Raises ValueError, before opening `path`, on a node id that would not read back.
     """
     _check_writable_ids(G.nodes)
-    lines = []
-    for (x, y), w in sorted(G.edges.items(), key=lambda it: (G.index(it[0][0]), G.index(it[0][1]))):
-        lines.append(f"{x}\t{y}\t{w!r}")
+    edges = sorted(G.edges.items(), key=lambda it: (G.index(it[0][0]), G.index(it[0][1])))
+    weights = reprs(np.array([w for _, w in edges], dtype=float))
+    lines = [f"{x}\t{y}\t{w}" for ((x, y), _), w in zip(edges, weights)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

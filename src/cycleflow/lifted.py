@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._floattext import reprs
+
 __all__ = [
     "SpectrumReport",
     "spectrum",
@@ -40,10 +42,8 @@ class SpectrumReport:
         return lam[:-1] - lam[1:]
 
     def csv_text(self) -> str:
-        lines = ["re,im"]
-        for lam in self.eigenvalues:
-            lines.append(f"{float(lam.real)!r},{float(lam.imag)!r}")
-        return "\n".join(lines) + "\n"
+        parts = reprs(np.asarray(self.eigenvalues, dtype=complex).view(float))  # re, im, re, ...
+        return "\n".join(["re,im", *map(",".join, zip(parts[::2], parts[1::2])), ""])
 
     @classmethod
     def from_eigenvalues(cls, vals, k: int | None = None) -> SpectrumReport:

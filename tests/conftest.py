@@ -24,6 +24,12 @@ def three_node_chain():
         {("a", "b"): 1.0, ("b", "a"): 1.0, ("b", "c"): 1.0, ("c", "b"): 1.0})
 
 
+def relabel(G, names):
+    """G with each node id in `names` replaced by its value there."""
+    return cf.DirectedGraph([names.get(v, v) for v in G.nodes],
+                            {(names.get(x, x), names.get(y, y)): w for (x, y), w in G.edges.items()})
+
+
 def two_triangles(bridge=0.1):
     """Two bidirectional 3-cliques joined by one weak reciprocal edge."""
     nodes = [f"t{k}" for k in range(6)]
@@ -153,6 +159,7 @@ def reference_export(graph, fmt, include_self_loops=True):
     if fmt == "tsv":
         return "\n".join(f"{ids[i]}\t{ids[j]}\t{w!r}" for i, j, w in edges) + "\n"
     if fmt == "dot":
+        ids = [v.replace('"', '\\"') for v in ids]  # DOT's one escape in a quoted ID
         lines = [f'  "{ids[i]}" -- "{ids[j]}" [weight={w!r}];' for i, j, w in edges]
         return "\n".join(["graph G {", *lines, "}"]) + "\n"
     obj = {"nodes": list(ids),

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -14,7 +16,7 @@ import pytest
 import cycleflow as cf
 from cycleflow.cli import main
 
-from conftest import dict_erasure, random_strong_graph
+from conftest import dict_erasure, random_strong_graph, relabel
 
 
 @pytest.fixture()
@@ -165,6 +167,28 @@ def test_cluster_cmsm(barbell_tsv, tmp_path):
     assert csv_lines[0] == "node,label,tie,q0,q1"
     assert len(csv_lines) == 9
     assert csv_lines[1].startswith("l0,0,0,")
+
+
+def test_cluster_cmsm_csv_quotes_ids(tmp_path):
+    """Ids holding a comma or a double quote are quoted in partition.csv, inner quotes
+    doubled, so that a CSV reader gets one field per column; plain ids stay bare."""
+    G = relabel(cf.barbell(4, 0.1), {"l0": "a,1", "r0": 'b"q'})
+    path = tmp_path / "g.tsv"
+    cf.write_edge_list(G, path)
+    outdir = tmp_path / "clu"
+    assert main(["cluster", "--input", str(path), "--decomposer", "iterative",
+                 "--method", "cmsm", "--output-dir", str(outdir)]) == 0
+    text = (outdir / "partition.csv").read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["node", "label", "tie", "q0", "q1"]
+    assert all(len(row) == 5 for row in rows)
+    nodes = cf.read_edge_list(path).nodes
+    assert [row[0] for row in rows[1:]] == list(nodes)
+    lines = dict(zip(nodes, text.split("\n")[1:]))
+    assert lines["a,1"].startswith('"a,1",') and lines['b"q'].startswith('"b""q",')
+    assert lines["l1"].startswith("l1,")
+    committors = json.loads((outdir / "partition.json").read_text())["committors"]
+    assert [[float(q) for q in row[3:]] for row in rows[1:]] == [committors[v] for v in nodes]
 
 
 def test_cluster_qbar_max(barbell_tsv, tmp_path):
@@ -389,7 +413,8 @@ def test_artifact_digests_script(barbell_tsv, tmp_path):
             (["--decomposer", "iterative", "--exports"],
              {"decomposition.json", "communication.tsv", "cmsm/partition.json",
               "exports/communication.json", "exports/cycle.json",
-              "exports/cycle-no-self-loops.dot"}),
+              "exports/cycle-no-self-loops.dot", "generate/barbell.tsv",
+              "generate/wheel-switch.tsv", "generate/ring.tsv"}),
             (["--T", "20000", "--trajectory", str(walk)],
              {"decomposition.json", "communication.tsv", "trajectory/decomposition.json"})):
         lines = digests(*args)

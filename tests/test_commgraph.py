@@ -1,4 +1,5 @@
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import random_strong_graph, reference_export
+from conftest import random_strong_graph, reference_export, relabel
 from reference import Lifting, walk_matrix
 
 
@@ -136,6 +137,23 @@ def test_export_dot_and_json(barbell4):
     obj = json.loads(cf.export_graph(barbell4.K, "json"))
     assert obj["nodes"][0] == "l0"
     assert all(e["weight"] > 0 for e in obj["edges"])
+
+
+def test_export_dot_escapes_quotes():
+    """Node ids and cycle labels with a double quote stay one DOT ID each: DOT's one
+    escape inside a quoted ID is \\"."""
+    G = relabel(cf.barbell(4, 0.1), {"l0": 'b"q', "r0": "a,1"})
+    pipe = cf.Pipeline(G)
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    edge = re.compile(rf"  {quoted} -- {quoted} \[weight=[^\]]+\];")
+    for graph in (pipe.K, cf.cycle_graph(pipe.dec)):
+        lines = cf.export_graph(graph, "dot").split("\n")
+        assert lines[0] == "graph G {" and lines[-2:] == ["}", ""]
+        ends = [edge.fullmatch(line).groups() for line in lines[1:-2]]
+        ids = {v.replace('\\"', '"') for pair in ends for v in pair}
+        assert ids == set(graph.node_ids())
+        assert any('"' in v for v in ids)
+    assert '  "b\\"q" -- "a,1" [weight=' in cf.export_graph(pipe.K, "dot")
 
 
 def test_export_cycle_graph_and_errors(barbell4):
