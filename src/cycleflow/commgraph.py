@@ -142,7 +142,11 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
         blocks = _edge_blocks(M, include_self_loops, "{}\t{}\t{}", "\n", ids, reprs)
         return "\n".join([*blocks, ""]) if blocks else "\n"  # "\n" alone for no edges
     if fmt == "dot":
-        # a quoted DOT ID escapes only the double quote
+        # a quoted DOT ID escapes only the double quote, so a final backslash would
+        # escape the closing quote
+        for v in ids:
+            if v.endswith("\\"):
+                raise ValueError(f"node id {v!r} ends in a backslash, which a DOT ID cannot hold")
         escaped = [v.replace('"', '\\"') for v in ids]
         blocks = _edge_blocks(M, include_self_loops, '  "{}" -- "{}" [weight={}];', "\n",
                               escaped, reprs)

@@ -58,11 +58,13 @@ class CycleDecomposition:
     tuples: `w` the weights, `k` the completion counts (None when not counted),
     `lengths`, `members` the cycles' nodes concatenated and `rows` each member's
     cycle.  `cycles` (the tuples in that order) and the dicts `weights` and
-    `counts` (cycle -> weight or count, in the order the cycles were first seen)
-    are views built on first access.  Constructed from dicts, as the peel and
-    callers holding dicts do, the dicts given are the views; the sampler and the
-    merge build the arrays alone, so a command that needs only the arrays never
-    builds a tuple.
+    `counts` (cycle -> weight or count, in the same order) are views built on
+    first access, so a command that needs only the arrays never builds a tuple.
+
+    Every builder, this dict constructor, the sampler, the merge and the peel,
+    hands its cycles to one canonicalizer: rotations of a cycle are identified
+    and their weights and counts add up.  Keys that are not simple cycles on
+    the nodes 0..n_nodes-1 are refused.
     """
 
     def __init__(self, weights: dict, kind: str, n_nodes: int, counts: dict | None = None,
@@ -71,33 +73,36 @@ class CycleDecomposition:
         for c, w in weights.items():
             if not w > 0.0:
                 raise ValueError(f"cycle {c} has non-positive weight {w}")
-        cycles = sorted(weights)
-        lengths = np.fromiter(map(len, cycles), dtype=np.intp, count=len(cycles))
-        rank = dict(zip(cycles, range(len(cycles))))
-        self._set(kind, n_nodes, T, tol, nodes,
-                  members=np.fromiter(chain.from_iterable(cycles), dtype=np.intp,
-                                      count=int(lengths.sum())),
-                  lengths=lengths,
-                  w=np.array([weights[c] for c in cycles], dtype=float),
-                  k=None if counts is None else np.array([counts.get(c, 0) for c in cycles],
-                                                         dtype=np.int64),
-                  seen=np.fromiter(map(rank.__getitem__, weights), dtype=np.intp,
-                                   count=len(cycles)))
-        self.weights, self.counts, self.cycles = weights, counts, cycles
+            if not c or len(set(c)) != len(c) or min(c) < 0 or max(c) >= n_nodes:
+                raise ValueError(f"cycle {c} is not a simple cycle on nodes 0..{n_nodes - 1}")
+        lengths = np.fromiter(map(len, weights), dtype=np.intp, count=len(weights))
+        self._build(np.fromiter(chain.from_iterable(weights), dtype=np.intp,
+                                count=int(lengths.sum())), lengths, kind, n_nodes,
+                    w=np.fromiter(weights.values(), dtype=float, count=len(weights)),
+                    k=None if counts is None else np.fromiter(
+                        (counts.get(c, 0) for c in weights), dtype=np.int64, count=len(weights)),
+                    T=T, tol=tol, nodes=nodes)
 
-    @classmethod
-    def _sampled(cls, members, lengths, k, seen, T: int, n_nodes: int,
-                 nodes) -> CycleDecomposition:
-        """A sampled decomposition from its arrays; `seen` lists the rows in the
-        order their cycles were first seen."""
-        dec = cls.__new__(cls)
-        dec._set("sampled", n_nodes, T, None, nodes, members=members, lengths=lengths,
-                 w=k / T, k=k, seen=seen)
-        return dec
+    def _build(self, flat, lengths, kind, n_nodes, *, w=None, k=None, T=None, tol=None,
+               nodes=None) -> CycleDecomposition:
+        """Fill the decomposition from rows of simple cycles with per-row weights `w`
+        and counts `k`, and return it.
 
-    def _set(self, kind, n_nodes, T, tol, nodes, *, members, lengths, w, k, seen):
+        Row i of the ragged array (`flat`, `lengths`) is a cycle in any rotation, and
+        one cycle may fill several rows: its rows' values add up, in row order.
+        Without `w`, the weights are the summed counts divided by T.
+        """
         self.kind, self.n_nodes, self.T, self.tol, self.nodes = kind, n_nodes, T, tol, nodes
-        self.members, self.lengths, self.w, self.k, self._seen = members, lengths, w, k, seen
+        self.members, self.lengths, which = _canonicalize(flat, lengths, n_nodes)
+
+        def total(values):
+            out = np.zeros(self.lengths.size, dtype=values.dtype)
+            np.add.at(out, which, values)
+            return out
+
+        self.k = None if k is None else total(k)
+        self.w = self.k / T if w is None else total(w)
+        return self
 
     @cached_property
     def cycles(self) -> list[Cycle]:
@@ -105,18 +110,13 @@ class CycleDecomposition:
         ends = np.cumsum(self.lengths).tolist()
         return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
-    def _first_seen(self, values: np.ndarray) -> dict:
-        """cycle -> value, in the order the cycles were first seen."""
-        return dict(zip(map(self.cycles.__getitem__, self._seen.tolist()),
-                        values[self._seen].tolist()))
-
     @cached_property
     def weights(self) -> dict:
-        return self._first_seen(self.w)
+        return dict(zip(self.cycles, self.w.tolist()))
 
     @cached_property
     def counts(self) -> dict | None:
-        return None if self.k is None else self._first_seen(self.k)
+        return None if self.k is None else dict(zip(self.cycles, self.k.tolist()))
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -149,11 +149,10 @@ def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) ->
     state is appended; when the current state X_i already sits at position p
     of the chain, the segment after p closed a cycle: it is recorded as
     (X_i, eta_{p+1}, ..., eta_l) and erased, leaving the chain ending at X_i.
-    Closures are counted by that raw tuple; the distinct tuples are then
-    rotated, merged and ordered in numpy, straight into the decomposition's
-    arrays.  The `counts` view keeps first-seen order: a cycle's key sits
-    where the first closure of any of its rotations fell.  Weights are
-    completion counts divided by the trajectory length.
+    Closures are counted by that raw tuple; the distinct tuples then go to
+    the decomposition's canonicalizer, which adds up the counts of a cycle's
+    rotations.  Weights are completion counts divided by the trajectory
+    length.
 
     Drawing and erasing are one loop: each step goes from x to `rows[x][g]`,
     over a Walk's table and bins (see `Walk`), or over a stored Trajectory's
@@ -215,25 +214,17 @@ def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) ->
     if closed > T:
         raise RuntimeError(f"loop erasure counted {closed} cycle steps in {T} states")
     flat = np.fromiter(chain.from_iterable(raw), dtype=np.intp, count=int(lengths.sum()))
-    return _tally(flat, lengths, k, T, n_nodes, traj.nodes)
+    return CycleDecomposition.__new__(CycleDecomposition)._build(
+        flat, lengths, "sampled", n_nodes, k=k, T=T, nodes=traj.nodes)
 
 
-def _take_rows(lengths: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Indices of the members of rows `order` of a ragged array with row `lengths`,
-    row after row."""
-    starts = np.cumsum(lengths) - lengths
-    sel = lengths[order]
-    return np.repeat(starts[order] - (np.cumsum(sel) - sel), sel) + np.arange(int(sel.sum()))
+def _canonicalize(flat, lengths, n_nodes: int):
+    """The distinct cycles among the rows of a ragged array, in canonical order.
 
-
-def _tally(flat, lengths, k, T: int, n_nodes: int, nodes) -> CycleDecomposition:
-    """The sampled decomposition of closures counted `k` times in T states.
-
-    Row i of the ragged array (`flat`, `lengths`) is a simple cycle in any
-    rotation, and rows come in the order first seen; a cycle may fill several
-    rows.  Each row is rotated to start at its smallest node, rows of one cycle
-    are counted together where the earliest of them sits, and the cycles are
-    put in the order of their tuples.
+    Row i of (`flat`, `lengths`) is a simple cycle on the nodes 0..n_nodes-1 in
+    any rotation; one cycle may fill several rows.  Each row is rotated to start
+    at its smallest node, and the distinct cycles are put in the order of their
+    tuples.  Returns their `members` and `lengths`, and each row's cycle.
     """
     starts = np.cumsum(lengths) - lengths
     # a row's nodes are distinct, so its smallest one matches exactly once
@@ -241,33 +232,31 @@ def _tally(flat, lengths, k, T: int, n_nodes: int, nodes) -> CycleDecomposition:
     shift = np.flatnonzero(flat == np.repeat(mins, lengths)) - starts
     src = np.arange(flat.size) + np.repeat(shift, lengths)
     src -= np.repeat(lengths, lengths) * (src >= np.repeat(starts + lengths, lengths))
-    canon = flat[src]
     # Fixed-width big-endian node indices compare bytewise as the indices do, so
     # each row's bytes, read as latin-1 text (one character per byte), sort as the
     # tuples: memcmp order, a prefix first.
     width = 2 if n_nodes <= 1 << 16 else 4
-    text = canon.astype(f">u{width}").tobytes().decode("latin-1")
+    text = flat[src].astype(f">u{width}").tobytes().decode("latin-1")
     cuts = (width * starts).tolist()
     group: dict[str, int] = {}  # each cycle's key -> its number, in first-seen order
     g = np.fromiter((group.setdefault(text[a:b], len(group))
                      for a, b in zip(cuts, cuts[1:] + [len(text)])),
                     dtype=np.intp, count=lengths.size)
     keys = list(group)
-    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, g, k)
-    first = np.unique(g, return_index=True)[1][order]  # the earliest row of each cycle
-    seen = np.empty_like(order)
-    seen[order] = np.arange(order.size)
-    return CycleDecomposition._sampled(canon[_take_rows(lengths, first)], lengths[first],
-                                       counts[order], seen, T, n_nodes, nodes)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[order] = np.arange(len(keys))
+    keys = [keys[i] for i in order]
+    members = np.frombuffer("".join(keys).encode("latin-1"), dtype=f">u{width}")
+    return (members.astype(np.intp),
+            np.fromiter(map(len, keys), dtype=np.intp, count=len(keys)) // width, rank[g])
 
 
 def merge_decompositions(decs) -> CycleDecomposition:
     """Merge sampled decompositions from independent trajectories.
 
-    Counts add, lengths add; the weights are associative and independent of
-    input order.  The dict views list the cycles as first seen part by part.
+    Counts add, lengths add; the result is independent of the order and
+    nesting of the parts.
     """
     decs = list(decs)
     if not decs:
@@ -278,10 +267,10 @@ def merge_decompositions(decs) -> CycleDecomposition:
     nodes = decs[0].nodes
     if any(d.n_nodes != n_nodes or d.nodes != nodes for d in decs):
         raise ValueError("decompositions live on different node sets")
-    flat = np.concatenate([d.members[_take_rows(d.lengths, d._seen)] for d in decs])
-    lengths = np.concatenate([d.lengths[d._seen] for d in decs])
-    k = np.concatenate([d.k[d._seen] for d in decs])
-    return _tally(flat, lengths, k, sum(d.T for d in decs), n_nodes, nodes)
+    return CycleDecomposition.__new__(CycleDecomposition)._build(
+        np.concatenate([d.members for d in decs]), np.concatenate([d.lengths for d in decs]),
+        "sampled", n_nodes, k=np.concatenate([d.k for d in decs]), T=sum(d.T for d in decs),
+        nodes=nodes)
 
 
 def iterative_decomposition(F: np.ndarray, tol: float | None = None,
@@ -325,7 +314,7 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
     res, cols = F[rows, cols].tolist(), cols.tolist()
     R, C = zip(*[(res[a:b] or [0.0], cols[a:b]) for a, b in zip(cut, cut[1:])])
 
-    weights: dict[Cycle, float] = {}
+    flat, lengths, weights = [], [], []  # each cycle extracted above tol, as closed
     first = 0  # residuals only shrink, so the smallest live node never moves back
     path, at = [], [-1] * n  # the walk, and each node's position on it (-1 off it)
     for _ in range(2 * len(rows) + n + 1):
@@ -343,13 +332,13 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
             out.append(k)
             y = C[x][k]
             if (i := at[y]) >= 0:
-                j = path.index(min(path[i:]), i)  # path[i:] is simple: rotate its min first
-                cyc = tuple(path[j:] + path[i:j])
                 w = min([R[v][s] for v, s in zip(path[i:], out[i:])])
                 for v, s in zip(path[i:], out[i:]):
                     R[v][s] -= w
                 if w > tol:
-                    weights[cyc] = weights.get(cyc, 0.0) + w
+                    flat += path[i:]
+                    lengths.append(len(path) - i)
+                    weights.append(w)
                 break
             at[y] = len(path)
             path.append(y)
@@ -365,8 +354,9 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
         del path[i + 1:], out[i:]
     else:
         raise RuntimeError("cycle peeling did not terminate")
-    return CycleDecomposition(weights=weights, kind="iterative", n_nodes=n,
-                              tol=tol, nodes=nodes)
+    return CycleDecomposition.__new__(CycleDecomposition)._build(
+        np.array(flat, dtype=np.intp), np.array(lengths, dtype=np.intp), "iterative", n,
+        w=np.array(weights), tol=tol, nodes=nodes)
 
 
 def verify_flow_decomposition(dec: CycleDecomposition, F: np.ndarray) -> float:

@@ -7,6 +7,7 @@ import inspect
 import pytest
 
 import cycleflow as cf
+from cycleflow import cli
 
 LAYERS = ("graph", "cycles", "lifted", "commgraph", "clustering", "modularity")
 
@@ -48,3 +49,19 @@ def test_all_lists_names_the_module_defines(layer):
         value = getattr(mod, name)
         if inspect.isfunction(value) or inspect.isclass(value):
             assert value.__module__ == mod.__name__, name
+
+
+def test_names_the_benchmark_calls():
+    # perfbench's checks rebuild the decomposition from decomposition.json through
+    # the keyword constructor, and its tracer counts cycles off the weights view
+    G = cf.barbell(4, 0.1)
+    pipe = cf.Pipeline(G)
+    weights = {cf.canonical_cycle(c): w for c, w in pipe.dec.weights.items()}
+    dec = cf.CycleDecomposition(weights=weights, kind="iterative", n_nodes=G.n, nodes=G.nodes)
+    assert len(dec.weights) == dec.lengths.size == 3
+    assert dec.counts is None and dec.cycles == list(dec.weights)
+    assert dec.weight(range(4)) == weights[(0, 1, 2, 3)]
+    assert dec.node_mass().shape == (G.n,)
+    K = cf.communication_graph(dec, pipe.pi)  # pi passed positionally
+    assert K.intensity.shape == (G.n, G.n)
+    assert callable(cli._load_pipeline)

@@ -284,6 +284,19 @@ def test_export_graph_formats(barbell_tsv, tmp_path):
     assert out_dot.read_text().count("--") == 2  # cycle graph is a 3-node path
 
 
+def test_export_graph_dot_refuses_trailing_backslash(tmp_path, capsys):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("a\\\tb\t1\nb\ta\\\t1\n")
+    argv = ["export-graph", "--input", str(graph), "--decomposer", "iterative"]
+    out = tmp_path / "K.dot"
+    assert main([*argv, "--format", "dot", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: node id 'a\\\\' ends in a backslash, "
+                                       "which a DOT ID cannot hold\n")
+    assert not out.exists()
+    for fmt in ("tsv", "json"):
+        assert main([*argv, "--format", fmt, "--output", str(tmp_path / f"K.{fmt}")]) == 0
+
+
 def test_byte_identical_reruns(barbell_tsv, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for outdir in (a, b):

@@ -156,6 +156,17 @@ def test_export_dot_escapes_quotes():
     assert '  "b\\"q" -- "a,1" [weight=' in cf.export_graph(pipe.K, "dot")
 
 
+def test_export_dot_refuses_trailing_backslash():
+    """A quoted DOT ID cannot end in a backslash: it would escape the closing quote."""
+    K = cf.CommunicationGraph(intensity=np.array([[0.0, 1.0], [1.0, 0.0]]), nodes=("a\\", "b"))
+    with pytest.raises(ValueError, match=re.escape("node id 'a\\\\' ends in a backslash")):
+        cf.export_graph(K, "dot")
+    assert cf.export_graph(K, "tsv") == "a\\\tb\t1.0\n"
+    assert json.loads(cf.export_graph(K, "json"))["nodes"] == ["a\\", "b"]
+    inner = cf.CommunicationGraph(intensity=K.intensity, nodes=("a\\b", "b"))
+    assert '  "a\\b" -- "b" [weight=1.0];' in cf.export_graph(inner, "dot")
+
+
 def test_export_cycle_graph_and_errors(barbell4):
     H = cf.cycle_graph(barbell4.dec)
     text = cf.export_graph(H, "tsv", include_self_loops=False)

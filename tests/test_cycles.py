@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -28,6 +29,26 @@ def test_decomposition_rejects_non_positive_and_nan_weights():
     for w in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="non-positive weight"):
             cf.CycleDecomposition(weights={(0, 1): w}, kind="iterative", n_nodes=2)
+
+
+def test_decomposition_canonicalizes_keys():
+    dec = cf.CycleDecomposition(weights={(1, 0): 0.5, (2,): 0.5}, kind="iterative", n_nodes=3)
+    assert dec.weights == {(0, 1): 0.5, (2,): 0.5} and dec.cycles == [(0, 1), (2,)]
+    assert dec.weight((1, 0)) == dec.weight((0, 1)) == 0.5
+    # rotations of one cycle are one cycle: weights and counts add up
+    dec = cf.CycleDecomposition(weights={(1, 2, 0): 0.5, (2, 0, 1): 0.25, (3, 1): 0.125},
+                                counts={(1, 2, 0): 2, (2, 0, 1): 1, (3, 1): 4},
+                                kind="sampled", T=8, n_nodes=4)
+    assert dec.weights == {(0, 1, 2): 0.75, (1, 3): 0.125}
+    assert dec.counts == {(0, 1, 2): 3, (1, 3): 4}
+    assert dec.members.tolist() == [0, 1, 2, 1, 3] and dec.lengths.tolist() == [3, 2]
+
+
+@pytest.mark.parametrize("key", [(0, 1, 0), (0, 3), (-1, 0), ()],
+                         ids=["repeated_node", "index_past_n", "negative_index", "empty"])
+def test_decomposition_refuses_malformed_keys(key):
+    with pytest.raises(ValueError, match="not a simple cycle on nodes 0..2"):
+        cf.CycleDecomposition(weights={(0, 1): 0.5, key: 0.5}, kind="iterative", n_nodes=3)
 
 
 def test_reverse_cycle_examples():
@@ -149,12 +170,12 @@ SELF_LOOPS = cf.DirectedGraph(["a", "b", "c"], {
 def test_sample_matches_dict_erasure(G, start, T):
     traj = cf.simulate(cf.transition_matrix(G), start, T, seed=11)
     dec = cf.sample_decomposition(traj, n_nodes=G.n)
-    # same counts, and each cycle keyed where the first of its rotations closed
-    expected = list(dict_erasure(traj.states.tolist()).items())
-    assert list(dec.counts.items()) == expected
+    # same counts, the rotations of a cycle counted together, in canonical order
+    expected = dict_erasure(traj.states.tolist())
+    assert dec.counts == expected and list(dec.counts) == dec.cycles
     # the Pipeline erases the same walk as it is drawn
     streamed = cf.Pipeline(G, T=T, seed=11, start=start).dec
-    assert list(streamed.counts.items()) == expected
+    assert streamed.counts == expected and list(streamed.counts) == streamed.cycles
     assert (streamed.T, streamed.n_nodes, streamed.nodes) == (T, G.n, G.nodes)
 
 
@@ -257,20 +278,28 @@ def test_merge_decompositions():
     other = cf.merge_decompositions([parts[2], cf.merge_decompositions(parts[:2])])
     assert other.weights == merged.weights
 
-    # counts add in first-seen order, part after part
+    # counts add, in canonical order; any order or nesting of the parts gives the same arrays
     G = random_strong_graph(np.random.default_rng(5), 12)
     P = cf.transition_matrix(G)
     parts = [cf.sample_decomposition(cf.simulate(P, s, 400, seed=s), n_nodes=G.n)
              for s in (0, 1, 2)]
-    for order in ([0, 1, 2], [2, 0, 1]):
-        expected = {}
-        for i in order:
-            for c, k in parts[i].counts.items():
-                expected[c] = expected.get(c, 0) + k
-        merged = cf.merge_decompositions([parts[i] for i in order])
-        assert list(merged.counts.items()) == list(expected.items())
-        assert merged.cycles == sorted(expected)
-        assert merged.w.tolist() == [expected[c] / 1200 for c in merged.cycles]
+    expected = {}
+    for part in parts:
+        for c, k in part.counts.items():
+            expected[c] = expected.get(c, 0) + k
+    merged = cf.merge_decompositions(parts)
+    assert merged.counts == expected and list(merged.counts) == merged.cycles
+    assert merged.cycles == sorted(expected)
+    assert merged.w.tolist() == [expected[c] / 1200 for c in merged.cycles]
+    for regrouped in ([parts[2], parts[0], parts[1]],
+                      [parts[1], cf.merge_decompositions([parts[2], parts[0]])],
+                      [cf.merge_decompositions([parts[0], parts[1]]), parts[2]],
+                      [cf.merge_decompositions([cf.merge_decompositions([parts[2]]),
+                                                parts[1]]), parts[0]]):
+        other = cf.merge_decompositions(regrouped)
+        for name in ("members", "lengths", "k", "w"):
+            got, want = getattr(other, name), getattr(merged, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     it = cf.iterative_decomposition(cf.edge_flow(P, cf.stationary_distribution(P)))
     with pytest.raises(ValueError):
@@ -327,7 +356,7 @@ def assert_peel_matches_dense(F, tol=None):
     np.testing.assert_array_equal(F, F0)  # the peel works on its own residual
     ref = dense_peel(F, tol)
     assert dec.weights == ref
-    assert list(dec.weights) == list(ref)  # same peeling order
+    assert list(dec.weights) == dec.cycles
     return dec
 
 
@@ -363,7 +392,8 @@ def test_iterative_ties_go_to_smallest_node():
                             {(x, y): 1.0 for x, y in ("ab", "ba", "ac", "ca", "ad", "da")})
     P = cf.transition_matrix(star)
     dec = assert_peel_matches_dense(cf.edge_flow(P, cf.stationary_distribution(P)))
-    assert list(dec.weights) == [(0, 1), (0, 2), (0, 3)]
+    assert dec.weights == pytest.approx(dict.fromkeys([(0, 1), (0, 2), (0, 3)], 1 / 6))
+    assert list(dec.weights) == dec.cycles
     P = cf.transition_matrix(two_triangles())
     assert_peel_matches_dense(cf.edge_flow(P, cf.stationary_distribution(P)))
 
@@ -510,13 +540,40 @@ NESTED_EXTRA = {
     # equal weights, inserted out of canonical order
     (lambda: cf.CycleDecomposition(weights={(1, 2): 0.25, (0, 1): 0.25, (0, 2): 0.5, (2,): 0.25},
                                    kind="iterative", n_nodes=3), None),
+    # rotations of one cycle, given as two keys
+    (lambda: cf.CycleDecomposition(weights={(1, 2, 0): 0.5, (2, 0, 1): 0.25},
+                                   kind="iterative", n_nodes=3), None),
     # a nested "cycles" key, and a string holding the top-level line the writer splices at
     (lambda: cf.Pipeline(cf.barbell(4, 0.1)).dec,
      {"config": {"cycles": None}, "note": '\n  "cycles": null'}),
 ], ids=["sampled", "sampled_extra", "iterative_extra", "iterative", "empty", "nodes_none",
-        "non_finite", "ties", "splice_lookalikes"])
-def test_decomposition_json_matches_json_dumps(make_dec, extra):
+        "non_finite", "ties", "rotated_keys", "splice_lookalikes"])
+def test_decomposition_json_matches_json_dumps(make_dec, extra, request):
     dec = make_dec()
     text = cf.decomposition_to_json(dec, extra)
     assert text == json_dumps_decomposition(dec, extra)
+    if request.node.callspec.id == "rotated_keys":
+        assert json.loads(text)["cycles"] == [{"cycle": ["0", "1", "2"], "weight": 0.75}]
     assert "inf," not in text and "nan" not in text
+
+
+RANDOM60 = random_strong_graph(np.random.default_rng(12), 60, extra=120)
+
+
+@pytest.mark.parametrize("make_dec,n_cycles,digest", [
+    (lambda: cf.Pipeline(cf.barbell(6, 0.1), T=20_000, seed=12).dec, 3,
+     "14b48eb9bac9d1e945e4a3e22ddcfad2f8c36854e78cb3eddd0860028a4a2b49"),
+    (lambda: cf.Pipeline(RANDOM60, T=20_000, seed=12).dec, 1002,
+     "f3d0a0b475a674248ef403e333d371ed7469552f1ae0a470e15105a33c75c11b"),
+    (lambda: cf.sample_decomposition(cf.Trajectory(
+        states=cf.simulate(cf.transition_matrix(RANDOM60), 0, 20_000, seed=13).states,
+        nodes=RANDOM60.nodes)), 990,
+     "2da681802834d0a707f651da9ea7d6452c3db47b852e7731d0dff8c304face50"),
+], ids=["barbell6", "random60", "trajectory"])
+def test_sampled_json_is_pinned(make_dec, n_cycles, digest):
+    # Sampled decompositions depend only on PCG64, division and the float kernel, not
+    # on LAPACK or BLAS, so their text is the same on every host: a change to how the
+    # cycle set is built or ordered must leave these digests alone.
+    dec = make_dec()
+    assert dec.lengths.size == n_cycles
+    assert hashlib.sha256(cf.decomposition_to_json(dec).encode()).hexdigest() == digest
