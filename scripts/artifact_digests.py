@@ -57,7 +57,6 @@ def main():
                                    "--output-dir", f"{tmp}/trajectory"]
             commands.append("trajectory")
         if args.exports:
-            Path(tmp, "exports").mkdir()
             kinds = ["communication"] + (["cycle"] if args.decomposer == "iterative" else [])
             for which in kinds:
                 for fmt in ("tsv", "dot", "json"):

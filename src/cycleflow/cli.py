@@ -79,11 +79,9 @@ def _dump_json(path: Path, obj: dict) -> None:
     _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _tag(config: RunConfig, input_path=None) -> dict:
-    tag = {"config": asdict(config)}
-    if input_path is not None:
-        tag["input_sha256"] = _sha256(input_path)
-    return tag
+def _tag(config: RunConfig) -> dict:
+    path = config.input if config.trajectory is None else config.trajectory
+    return {"config": asdict(config), "input_sha256": _sha256(path)}
 
 
 def _load_pipeline(config: RunConfig) -> Pipeline:
@@ -99,21 +97,18 @@ def _load_pipeline(config: RunConfig) -> Pipeline:
     raise ValueError(f"unknown decomposer {config.decomposer!r}")
 
 
+# the RunConfig fields each generator takes, in call order
+_GENERATORS = {"barbell": ("n", "eps"), "wheel-switch": ("n", "p"), "ring": ("n",)}
+
+
 def cmd_generate(config: RunConfig, output: Path) -> int:
-    if config.generator == "barbell":
-        if config.n is None or config.eps is None:
-            raise ValueError("barbell needs --n and --eps")
-        G = generators.barbell(config.n, config.eps)
-    elif config.generator == "wheel-switch":
-        if config.n is None or config.p is None:
-            raise ValueError("wheel-switch needs --n and --p")
-        G = generators.wheel_switch(config.n, config.p)
-    elif config.generator == "ring":
-        if config.n is None:
-            raise ValueError("ring needs --n")
-        G = generators.ring(config.n)
-    else:
-        raise ValueError(f"unknown generator {config.generator!r}")
+    params = _GENERATORS[config.generator]
+    if any(getattr(config, name) is None for name in params):
+        raise ValueError(f"{config.generator} needs "
+                         + " and ".join(f"--{name}" for name in params))
+    # looked up per call, so the function called is the module's attribute at that time
+    make = getattr(generators, config.generator.replace("-", "_"))
+    G = make(*(getattr(config, name) for name in params))
     write_edge_list(G, output)
     print(f"wrote {G.n} nodes, {len(G.edges)} edges to {output}")
     return EXIT_OK
@@ -121,19 +116,17 @@ def cmd_generate(config: RunConfig, output: Path) -> int:
 
 def cmd_decompose(config: RunConfig, outdir: Path) -> int:
     if config.trajectory is not None:
-        traj = read_trajectory(config.trajectory)
-        dec = sample_decomposition(traj)
-        extra = _tag(config, config.trajectory)
-        extra["flow_residual"] = None  # no reference flow in timeseries mode
+        dec = sample_decomposition(read_trajectory(config.trajectory))
+        extra = {"flow_residual": None}  # no reference flow in timeseries mode
     else:
         pipe = _load_pipeline(config)
         dec = pipe.dec
-        extra = _tag(config, config.input)
-        extra["flow_residual"] = verify_flow_decomposition(dec, pipe.F)
-        extra["max_flow"] = float(pipe.F.max())
+        extra = {"flow_residual": verify_flow_decomposition(dec, pipe.F),
+                 "max_flow": float(pipe.F.max())}
+    extra.update(_tag(config))
     out = outdir / "decomposition.json"
     _write(out, decomposition_to_json(dec, extra))
-    resid = extra.get("flow_residual")
+    resid = extra["flow_residual"]
     print(f"{dec.lengths.size} cycles -> {out}"
           + (f" (flow residual {resid:.3e})" if resid is not None else ""))
     return EXIT_OK
@@ -146,7 +139,7 @@ def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
     _write(outdir / "spectrum_walk.csv", rep_walk.csv_text())
     _write(outdir / "spectrum_lifted.csv", rep_lift.csv_text())
     _dump_json(outdir / "spectrum.json", {
-        **_tag(config, config.input),
+        **_tag(config),
         "walk_top": [[lam.real, lam.imag] for lam in rep_walk.eigenvalues[:10]],
         "lifted_top": [lam.real for lam in rep_lift.eigenvalues[:10]],
         "lifted_max_imag": rep_lift.max_imag,
@@ -179,7 +172,7 @@ def _cluster_cmsm(config: RunConfig, pipe: Pipeline):
 
 def cmd_cluster(config: RunConfig, outdir: Path) -> int:
     pipe = _load_pipeline(config)
-    G, P, pi = pipe.G, pipe.P, pipe.pi
+    G = pipe.G
     if config.method == "cmsm":
         result, q = _cluster_cmsm(config, pipe)
         tie_set = set(result["ties"])
@@ -189,20 +182,18 @@ def cmd_cluster(config: RunConfig, outdir: Path) -> int:
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(rows)  # quotes ids holding , or "
         _write(outdir / "partition.csv", text.getvalue())
-    elif config.method in ("qbar-max", "q-max"):
-        if config.method == "qbar-max":
-            labels, score, history = maximize("qbar", pi=pi, I=pipe.K.intensity)
-        else:
-            labels, score, history = maximize("q", pi=pi, P=P)
+    else:
+        objective = config.method.removesuffix("-max")
+        # q-max reads the walk alone: K is built only for qbar
+        matrix = {"I": pipe.K.intensity} if objective == "qbar" else {"P": pipe.P}
+        labels, score, history = maximize(objective, pi=pipe.pi, **matrix)
         result = {
-            "objective": "qbar" if config.method == "qbar-max" else "q",
+            "objective": objective,
             "value": score,
             "partition": [[G.nodes[v] for v in mod] for mod in modules_from_labels(labels)],
             "merge_history": history,
         }
-    else:
-        raise ValueError(f"unknown clustering method {config.method!r}")
-    result.update(_tag(config, config.input))
+    result.update(_tag(config))
     _dump_json(outdir / "partition.json", result)
     print(f"{config.method} -> {outdir}/partition.json")
     return EXIT_OK
@@ -236,13 +227,13 @@ def _read_partition_file(path, G):
 
 def cmd_modularity(config: RunConfig, outdir: Path) -> int:
     pipe = _load_pipeline(config)
-    G, P, pi, K = pipe.G, pipe.P, pipe.pi, pipe.K
-    labels = _read_partition_file(config.partition, G)
+    G = pipe.G
+    labels = _read_partition_file(config.partition, G)  # before K, so a bad file costs no walk
     result = {
-        "q_directed": score_q_directed(P, pi, labels),
-        "qbar": score_qbar(K.intensity, pi, labels),
+        "q_directed": score_q_directed(pipe.P, pipe.pi, labels),
+        "qbar": score_qbar(pipe.K.intensity, pipe.pi, labels),
         "modules": [[G.nodes[v] for v in mod] for mod in modules_from_labels(labels)],
-        **_tag(config, config.input),
+        **_tag(config),
         "partition_sha256": _sha256(config.partition),
     }
     _dump_json(outdir / "modularity.json", result)
@@ -252,14 +243,8 @@ def cmd_modularity(config: RunConfig, outdir: Path) -> int:
 
 def cmd_export_graph(config: RunConfig, output: Path) -> int:
     pipe = _load_pipeline(config)
-    if config.which == "communication":
-        graph = pipe.K
-    elif config.which == "cycle":
-        graph = cycle_graph(pipe.dec)
-    else:
-        raise ValueError(f"unknown graph kind {config.which!r}")
-    text = export_graph(graph, config.format, include_self_loops=config.self_loops)
-    output.write_text(text, encoding="utf-8")
+    graph = pipe.K if config.which == "communication" else cycle_graph(pipe.dec)
+    _write(output, export_graph(graph, config.format, include_self_loops=config.self_loops))
     print(f"{config.which} graph ({config.format}) -> {output}")
     return EXIT_OK
 
@@ -270,65 +255,58 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Cycle-flow decomposition and fuzzy module detection "
                     "for directed weighted networks.")
     subparsers = ap.add_subparsers(dest="command", required=True)
-
-    def add_command(name, summary):
+    graph = ("--input", dict(help="edge-list TSV (src<TAB>dst<TAB>weight)"))
+    decomposer = [("--decomposer", dict(choices=["sample", "iterative"])),
+                  ("--T", dict(type=int)),
+                  ("--seed", dict(type=int)),
+                  ("--start", dict(help="start node for sampling (default: first node)"))]
+    # name, summary, handler, output flag, and the options in --help order
+    commands = [
+        ("generate", "write a benchmark graph as edge-list TSV", cmd_generate, "--output",
+         [("generator", dict(choices=list(_GENERATORS))),
+          ("--n", dict(type=int, required=True)),
+          ("--eps", dict(type=float)),
+          ("--p", dict(type=float))]),
+        ("decompose", "cycle decomposition plus flow residual", cmd_decompose, "--output-dir",
+         [graph,
+          ("--trajectory", dict(help="timeseries file, one node id per line")),
+          *decomposer]),
+        ("spectrum", "eigenvalues of the walk and its lifted chain", cmd_spectrum,
+         "--output-dir",
+         [graph, *decomposer,
+          ("--k", dict(type=int, help="keep top-k by modulus"))]),
+        ("cluster", "fuzzy modules or modularity maximization", cmd_cluster, "--output-dir",
+         [graph, *decomposer,
+          ("--method", dict(choices=["cmsm", "qbar-max", "q-max"], default="cmsm")),
+          ("--m", dict(help="module count or 'auto'")),
+          ("--m-max", dict(type=int)),
+          ("--theta", dict(type=float))]),
+        ("modularity", "score a given full partition", cmd_modularity, "--output-dir",
+         [graph, *decomposer, ("--partition", dict(
+             required=True, help="TSV node<TAB>module_index, every node assigned"))]),
+        ("export-graph", "emit the communication or cycle graph", cmd_export_graph, "--output",
+         [graph, *decomposer,
+          ("--which", dict(choices=["communication", "cycle"], default="communication")),
+          ("--format", dict(choices=["dot", "tsv", "json"], default="tsv")),
+          ("--no-self-loops", dict(dest="self_loops", action="store_false"))]),
+    ]
+    for name, summary, run, output, options in commands:
         # an option left out stays out of the namespace, so RunConfig supplies its default
-        return subparsers.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-
-    gen = add_command("generate", "write a benchmark graph as edge-list TSV")
-    gen.add_argument("generator", choices=["barbell", "wheel-switch", "ring"])
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--eps", type=float)
-    gen.add_argument("--p", type=float)
-    gen.add_argument("--output", required=True)
-
-    def add_pipeline_args(p, trajectory=False):
-        p.add_argument("--input", help="edge-list TSV (src<TAB>dst<TAB>weight)")
-        if trajectory:
-            p.add_argument("--trajectory", help="timeseries file, one node id per line")
-        p.add_argument("--decomposer", choices=["sample", "iterative"])
-        p.add_argument("--T", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--start", help="start node for sampling (default: first node)")
-
-    dec = add_command("decompose", "cycle decomposition plus flow residual")
-    add_pipeline_args(dec, trajectory=True)
-    dec.add_argument("--output-dir", required=True)
-
-    spec = add_command("spectrum", "eigenvalues of the walk and its lifted chain")
-    add_pipeline_args(spec)
-    spec.add_argument("--k", type=int, help="keep top-k by modulus")
-    spec.add_argument("--output-dir", required=True)
-
-    clu = add_command("cluster", "fuzzy modules or modularity maximization")
-    add_pipeline_args(clu)
-    clu.add_argument("--method", choices=["cmsm", "qbar-max", "q-max"], default="cmsm")
-    clu.add_argument("--m", help="module count or 'auto'")
-    clu.add_argument("--m-max", type=int)
-    clu.add_argument("--theta", type=float)
-    clu.add_argument("--output-dir", required=True)
-
-    mod = add_command("modularity", "score a given full partition")
-    add_pipeline_args(mod)
-    mod.add_argument("--partition", required=True,
-                     help="TSV node<TAB>module_index, every node assigned")
-    mod.add_argument("--output-dir", required=True)
-
-    exp = add_command("export-graph", "emit the communication or cycle graph")
-    add_pipeline_args(exp)
-    exp.add_argument("--which", choices=["communication", "cycle"], default="communication")
-    exp.add_argument("--format", choices=["dot", "tsv", "json"], default="tsv")
-    exp.add_argument("--no-self-loops", dest="self_loops", action="store_false")
-    exp.add_argument("--output", required=True)
-
+        p = subparsers.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.set_defaults(run=run)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument(output, dest="out", metavar=output[2:].upper().replace("-", "_"),
+                       required=True)
     return ap
 
 
 def _config_from_args(args) -> RunConfig:
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    if (args.command != "generate" and given.get("trajectory") is None
-            and given.get("input") is None):
+    if args.command != "generate" and "input" not in given and "trajectory" not in given:
         raise ValueError("--input is required")
+    if "input" in given and "trajectory" in given:
+        raise ValueError("--input and --trajectory exclude each other")
     return RunConfig(**given)
 
 
@@ -349,20 +327,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         _validate_numbers(config)
-        if args.command == "generate":
-            return cmd_generate(config, Path(args.output))
-        if args.command == "export-graph":
-            return cmd_export_graph(config, Path(args.output))
-        outdir = Path(args.output_dir)
-        if args.command == "decompose":
-            return cmd_decompose(config, outdir)
-        if args.command == "spectrum":
-            return cmd_spectrum(config, outdir)
-        if args.command == "cluster":
-            return cmd_cluster(config, outdir)
-        if args.command == "modularity":
-            return cmd_modularity(config, outdir)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(config, Path(args.out))
     # LinAlgError is a ValueError, so the numerical handler comes first
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

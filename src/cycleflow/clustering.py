@@ -133,11 +133,13 @@ def find_cores(K: CommunicationGraph, m: int, theta: float = 0.9) -> ModuleCores
     Parameters
     ----------
     K : CommunicationGraph
-    m : number of modules, >= 2
+    m : number of modules, 2 <= m <= K.n
     theta : core membership threshold in (0.5, 1)
     """
     if m < 2:
         raise ValueError("need at least 2 modules")
+    if m > K.n:
+        raise ValueError(f"cannot form {m} modules on {K.n} nodes")
     if not 0.5 < theta < 1.0:
         raise ValueError("theta must lie in (0.5, 1)")
     X = _spectral_embedding(K, m)

@@ -64,7 +64,8 @@ class CycleDecomposition:
     Every builder, this dict constructor, the sampler, the merge and the peel,
     hands its cycles to one canonicalizer: rotations of a cycle are identified
     and their weights and counts add up.  Keys that are not simple cycles on
-    the nodes 0..n_nodes-1 are refused.
+    the nodes 0..n_nodes-1, and counts not keyed exactly as the weights, are
+    refused.
     """
 
     def __init__(self, weights: dict, kind: str, n_nodes: int, counts: dict | None = None,
@@ -75,12 +76,14 @@ class CycleDecomposition:
                 raise ValueError(f"cycle {c} has non-positive weight {w}")
             if not c or len(set(c)) != len(c) or min(c) < 0 or max(c) >= n_nodes:
                 raise ValueError(f"cycle {c} is not a simple cycle on nodes 0..{n_nodes - 1}")
+        if counts is not None and counts.keys() != weights.keys():
+            raise ValueError("counts must be keyed exactly as weights")
         lengths = np.fromiter(map(len, weights), dtype=np.intp, count=len(weights))
         self._build(np.fromiter(chain.from_iterable(weights), dtype=np.intp,
                                 count=int(lengths.sum())), lengths, kind, n_nodes,
                     w=np.fromiter(weights.values(), dtype=float, count=len(weights)),
                     k=None if counts is None else np.fromiter(
-                        (counts.get(c, 0) for c in weights), dtype=np.int64, count=len(weights)),
+                        (counts[c] for c in weights), dtype=np.int64, count=len(weights)),
                     T=T, tol=tol, nodes=nodes)
 
     def _build(self, flat, lengths, kind, n_nodes, *, w=None, k=None, T=None, tol=None,

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import cycleflow as cf
-from cycleflow.cli import main
+from cycleflow.cli import RunConfig, _build_parser, main
 
 from conftest import dict_erasure, random_strong_graph, relabel
 
@@ -111,6 +113,20 @@ def test_decompose_trajectory_mode(tmp_path):
         {"count": counts[c], "cycle": [read.nodes[v] for v in c], "weight": counts[c] / 5_000}
         for c in sorted(counts, key=lambda c: (-counts[c], c))]
     assert any(len(c) == 1 for c in counts) and len(counts) > 100
+
+
+def test_decompose_refuses_input_with_trajectory(barbell_tsv, tmp_path, capsys):
+    # one source per run: the artifact's input, input_sha256 and n_nodes name one file
+    walk = tmp_path / "walk.txt"
+    G = cf.read_edge_list(barbell_tsv)
+    traj = cf.simulate(cf.transition_matrix(G), 0, 200, seed=0)
+    cf.write_trajectory(cf.Trajectory(states=traj.states, nodes=G.nodes), walk)
+    outdir = tmp_path / "dec"
+    assert main(["decompose", "--input", str(barbell_tsv), "--trajectory", str(walk),
+                 "--output-dir", str(outdir)]) == 2
+    assert capsys.readouterr().err == "error: --input and --trajectory exclude each other\n"
+    assert not outdir.exists()
+    assert main(["decompose", "--trajectory", str(walk), "--output-dir", str(outdir)]) == 0
 
 
 def test_decompose_rejects_disconnected(tmp_path):
@@ -237,6 +253,14 @@ def test_cluster_explicit_m(barbell_tsv, tmp_path):
                  "--output-dir", str(outdir)]) == 2
 
 
+def test_cluster_more_modules_than_nodes_exit_code(barbell_tsv, tmp_path, capsys):
+    outdir = tmp_path / "clu"
+    assert main(["cluster", "--input", str(barbell_tsv), "--method", "cmsm", "--m", "20",
+                 "--output-dir", str(outdir)]) == 2
+    assert capsys.readouterr().err == "error: cannot form 20 modules on 8 nodes\n"
+    assert not outdir.exists()
+
+
 def test_modularity_command(barbell_tsv, tmp_path):
     part = tmp_path / "part.tsv"
     part.write_text("".join(f"l{k}\t0\n" for k in range(4))
@@ -270,8 +294,22 @@ def test_modularity_partition_file_errors(barbell_tsv, tmp_path, capsys, bad_lin
     assert f"{part}:5: {message}" in capsys.readouterr().err
 
 
+def test_modularity_reads_partition_before_sampling(barbell_tsv, tmp_path, monkeypatch, capsys):
+    # a malformed partition file is refused before the walk is drawn and erased
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the partition file was read")
+    monkeypatch.setattr(cf.commgraph, "sample_decomposition", no_sampling)
+    part = tmp_path / "part.tsv"
+    part.write_text("l0\tzero\n")
+    assert main(["modularity", "--input", str(barbell_tsv), "--partition", str(part),
+                 "--output-dir", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {part}:1: module index 'zero' is not an integer\n")
+    assert not (tmp_path / "m").exists()
+
+
 def test_export_graph_formats(barbell_tsv, tmp_path):
-    out = tmp_path / "K.tsv"
+    out = tmp_path / "new" / "dir" / "K.tsv"  # made on write, as --output-dir is
     assert main(["export-graph", "--input", str(barbell_tsv), "--decomposer",
                  "iterative", "--format", "tsv", "--output", str(out)]) == 0
     rows = [r.split("\t") for r in out.read_text().strip().split("\n")]
@@ -288,11 +326,11 @@ def test_export_graph_dot_refuses_trailing_backslash(tmp_path, capsys):
     graph = tmp_path / "g.tsv"
     graph.write_text("a\\\tb\t1\nb\ta\\\t1\n")
     argv = ["export-graph", "--input", str(graph), "--decomposer", "iterative"]
-    out = tmp_path / "K.dot"
+    out = tmp_path / "dot" / "K.dot"
     assert main([*argv, "--format", "dot", "--output", str(out)]) == 2
     assert capsys.readouterr().err == ("error: node id 'a\\\\' ends in a backslash, "
                                        "which a DOT ID cannot hold\n")
-    assert not out.exists()
+    assert not out.parent.exists()
     for fmt in ("tsv", "json"):
         assert main([*argv, "--format", fmt, "--output", str(tmp_path / f"K.{fmt}")]) == 0
 
@@ -303,6 +341,22 @@ def test_byte_identical_reruns(barbell_tsv, tmp_path):
         assert main(["cluster", "--input", str(barbell_tsv), "--method", "cmsm",
                      "--T", "20000", "--output-dir", str(outdir)]) == 0
     assert (a / "partition.json").read_bytes() == (b / "partition.json").read_bytes()
+
+
+def test_every_option_is_a_config_field():
+    """Each subcommand's dests but its handler and output are RunConfig fields, and each
+    field but `command` is set by some subcommand: a dest with no field would silently
+    drop out of the config echo."""
+    parser = _build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    set_by_some = set()
+    for name, command in sub.choices.items():
+        dests = {a.dest for a in command._actions if a.dest != "help"} | set(command._defaults)
+        assert {"run", "out"} <= dests, name
+        assert dests - {"run", "out"} <= fields, name
+        set_by_some |= dests
+    assert set_by_some - {"run", "out"} == fields - {"command"}
 
 
 def test_validation_exit_codes(tmp_path):

@@ -88,6 +88,9 @@ def test_find_cores_validation(barbell4):
         cf.find_cores(barbell4.K, 2, 0.4)
     with pytest.raises(ValueError):
         cf.find_cores(barbell4.K, 2, 1.0)
+    # bad input, not a numerical failure: no threshold gives 9 non-empty cores on 8 nodes
+    with pytest.raises(ValueError, match="cannot form 9 modules on 8 nodes"):
+        cf.find_cores(barbell4.K, 9, 0.9)
 
 
 def loop_soft_memberships(X, centers):

@@ -51,6 +51,15 @@ def test_decomposition_refuses_malformed_keys(key):
         cf.CycleDecomposition(weights={(0, 1): 0.5, key: 0.5}, kind="iterative", n_nodes=3)
 
 
+@pytest.mark.parametrize("counts", [{(1, 0): 3, (2,): 1}, {(0, 1): 3, (2,): 1}, {(1, 0): 3}, {}],
+                         ids=["rotated_and_extra", "extra", "rotated", "missing"])
+def test_decomposition_refuses_counts_not_keyed_as_weights(counts):
+    # a count under a key the weights do not hold has no cycle to add to
+    with pytest.raises(ValueError, match="counts must be keyed exactly as weights"):
+        cf.CycleDecomposition(weights={(0, 1): 0.5}, counts=counts, kind="sampled",
+                              n_nodes=3, T=10)
+
+
 def test_reverse_cycle_examples():
     assert reverse_cycle((0, 1, 2)) == (0, 2, 1)
     assert reverse_cycle((0, 1)) == (0, 1)
