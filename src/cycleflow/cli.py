@@ -85,16 +85,14 @@ def _tag(config: RunConfig) -> dict:
 
 
 def _load_pipeline(config: RunConfig) -> Pipeline:
-    """Graph file -> Pipeline, decomposed by the configured decomposer."""
+    """Graph file -> Pipeline, peeled for decomposer "iterative", else sampled."""
     G = read_edge_list(config.input)
     if config.decomposer == "iterative":
         return Pipeline(G)
-    if config.decomposer == "sample":
-        if config.start is not None and config.start not in G.nodes:
-            raise ValueError(f"unknown start node {config.start!r}")
-        start = 0 if config.start is None else G.index(config.start)
-        return Pipeline(G, T=config.T, seed=config.seed, start=start)
-    raise ValueError(f"unknown decomposer {config.decomposer!r}")
+    if config.start is not None and config.start not in G.nodes:
+        raise ValueError(f"unknown start node {config.start!r}")
+    start = 0 if config.start is None else G.index(config.start)
+    return Pipeline(G, T=config.T, seed=config.seed, start=start)
 
 
 # the RunConfig fields each generator takes, in call order
@@ -305,8 +303,10 @@ def _config_from_args(args) -> RunConfig:
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     if args.command != "generate" and "input" not in given and "trajectory" not in given:
         raise ValueError("--input is required")
-    if "input" in given and "trajectory" in given:
-        raise ValueError("--input and --trajectory exclude each other")
+    # a stored walk is decomposed as it is: no graph, decomposer or walk option applies
+    for name in ("input", "decomposer", "T", "seed", "start"):
+        if name in given and "trajectory" in given:
+            raise ValueError(f"--{name} and --trajectory exclude each other")
     return RunConfig(**given)
 
 

@@ -85,8 +85,11 @@ def _spectral_embedding(K: CommunicationGraph, m: int) -> np.ndarray:
     order = np.argsort(vals)[::-1]
     X = U[:, order[:m]] / np.sqrt(K.mass)[:, None]
     norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
-        raise RuntimeError("degenerate spectral embedding (zero row)")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:  # the top eigenvector of a connected K is positive on every node
+        raise RuntimeError(f"degenerate spectral embedding (zero row) at node "
+                           f"{K.node_ids()[zero[0]]!r}: the communication graph K is "
+                           "disconnected")
     return X / norms[:, None]
 
 
@@ -127,8 +130,9 @@ def find_cores(K: CommunicationGraph, m: int, theta: float = 0.9) -> ModuleCores
     Nodes are embedded with the top-m eigenvectors of the communication walk
     and assigned to the nearest of m deterministically seeded centers; a node
     joins its module's core when its soft membership reaches theta, otherwise
-    it belongs to the transition region.  If some core comes out empty, theta
-    is lowered in steps of 0.05 towards 0.5 before giving up.
+    it belongs to the transition region.  Each center is a row of the
+    embedding, with membership 1 in its own module, so a core comes out empty
+    only when two centers coincide; that raises RuntimeError.
 
     Parameters
     ----------
@@ -143,29 +147,20 @@ def find_cores(K: CommunicationGraph, m: int, theta: float = 0.9) -> ModuleCores
     if not 0.5 < theta < 1.0:
         raise ValueError("theta must lie in (0.5, 1)")
     X = _spectral_embedding(K, m)
-    centers = _vertex_centers(X, m)
-    memberships = _soft_memberships(X, centers)
-
-    floor = 0.5 + 1e-6
-    t = theta
-    while True:
-        best = np.argmax(memberships, axis=1)
-        strong = memberships[np.arange(len(best)), best] >= t
-        cores = [tuple(int(i) for i in np.flatnonzero(strong & (best == j)))
-                 for j in range(m)]
-        if all(len(c) for c in cores):
-            break
-        if t <= floor:
-            raise RuntimeError(
-                f"could not form {m} non-empty cores even at threshold {floor}")
-        t = max(t - 0.05, floor)
+    memberships = _soft_memberships(X, _vertex_centers(X, m))
+    best = np.argmax(memberships, axis=1)
+    strong = memberships[np.arange(K.n), best] >= theta
+    cores = [tuple(int(i) for i in np.flatnonzero(strong & (best == j))) for j in range(m)]
+    if not all(cores):
+        raise RuntimeError(f"could not form {m} non-empty cores at threshold {theta}: "
+                           "two centers of the spectral embedding coincide")
 
     order = np.argsort([min(c) for c in cores])
     cores = tuple(cores[j] for j in order)
     memberships = memberships[:, order]
     transition = tuple(int(i) for i in np.flatnonzero(~strong))
     return ModuleCores(cores=cores, transition=transition,
-                       memberships=memberships, theta=t)
+                       memberships=memberships, theta=theta)
 
 
 def committors(K: CommunicationGraph, cores: ModuleCores) -> np.ndarray:
@@ -175,6 +170,10 @@ def committors(K: CommunicationGraph, cores: ModuleCores) -> np.ndarray:
     core and 0 on the others.  The system is solved in symmetrized form
     D^{1/2} (Id - P) D^{-1/2} = Id - K.normalized, which is positive definite
     for a reversible walk; one factorization serves all m right-hand sides.
+    A transition node whose committors do not sum to 1, as when no core is
+    reachable from it, raises RuntimeError; an exactly singular system, as
+    when a transition node has no edge but its self-loop, raises
+    numpy.linalg.LinAlgError.
     """
     N, d = K.normalized, np.sqrt(K.mass)
     n = K.n
@@ -192,13 +191,14 @@ def committors(K: CommunicationGraph, cores: ModuleCores) -> np.ndarray:
     if tr:
         all_core = sorted(set(range(n)) - set(tr))
         rhs = N[np.ix_(tr, all_core)] @ (d[all_core, None] * q[all_core, :])
-        try:
-            y = np.linalg.solve(np.eye(len(tr)) - N[np.ix_(tr, tr)], rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "committor system is singular; cores unreachable from the "
-                "transition region") from exc
+        y = np.linalg.solve(np.eye(len(tr)) - N[np.ix_(tr, tr)], rhs)
         q[tr, :] = y / d[tr, None]
+        # each row sums to the probability of hitting some core: 1 unless none is reachable
+        off = np.abs(q[tr].sum(axis=1) - 1.0)
+        if off.max() > 1e-9:
+            x = tr[int(np.argmax(off))]
+            raise RuntimeError(f"transition node {K.node_ids()[x]!r} reaches no core: "
+                               f"its committors sum to {q[x].sum():.3e}, not 1")
     if np.min(q) < -1e-9 or np.max(q) > 1 + 1e-9:
         raise RuntimeError("committor solution violates the maximum principle")
     return np.clip(q, 0.0, 1.0)

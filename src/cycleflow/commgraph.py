@@ -182,8 +182,7 @@ class Pipeline:
             # every command but decompose, the only one that reads F later
             return iterative_decomposition(edge_flow(self.P, self.pi), nodes=self.G.nodes)
         start, T, seed = self._sampling
-        return sample_decomposition(Walk(self.P, start, T, seed, nodes=self.G.nodes),
-                                    n_nodes=self.G.n)
+        return sample_decomposition(Walk(self.P, start, T, seed, nodes=self.G.nodes))
 
     @cached_property
     def F(self) -> np.ndarray:

@@ -186,8 +186,10 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Stationary distribution pi with pi^T P = pi^T.
 
     One dense solve of (P^T - Id) pi = 0 with its last equation replaced by
-    sum(pi) = 1; least squares when that system is singular.  Raises
-    RuntimeError if the l1 residual |pi P - pi| exceeds 1e-8 or is NaN.
+    sum(pi) = 1, a nonsingular system for an irreducible P.  Raises
+    numpy.linalg.LinAlgError when it is singular, as for a reducible P, whose
+    stationary vector is not unique, and RuntimeError if the l1 residual
+    |pi P - pi| exceeds 1e-8 or is NaN.
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
@@ -195,11 +197,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = np.maximum(pi, 0.0)
+    pi = np.maximum(np.linalg.solve(A, b), 0.0)
     s = pi.sum()
     if not s > 0:
         raise RuntimeError("stationary solve produced a non-positive or NaN vector")

@@ -122,11 +122,17 @@ def test_decompose_refuses_input_with_trajectory(barbell_tsv, tmp_path, capsys):
     traj = cf.simulate(cf.transition_matrix(G), 0, 200, seed=0)
     cf.write_trajectory(cf.Trajectory(states=traj.states, nodes=G.nodes), walk)
     outdir = tmp_path / "dec"
-    assert main(["decompose", "--input", str(barbell_tsv), "--trajectory", str(walk),
-                 "--output-dir", str(outdir)]) == 2
-    assert capsys.readouterr().err == "error: --input and --trajectory exclude each other\n"
-    assert not outdir.exists()
+    # a stored walk is not drawn: the decomposer and walk options would be echoed, unused
+    for flag, value in (("--input", str(barbell_tsv)), ("--decomposer", "iterative"),
+                        ("--T", "5"), ("--seed", "9"), ("--start", "r2")):
+        assert main(["decompose", flag, value, "--trajectory", str(walk),
+                     "--output-dir", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} and --trajectory exclude each other\n"
+        assert not outdir.exists()
     assert main(["decompose", "--trajectory", str(walk), "--output-dir", str(outdir)]) == 0
+    # with the graph, the peel accepts them unused: the benchmark's peeled job passes them
+    assert main(["decompose", "--input", str(barbell_tsv), "--decomposer", "iterative",
+                 "--T", "5", "--seed", "9", "--output-dir", str(tmp_path / "peeled")]) == 0
 
 
 def test_decompose_rejects_disconnected(tmp_path):
@@ -284,7 +290,8 @@ def test_modularity_rejects_partial_partition(barbell_tsv, tmp_path):
     ("r0\tone", "module index 'one' is not an integer"),
     ("r0\t-1", "negative module index -1 for node 'r0'"),
     ("l2\t1", "node 'l2' listed again (first on line 3)"),
-], ids=["non-integer", "negative", "listed-twice"])
+    ("x9\t1", "unknown node 'x9'"),
+], ids=["non-integer", "negative", "listed-twice", "unknown-node"])
 def test_modularity_partition_file_errors(barbell_tsv, tmp_path, capsys, bad_line, message):
     part = tmp_path / "part.tsv"
     lines = [f"l{k}\t0" for k in range(4)] + [bad_line] + [f"r{k}\t1" for k in range(4)]
@@ -368,6 +375,8 @@ def test_validation_exit_codes(tmp_path):
     assert main(["generate", "ring", "--n", "4", "--output", str(good)]) == 0
     assert main(["cluster", "--input", str(good), "--theta", "1.5",
                  "--output-dir", str(tmp_path / "z")]) == 2
+    assert main(["cluster", "--input", str(good), "--m-max", "1",
+                 "--output-dir", str(tmp_path / "z")]) == 2
     assert main(["decompose", "--input", str(good), "--T", "0",
                  "--output-dir", str(tmp_path / "w")]) == 2
     # q-max never samples, yet rejects the T every other command rejects
@@ -425,6 +434,22 @@ def test_walk_too_short_to_cover_exit_code(barbell_tsv, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "node 'r0' is covered by no cycle" in err and "larger --T" in err
     assert not (tmp_path / "s").exists()
+
+
+def test_disconnected_communication_graph_exit_code(tmp_path, capsys):
+    # three directed 4-rings chained by reciprocal bridges; this walk crosses a bridge
+    # without ever closing its 2-cycle, so K falls apart into 3 components, and the
+    # 2 leading eigenvectors vanish on the nodes of one of them
+    path = tmp_path / "rings.tsv"
+    lines = [f"{r}{i}\t{r}{(i + 1) % 4}\t1.0" for r in "abc" for i in range(4)]
+    lines += ["a0\tb0\t0.1", "b0\ta0\t0.1", "b0\tc0\t0.1", "c0\tb0\t0.1"]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["cluster", "--input", str(path), "--m", "2", "--T", "100", "--seed", "22",
+                 "--output-dir", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: degenerate spectral embedding (zero row) at node 'c0': "
+        "the communication graph K is disconnected\n")
+    assert not (tmp_path / "c").exists()
 
 
 def test_out_of_memory_exit_code(barbell_tsv, tmp_path, monkeypatch, capsys):

@@ -44,6 +44,10 @@ def test_estimate_modules_degenerate_warns():
     rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
     with pytest.warns(UserWarning):
         assert cf.estimate_num_modules(rep, 4) == 2
+    # two eigenvalues leave one gap, after lambda_1, and none to choose between
+    short = cf.SpectrumReport.from_eigenvalues([1.0, 0.5])
+    with pytest.warns(UserWarning, match="spectrum too short"):
+        assert cf.estimate_num_modules(short, 4) == 2
 
 
 def test_estimate_modules_rejects_complex():
@@ -91,6 +95,13 @@ def test_find_cores_validation(barbell4):
     # bad input, not a numerical failure: no threshold gives 9 non-empty cores on 8 nodes
     with pytest.raises(ValueError, match="cannot form 9 modules on 8 nodes"):
         cf.find_cores(barbell4.K, 9, 0.9)
+
+
+def test_find_cores_refuses_coincident_centers(barbell4, monkeypatch):
+    # every row sits at equal distance from two equal centers: no membership exceeds 1/2
+    monkeypatch.setattr("cycleflow.clustering._vertex_centers", lambda X, m: X[[0, 0]])
+    with pytest.raises(RuntimeError, match="could not form 2 non-empty cores at threshold 0.9"):
+        cf.find_cores(barbell4.K, 2, 0.9)
 
 
 def loop_soft_memberships(X, centers):
@@ -175,6 +186,25 @@ def test_committor_automorphism_equivariance(chain3):
                         memberships=np.zeros((3, 2)), theta=0.9)
     q = cf.committors(chain3.K, cores)
     assert q[1, 0] == pytest.approx(q[1, 1], abs=1e-12)
+
+
+def test_committor_refusals(chain3):
+    with pytest.raises(ValueError, match="cover every node exactly once"):
+        cf.committors(chain3.K, ModuleCores(cores=((0,), (2,)), transition=(),
+                                            memberships=np.zeros((3, 2)), theta=0.9))
+    # two components: the transition pair {c, d} reaches neither core, and its rows
+    # would come out [0, 0], which argmax labels 0 as a tie
+    K = cf.CommunicationGraph(intensity=np.array(
+        [[1, .5, 0, 0], [.5, 1, 0, 0], [0, 0, 1, .5], [0, 0, .5, 1]]), nodes=tuple("abcd"))
+    cores = ModuleCores(cores=((0,), (1,)), transition=(2, 3),
+                        memberships=np.zeros((4, 2)), theta=0.9)
+    with pytest.raises(RuntimeError, match="transition node 'c' reaches no core"):
+        cf.committors(K, cores)
+    # a transition node on its self-loop alone leaves the system exactly singular
+    K = cf.CommunicationGraph(intensity=np.array([[1, .5, 0], [.5, 1, 0], [0, 0, 1]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        cf.committors(K, ModuleCores(cores=((0,), (1,)), transition=(2,),
+                                     memberships=np.zeros((3, 2)), theta=0.9))
 
 
 # ------------------------------------------------------------ fuzzy partition

@@ -313,6 +313,13 @@ def test_merge_decompositions():
     it = cf.iterative_decomposition(cf.edge_flow(P, cf.stationary_distribution(P)))
     with pytest.raises(ValueError):
         cf.merge_decompositions([parts[0], it])
+    with pytest.raises(ValueError, match="nothing to merge"):
+        cf.merge_decompositions([])
+    wider = cf.sample_decomposition(cf.simulate(P, 0, 400, seed=3), n_nodes=G.n + 1)
+    named = cf.sample_decomposition(cf.Trajectory(states=np.array([0, 1, 0]), nodes=G.nodes))
+    for other in (wider, named):
+        with pytest.raises(ValueError, match="different node sets"):
+            cf.merge_decompositions([parts[0], other])
 
 
 # ------------------------------------------------------------ iterative peel
@@ -462,6 +469,8 @@ def test_iterative_rejects_bad_flow():
     F = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, np.nan]])
     with pytest.raises(ValueError, match="finite"):
         cf.iterative_decomposition(F)
+    with pytest.raises(ValueError, match="square"):
+        cf.iterative_decomposition(np.ones((2, 3)))
 
 
 @settings(max_examples=30, deadline=None)

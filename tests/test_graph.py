@@ -29,6 +29,10 @@ def test_graph_rejects_bad_input():
         cf.DirectedGraph(["a", "b"], {})
 
 
+def test_graph_repr():
+    assert repr(cf.barbell(4, 0.1)) == "DirectedGraph(n=8, edges=10)"  # two directed 4-rings, a 2-way bridge
+
+
 def test_self_loops_allowed():
     G = cf.DirectedGraph(["a", "b"], {("a", "b"): 1.0, ("b", "a"): 1.0, ("a", "a"): 0.5})
     assert G.edges[("a", "a")] == 0.5
@@ -137,6 +141,16 @@ def test_stationary_rejects_nan():
     # the solve replaces the last column's equation, so only the residual sees this NaN
     with pytest.raises(RuntimeError, match="residual nan"):
         cf.stationary_distribution(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("P", [
+    np.eye(2),
+    np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float),
+], ids=["two-absorbing-states", "two-disjoint-2-cycles"])
+def test_stationary_refuses_reducible_chain(P):
+    # every mix of the classes' stationary vectors is stationary: no unique pi to return
+    with pytest.raises(np.linalg.LinAlgError):
+        cf.stationary_distribution(P)
 
 
 def test_stationary_solve_to_rounding_on_dense_random_graph():
@@ -364,6 +378,9 @@ def test_edge_list_malformed(tmp_path):
     path.write_text("a\tb\tnotanumber\n")
     with pytest.raises(ValueError):
         cf.read_edge_list(path)
+    path.write_text("# comments\n\n# only\n")
+    with pytest.raises(ValueError, match="no edges found"):
+        cf.read_edge_list(path)
 
 
 UNREADABLE_IDS = ["", "#a", " a", "a ", "a\tb", "a\rb", "a\nb", "a\u2028"]
@@ -407,3 +424,15 @@ def test_trajectory_roundtrip(tmp_path):
     cf.write_trajectory(traj, path)
     back = cf.read_trajectory(path)
     assert back.as_ids() == traj.as_ids()
+    # without node ids, a state is named by its index
+    assert cf.Trajectory(states=traj.states).as_ids() == [str(s) for s in traj.states]
+
+
+def test_read_trajectory_refusals(tmp_path):
+    path = tmp_path / "traj.txt"
+    path.write_text("# comments only\n\n")
+    with pytest.raises(ValueError, match="empty trajectory"):
+        cf.read_trajectory(path)
+    path.write_text("a\nb\nc\n")
+    with pytest.raises(ValueError, match="unknown node id 'c'"):
+        cf.read_trajectory(path, nodes=("a", "b"))
