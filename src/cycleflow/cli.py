@@ -24,7 +24,7 @@ from . import generators
 from ._floattext import reprs
 from .clustering import committors, estimate_num_modules, find_cores, fuzzy_partition
 from .commgraph import Pipeline, cycle_graph, export_graph
-from .cycles import decomposition_to_json, sample_decomposition, verify_flow_decomposition
+from .cycles import decomposition_to_json, verify_flow_decomposition
 from .graph import _read_fields, read_edge_list, read_trajectory, write_edge_list
 from .lifted import SpectrumReport, spectrum
 from .modularity import maximize, modules_from_labels, score_q_directed, score_qbar
@@ -41,9 +41,9 @@ class RunConfig:
     command: str
     input: str | None = None
     trajectory: str | None = None
-    decomposer: str = "sample"
-    T: int = 1_000_000
-    seed: int = 0
+    decomposer: str | None = "sample"
+    T: int | None = 1_000_000
+    seed: int | None = 0
     start: str | None = None
     m: str = "auto"
     m_max: int = 8
@@ -80,12 +80,14 @@ def _dump_json(path: Path, obj: dict) -> None:
 
 
 def _tag(config: RunConfig) -> dict:
-    path = config.input if config.trajectory is None else config.trajectory
-    return {"config": asdict(config), "input_sha256": _sha256(path)}
+    return {"config": asdict(config), "input_sha256": _sha256(config.trajectory or config.input)}
 
 
 def _load_pipeline(config: RunConfig) -> Pipeline:
-    """Graph file -> Pipeline, peeled for decomposer "iterative", else sampled."""
+    """The run's decomposition source: the stored walk of --trajectory, or the graph
+    file, peeled for decomposer "iterative", else its walk erased as it is drawn."""
+    if config.trajectory is not None:
+        return Pipeline(read_trajectory(config.trajectory))
     G = read_edge_list(config.input)
     if config.decomposer == "iterative":
         return Pipeline(G)
@@ -113,12 +115,10 @@ def cmd_generate(config: RunConfig, output: Path) -> int:
 
 
 def cmd_decompose(config: RunConfig, outdir: Path) -> int:
-    if config.trajectory is not None:
-        dec = sample_decomposition(read_trajectory(config.trajectory))
-        extra = {"flow_residual": None}  # no reference flow in timeseries mode
-    else:
-        pipe = _load_pipeline(config)
-        dec = pipe.dec
+    pipe = _load_pipeline(config)
+    dec = pipe.dec
+    extra = {"flow_residual": None}  # a stored walk has no graph, so no reference flow
+    if pipe.G is not None:
         extra = {"flow_residual": verify_flow_decomposition(dec, pipe.F),
                  "max_flow": float(pipe.F.max())}
     extra.update(_tag(config))
@@ -303,15 +303,17 @@ def _config_from_args(args) -> RunConfig:
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     if args.command != "generate" and "input" not in given and "trajectory" not in given:
         raise ValueError("--input is required")
-    # a stored walk is decomposed as it is: no graph, decomposer or walk option applies
-    for name in ("input", "decomposer", "T", "seed", "start"):
-        if name in given and "trajectory" in given:
-            raise ValueError(f"--{name} and --trajectory exclude each other")
+    if "trajectory" in given:
+        # a stored walk is decomposed as it is: no graph, decomposer or walk option applies
+        for name in ("input", "decomposer", "T", "seed", "start"):
+            if name in given:
+                raise ValueError(f"--{name} and --trajectory exclude each other")
+        given.update(decomposer=None, T=None, seed=None)  # echoed as null: nothing drew it
     return RunConfig(**given)
 
 
 def _validate_numbers(config: RunConfig) -> None:
-    if config.T < 2:
+    if config.T is not None and config.T < 2:
         raise ValueError("trajectory must contain at least 2 states")
     if not 0.5 < config.theta < 1:
         raise ValueError("theta must lie in (0.5, 1)")

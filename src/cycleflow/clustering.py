@@ -170,10 +170,11 @@ def committors(K: CommunicationGraph, cores: ModuleCores) -> np.ndarray:
     core and 0 on the others.  The system is solved in symmetrized form
     D^{1/2} (Id - P) D^{-1/2} = Id - K.normalized, which is positive definite
     for a reversible walk; one factorization serves all m right-hand sides.
-    A transition node whose committors do not sum to 1, as when no core is
-    reachable from it, raises RuntimeError; an exactly singular system, as
-    when a transition node has no edge but its self-loop, raises
-    numpy.linalg.LinAlgError.
+    K is symmetric, so a transition node reaches a core exactly when its
+    connected component in K's support holds one; the first node whose
+    component holds none raises RuntimeError before the solve.  That also
+    covers a node with no edge but its self-loop, which would leave the system
+    exactly singular.
     """
     N, d = K.normalized, np.sqrt(K.mass)
     n = K.n
@@ -189,16 +190,20 @@ def committors(K: CommunicationGraph, cores: ModuleCores) -> np.ndarray:
         q[list(core), j] = 1.0
     tr = list(cores.transition)
     if tr:
+        support, reached = K.intensity != 0.0, np.ones(n, dtype=bool)
+        reached[tr] = False
+        grown = reached.copy()
+        while grown.any():  # spread from the cores, one layer of neighbours a pass
+            grown = support[grown].any(axis=0) & ~reached
+            reached |= grown
+        if not reached.all():
+            x = int(np.flatnonzero(~reached)[0])
+            raise RuntimeError(f"transition node {K.node_ids()[x]!r} reaches no core: "
+                               "its component of K holds none")
         all_core = sorted(set(range(n)) - set(tr))
         rhs = N[np.ix_(tr, all_core)] @ (d[all_core, None] * q[all_core, :])
         y = np.linalg.solve(np.eye(len(tr)) - N[np.ix_(tr, tr)], rhs)
         q[tr, :] = y / d[tr, None]
-        # each row sums to the probability of hitting some core: 1 unless none is reachable
-        off = np.abs(q[tr].sum(axis=1) - 1.0)
-        if off.max() > 1e-9:
-            x = tr[int(np.argmax(off))]
-            raise RuntimeError(f"transition node {K.node_ids()[x]!r} reaches no core: "
-                               f"its committors sum to {q[x].sum():.3e}, not 1")
     if np.min(q) < -1e-9 or np.max(q) > 1 + 1e-9:
         raise RuntimeError("committor solution violates the maximum principle")
     return np.clip(q, 0.0, 1.0)

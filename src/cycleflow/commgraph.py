@@ -19,7 +19,8 @@ import numpy as np
 from ._floattext import reprs
 from .cycles import (CycleDecomposition, _json_document, _json_floats, iterative_decomposition,
                      sample_decomposition)
-from .graph import DirectedGraph, Walk, edge_flow, stationary_distribution, transition_matrix
+from .graph import (DirectedGraph, Trajectory, Walk, edge_flow, stationary_distribution,
+                    transition_matrix)
 
 __all__ = [
     "CommunicationGraph",
@@ -161,28 +162,29 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
 
 
 class Pipeline:
-    """What the commands read of one graph: the walk P and its stationary pi,
-    built on construction, and the decomposition `dec`, the flow F and the
-    communication graph K, each built on first access.
-    The decomposition peels the exact flow or, with T given, erases T states of
-    the walk from `start` as they are drawn, holding no trajectory.
+    """What the commands read of one decomposition source, a graph or a stored walk.
+    A graph gives its walk P and stationary pi on construction; a stored walk (a
+    `Trajectory`) has no graph side, so G, P and pi are None.  `dec` erases the stored
+    walk, or peels the graph's exact flow or, with T given, erases T states of its walk
+    from `start` as they are drawn; `dec`, the flow F and K are built on first access.
     """
 
-    def __init__(self, G: DirectedGraph, T: int | None = None, seed: int = 0,
+    def __init__(self, source: DirectedGraph | Trajectory, T: int | None = None, seed: int = 0,
                  start: int = 0):
-        self.G = G
-        self.P = transition_matrix(G)
-        self.pi = stationary_distribution(self.P)
-        self._sampling = None if T is None else (start, T, seed)
+        self.G = self.P = self.pi = None
+        self._walk = lambda: source
+        if isinstance(source, DirectedGraph):
+            self.G, self.P = source, transition_matrix(source)
+            self.pi = stationary_distribution(self.P)
+            self._walk = None if T is None else lambda: Walk(self.P, start, T, seed, source.nodes)
 
     @cached_property
     def dec(self) -> CycleDecomposition:
-        if self._sampling is None:
+        if self._walk is None:
             # not self.F: a flow freed after the peel keeps F off the peak of
             # every command but decompose, the only one that reads F later
             return iterative_decomposition(edge_flow(self.P, self.pi), nodes=self.G.nodes)
-        start, T, seed = self._sampling
-        return sample_decomposition(Walk(self.P, start, T, seed, nodes=self.G.nodes))
+        return sample_decomposition(self._walk())
 
     @cached_property
     def F(self) -> np.ndarray:

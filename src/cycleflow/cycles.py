@@ -145,7 +145,7 @@ class CycleDecomposition:
         return [self.nodes[v] for v in cycle]
 
 
-def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) -> CycleDecomposition:
+def sample_decomposition(traj: Trajectory | Walk) -> CycleDecomposition:
     """Cycle counts of a walk realization, by loop erasure.
 
     An auxiliary chain holds the loop-erased past of the walk.  Each new
@@ -166,27 +166,23 @@ def sample_decomposition(traj: Trajectory | Walk, n_nodes: int | None = None) ->
     traj : Trajectory or Walk
         Walk realization (indices), or a walk still to be drawn, which is
         erased chunk by chunk as it is drawn and never held whole.  Must have
-        at least 2 states, each in 0..n_nodes-1.
-    n_nodes : int, optional
-        Size of the index space; defaults to the walk's number of states, or
-        to len(traj.nodes) or max index + 1 for a Trajectory.
+        at least 2 states.  The index space is the walk's own: a Walk's `n`
+        nodes, else a Trajectory's `nodes`, else its largest state + 1.
     """
     T = traj.length
     if T < 2:
         raise ValueError("trajectory must contain at least 2 states")
     if isinstance(traj, Walk):
-        lo, hi = 0, traj.n - 1
-        n_nodes = traj.n if n_nodes is None else n_nodes
+        n_nodes = traj.n
         first, rows, bins = traj.start, traj.rows, chain.from_iterable(traj.bins())
     else:
         lo, hi = int(traj.states.min()), int(traj.states.max())
-        if n_nodes is None:
-            n_nodes = len(traj.nodes) if traj.nodes is not None else hi + 1
+        n_nodes = len(traj.nodes) if traj.nodes is not None else hi + 1
+        if lo < 0 or hi >= n_nodes:
+            raise ValueError(f"trajectory states span {lo}..{hi}, outside 0..{n_nodes - 1}")
         states = traj.states.tolist()
         first, bins = states[0], islice(states, 1, None)
         rows = [list(range(n_nodes))] * n_nodes  # a stored state is its own bin, from any node
-    if lo < 0 or hi >= n_nodes:
-        raise ValueError(f"trajectory states span {lo}..{hi}, outside 0..{n_nodes - 1}")
 
     raw: dict[tuple[int, ...], int] = {}
     # the chain is eta[:L]; it holds each node at most once, so n_nodes slots suffice

@@ -122,6 +122,40 @@ def random_strong_graph(rng, n=None, extra=None):
 # entry of P, so a walk on it searches each row instead
 DENSE = random_strong_graph(np.random.default_rng(5), 12, extra=144)
 
+
+def symmetric_tree(rng, n):
+    """A random tree with reciprocal edges of equal weight: node k hangs off a random
+    earlier node.  Its simple cycles are its 2-cycles, and no two share an edge, so
+    w(x, y) = pi_x p_xy and K's walk is the lazy walk (I + P) / 2, at any size."""
+    nodes = [f"v{k:0{len(str(n - 1))}d}" for k in range(n)]  # sorted as indexed
+    edges = {}
+    for k in range(1, n):
+        j = int(rng.integers(0, k))
+        edges[(nodes[j], nodes[k])] = edges[(nodes[k], nodes[j])] = float(rng.uniform(0.2, 3.0))
+    return cf.DirectedGraph(nodes, edges)
+
+
+def ring_chain(lengths, eps):
+    """Directed rings r0, r1, ... of the given lengths, unit weights, each consecutive
+    pair joined by a reciprocal eps bridge between distinct hubs: it leaves ring k at
+    node 0 (k = 0) or at node len // 2, and enters ring k + 1 at node 0.  barbell is
+    two rings.  Returns the graph and each ring's node indices."""
+    rings = [[f"r{k}_{i:02d}" for i in range(s)] for k, s in enumerate(lengths)]
+    edges = {(ring[i - 1], ring[i]): 1.0 for ring in rings for i in range(len(ring))}
+    for k in range(len(rings) - 1):
+        hub, nxt = rings[k][0 if k == 0 else len(rings[k]) // 2], rings[k + 1][0]
+        edges[(hub, nxt)] = edges[(nxt, hub)] = eps
+    G = cf.DirectedGraph([v for ring in rings for v in ring], edges)
+    return G, [[G.index(v) for v in ring] for ring in rings]
+
+
+def ring_chain_closed_forms(lengths, eps):
+    """The peel's and the walk's cycle weights on `ring_chain`, which share no edge:
+    each ring w = 1 / (sum of lengths + 2 (m - 1) eps), each bridge eps w, and the
+    node mass w, or (1 + eps) w at a hub."""
+    w = 1.0 / (sum(lengths) + 2 * (len(lengths) - 1) * eps)
+    return {"w_ring": w, "w_bridge": eps * w, "hub_mass": (1.0 + eps) * w}
+
 def dict_erasure(states):
     """Reference loop erasure: chain positions in a dict, each closure canonicalized."""
     counts = {}

@@ -65,7 +65,7 @@ def test_criterion_1_barbell_closed_forms():
                                 f"{abs(dec_it.weight(c) - wexp):.2e}")
 
         traj = cf.simulate(P, 0, 10**6, seed=0)
-        dec_s = cf.sample_decomposition(traj, n_nodes=G.n)
+        dec_s = cf.sample_decomposition(traj)
         for c, wexp in expected.items():
             rel = abs(dec_s.weight(c) - wexp) / wexp
             if rel > 0.02:
@@ -323,14 +323,14 @@ def test_criterion_8_property_suite():
     F = cf.edge_flow(P, pi)
     residuals = []
     for seed in (0, 1, 2):
-        dec = cf.sample_decomposition(cf.simulate(P, 0, 10**6, seed=seed), n_nodes=G.n)
+        dec = cf.sample_decomposition(cf.simulate(P, 0, 10**6, seed=seed))
         residuals.append(cf.verify_flow_decomposition(dec, F) / F.max())
     if float(np.median(residuals)) > 0.01:
         failures.append(f"sampled residuals {[f'{r:.4f}' for r in residuals]}")
     chain = three_node_chain()
     Pc = cf.transition_matrix(chain)
     Fc = cf.edge_flow(Pc, cf.stationary_distribution(Pc))
-    decc = cf.sample_decomposition(cf.simulate(Pc, 0, 10**6, seed=0), n_nodes=3)
+    decc = cf.sample_decomposition(cf.simulate(Pc, 0, 10**6, seed=0))
     if cf.verify_flow_decomposition(decc, Fc) / Fc.max() > 0.01:
         failures.append("sampled residual on the reversible chain")
 
@@ -363,7 +363,7 @@ def test_criterion_8_property_suite():
     P = cf.transition_matrix(G)
     pi = cf.stationary_distribution(P)
     ep_edge = entropy_production_edge(P, pi)
-    dec = cf.sample_decomposition(cf.simulate(P, 0, 10**7, seed=0), n_nodes=G.n)
+    dec = cf.sample_decomposition(cf.simulate(P, 0, 10**7, seed=0))
     ep_cycle = entropy_production_cycle(dec)
     if not math.isfinite(ep_edge) or abs(ep_cycle - ep_edge) / ep_edge > 0.02:
         failures.append(f"entropy rates {ep_cycle:.5f} vs {ep_edge:.5f}")

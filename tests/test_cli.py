@@ -130,9 +130,38 @@ def test_decompose_refuses_input_with_trajectory(barbell_tsv, tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {flag} and --trajectory exclude each other\n"
         assert not outdir.exists()
     assert main(["decompose", "--trajectory", str(walk), "--output-dir", str(outdir)]) == 0
+    # the echo names no walk option, as nothing drew the stored walk
+    config = json.loads((outdir / "decomposition.json").read_text())["config"]
+    assert (config["T"], config["seed"], config["decomposer"], config["start"]) == (None,) * 4
+    assert (config["trajectory"], config["input"]) == (str(walk), None)
     # with the graph, the peel accepts them unused: the benchmark's peeled job passes them
     assert main(["decompose", "--input", str(barbell_tsv), "--decomposer", "iterative",
                  "--T", "5", "--seed", "9", "--output-dir", str(tmp_path / "peeled")]) == 0
+
+
+@pytest.mark.parametrize("G, T", [
+    (cf.barbell(5, 0.1), 20_000),
+    (random_strong_graph(np.random.default_rng(4), 30), 50_000),
+], ids=["barbell5", "random30"])
+def test_stored_walk_decomposes_as_drawn(G, T, tmp_path):
+    # the stored walk is simulate's realization of the walk decompose draws, so both
+    # runs erase the same states
+    graph, walk = tmp_path / "g.tsv", tmp_path / "walk.txt"
+    cf.write_edge_list(G, graph)
+    G = cf.read_edge_list(graph)  # node order as read back: sorted ids
+    traj = cf.simulate(cf.transition_matrix(G), 0, T, seed=7)
+    assert np.unique(traj.states).size == G.n  # every node visited: one index space
+    cf.write_trajectory(cf.Trajectory(states=traj.states, nodes=G.nodes), walk)
+    assert main(["decompose", "--trajectory", str(walk), "--output-dir", str(tmp_path / "s")]) == 0
+    assert main(["decompose", "--input", str(graph), "--T", str(T), "--seed", "7",
+                 "--output-dir", str(tmp_path / "d")]) == 0
+    stored, drawn = (json.loads((tmp_path / d / "decomposition.json").read_text())
+                     for d in ("s", "d"))
+    assert len(drawn["cycles"]) > 2
+    for key in ("cycles", "T", "n_nodes", "kind"):
+        assert stored[key] == drawn[key], key
+    # only the graph gives a reference flow
+    assert stored["flow_residual"] is None and "max_flow" not in stored and "max_flow" in drawn
 
 
 def test_decompose_rejects_disconnected(tmp_path):

@@ -200,11 +200,23 @@ def test_committor_refusals(chain3):
                         memberships=np.zeros((4, 2)), theta=0.9)
     with pytest.raises(RuntimeError, match="transition node 'c' reaches no core"):
         cf.committors(K, cores)
-    # a transition node on its self-loop alone leaves the system exactly singular
+    # a transition node on its self-loop alone would leave the system exactly singular
     K = cf.CommunicationGraph(intensity=np.array([[1, .5, 0], [.5, 1, 0], [0, 0, 1]]))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(RuntimeError, match="transition node '2' reaches no core"):
         cf.committors(K, ModuleCores(cores=((0,), (1,)), transition=(2,),
                                      memberships=np.zeros((3, 2)), theta=0.9))
+    # c and d reach core b through each other, two steps out; e, alone on its
+    # self-loop, is the first node whose component holds no core
+    intensity = np.diag([1.0, 1, 1, 1, 1])
+    for x, y in ((0, 1), (1, 2), (2, 3)):
+        intensity[x, y] = intensity[y, x] = 0.5
+    cores = ModuleCores(cores=((0,), (1,)), transition=(2, 3, 4),
+                        memberships=np.zeros((5, 2)), theta=0.9)
+    with pytest.raises(RuntimeError, match="transition node 'e' reaches no core"):
+        cf.committors(cf.CommunicationGraph(intensity=intensity, nodes=tuple("abcde")), cores)
+    intensity[3, 4] = intensity[4, 3] = 0.5
+    q = cf.committors(cf.CommunicationGraph(intensity=intensity, nodes=tuple("abcde")), cores)
+    assert np.allclose(q[2:], [[0, 1]] * 3, atol=1e-12)
 
 
 # ------------------------------------------------------------ fuzzy partition

@@ -86,7 +86,7 @@ def test_sample_ring_exact_counts():
     n, k = 4, 7
     P = cf.transition_matrix(cf.ring(n))
     traj = cf.simulate(P, 0, k * n + 1, seed=0)
-    dec = cf.sample_decomposition(traj, n_nodes=n)
+    dec = cf.sample_decomposition(traj)
     assert dec.cycles == [(0, 1, 2, 3)]
     assert dec.counts[(0, 1, 2, 3)] == k
     assert dec.weights[(0, 1, 2, 3)] == pytest.approx(k / (k * n + 1))
@@ -96,7 +96,7 @@ def test_sample_three_node_chain_weights():
     G = three_node_chain()
     P = cf.transition_matrix(G)
     traj = cf.simulate(P, 0, 200_000, seed=1)
-    dec = cf.sample_decomposition(traj, n_nodes=G.n)
+    dec = cf.sample_decomposition(traj)
     assert set(dec.cycles) == {(0, 1), (1, 2)}
     assert dec.weights[(0, 1)] == pytest.approx(0.25, rel=0.03)
     assert dec.weights[(1, 2)] == pytest.approx(0.25, rel=0.03)
@@ -107,7 +107,7 @@ def test_sample_barbell_converges_to_closed_forms():
     G = cf.barbell(n, eps)
     P = cf.transition_matrix(G)
     traj = cf.simulate(P, 0, T, seed=0)
-    dec = cf.sample_decomposition(traj, n_nodes=G.n)
+    dec = cf.sample_decomposition(traj)
     w = 1.0 / (2 * (n + eps))
     assert len(dec.weights) == 3
     assert dec.weight(range(n)) == pytest.approx(w, rel=0.05)
@@ -117,14 +117,14 @@ def test_sample_barbell_converges_to_closed_forms():
 def test_sample_rejects_short_trajectory():
     traj = cf.Trajectory(states=np.array([0]))
     with pytest.raises(ValueError):
-        cf.sample_decomposition(traj, n_nodes=2)
+        cf.sample_decomposition(traj)
 
 
 def test_sample_handles_self_loops():
     G = cf.DirectedGraph(["a", "b"], {("a", "a"): 1.0, ("a", "b"): 1.0, ("b", "a"): 1.0})
     P = cf.transition_matrix(G)
     traj = cf.simulate(P, 0, 50_000, seed=0)
-    dec = cf.sample_decomposition(traj, n_nodes=2)
+    dec = cf.sample_decomposition(traj)
     assert (0,) in dec.weights  # the self-loop shows up as a 1-cycle
     assert (0, 1) in dec.weights
 
@@ -137,7 +137,7 @@ def test_sampling_step_budget_invariant(seed, T):
     G = random_strong_graph(rng)
     P = cf.transition_matrix(G)
     traj = cf.simulate(P, int(rng.integers(0, G.n)), T, seed=seed)
-    dec = cf.sample_decomposition(traj, n_nodes=G.n)
+    dec = cf.sample_decomposition(traj)
     assert sum(k * len(c) for c, k in dec.counts.items()) <= T
 
 
@@ -145,8 +145,8 @@ def test_sample_start_independence():
     # same cycle set and close weights from different seeds and start nodes
     G = cf.barbell(4, 0.1)
     P = cf.transition_matrix(G)
-    d1 = cf.sample_decomposition(cf.simulate(P, 0, 300_000, seed=0), n_nodes=G.n)
-    d2 = cf.sample_decomposition(cf.simulate(P, 5, 300_000, seed=9), n_nodes=G.n)
+    d1 = cf.sample_decomposition(cf.simulate(P, 0, 300_000, seed=0))
+    d2 = cf.sample_decomposition(cf.simulate(P, 5, 300_000, seed=9))
     assert set(d1.cycles) == set(d2.cycles)
     for c in d1.cycles:
         assert d1.weights[c] == pytest.approx(d2.weights[c], rel=0.2)
@@ -155,7 +155,7 @@ def test_sample_start_independence():
 def test_sample_rejects_out_of_range_states():
     for states in ([0, 5, 0, 5, 0], [0, -1, 0, -1, 0]):
         with pytest.raises(ValueError, match="outside 0..1"):
-            cf.sample_decomposition(cf.Trajectory(states=np.array(states)), n_nodes=2)
+            cf.sample_decomposition(cf.Trajectory(states=np.array(states), nodes=("a", "b")))
     with pytest.raises(ValueError, match="outside"):
         cf.sample_decomposition(cf.Trajectory(states=np.array([1, -1, 1])))
 
@@ -178,7 +178,7 @@ SELF_LOOPS = cf.DirectedGraph(["a", "b", "c"], {
         "crowded_hub", "dense"])
 def test_sample_matches_dict_erasure(G, start, T):
     traj = cf.simulate(cf.transition_matrix(G), start, T, seed=11)
-    dec = cf.sample_decomposition(traj, n_nodes=G.n)
+    dec = cf.sample_decomposition(traj)
     # same counts, the rotations of a cycle counted together, in canonical order
     expected = dict_erasure(traj.states.tolist())
     assert dec.counts == expected and list(dec.counts) == dec.cycles
@@ -186,6 +186,10 @@ def test_sample_matches_dict_erasure(G, start, T):
     streamed = cf.Pipeline(G, T=T, seed=11, start=start).dec
     assert streamed.counts == expected and list(streamed.counts) == streamed.cycles
     assert (streamed.T, streamed.n_nodes, streamed.nodes) == (T, G.n, G.nodes)
+    # a Pipeline of the stored walk has no graph side and erases the same states
+    stored = cf.Pipeline(traj)
+    assert (stored.G, stored.P, stored.pi) == (None, None, None)
+    assert stored.dec.counts == expected and stored.dec.T == T
 
 
 def test_sampling_memory_does_not_grow_with_T():
@@ -247,7 +251,7 @@ def test_array_decomposition_matches_dict_oracle(n, graph_seed, walk_seed, T):
     ([1, 65_536, 1, 256, 1, 69_999, 1, 5, 1, 65_541, 1, 300, 65_537, 1], 70_000),
 ], ids=["no_closure", "self_loops", "wide_keys"])
 def test_sample_edge_cases_match_dict_oracle(states, n_nodes):
-    dec = cf.sample_decomposition(cf.Trajectory(states=np.array(states)), n_nodes=n_nodes)
+    dec = cf.sample_decomposition(cf.Trajectory(states=np.array(states)))
     assert_matches_oracle(dec, dict_oracle(states, n_nodes))
 
 
@@ -268,17 +272,17 @@ def test_sample_memory_stays_ragged():
 
 
 def test_sample_walk_checks_index_space():
+    # a walk's index space is its P's, even where the walk visits fewer nodes
     walk = cf.Walk(cf.transition_matrix(cf.ring(3)), 0, 10, seed=0)
-    with pytest.raises(ValueError, match="outside 0..1"):
-        cf.sample_decomposition(walk, n_nodes=2)
     with pytest.raises(ValueError, match="at least 2 states"):
         cf.sample_decomposition(cf.Walk(walk.P, 0, 1, seed=0))
     assert cf.sample_decomposition(walk).counts == {(0, 1, 2): 3}
+    assert cf.sample_decomposition(cf.Walk(walk.P, 0, 2, seed=0)).n_nodes == 3
 
 
 def test_merge_decompositions():
     P = cf.transition_matrix(cf.ring(3))
-    parts = [cf.sample_decomposition(cf.simulate(P, 0, 301, seed=s), n_nodes=3)
+    parts = [cf.sample_decomposition(cf.simulate(P, 0, 301, seed=s))
              for s in (0, 1, 2)]
     merged = cf.merge_decompositions(parts)
     assert merged.T == sum(p.T for p in parts)
@@ -290,8 +294,9 @@ def test_merge_decompositions():
     # counts add, in canonical order; any order or nesting of the parts gives the same arrays
     G = random_strong_graph(np.random.default_rng(5), 12)
     P = cf.transition_matrix(G)
-    parts = [cf.sample_decomposition(cf.simulate(P, s, 400, seed=s), n_nodes=G.n)
+    parts = [cf.sample_decomposition(cf.simulate(P, s, 400, seed=s))
              for s in (0, 1, 2)]
+    assert all(part.n_nodes == G.n for part in parts)  # each walk visits every node
     expected = {}
     for part in parts:
         for c, k in part.counts.items():
@@ -315,7 +320,7 @@ def test_merge_decompositions():
         cf.merge_decompositions([parts[0], it])
     with pytest.raises(ValueError, match="nothing to merge"):
         cf.merge_decompositions([])
-    wider = cf.sample_decomposition(cf.simulate(P, 0, 400, seed=3), n_nodes=G.n + 1)
+    wider = cf.sample_decomposition(cf.Trajectory(states=np.array([0, G.n, 0])))
     named = cf.sample_decomposition(cf.Trajectory(states=np.array([0, 1, 0]), nodes=G.nodes))
     for other in (wider, named):
         with pytest.raises(ValueError, match="different node sets"):

@@ -90,7 +90,7 @@ def test_wheel_switch_beta_weight_monotone_in_p():
         G = cf.wheel_switch(n, p)
         P = cf.transition_matrix(G)
         traj = cf.simulate(P, 0, T, seed=seed)
-        dec = cf.sample_decomposition(traj, n_nodes=G.n)
+        dec = cf.sample_decomposition(traj)
         b1 = cf.canonical_cycle([G.index(v) for v in ("o0", "o1", "i0", "i1")])
         weights.append(dec.weights.get(b1, 0.0))
     assert all(a < b for a, b in zip(weights, weights[1:]))

@@ -277,6 +277,6 @@ def test_entropy_cycle_matches_edge_formula_sampled():
     pi = cf.stationary_distribution(P)
     ep_edge = entropy_production_edge(P, pi)
     traj = cf.simulate(P, 0, 10**6, seed=0)
-    dec = cf.sample_decomposition(traj, n_nodes=G.n)
+    dec = cf.sample_decomposition(traj)
     ep_cycle = entropy_production_cycle(dec)
     assert ep_cycle == pytest.approx(ep_edge, rel=0.05)
