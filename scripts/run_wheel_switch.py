@@ -54,9 +54,9 @@ def cluster_report(n, p, T, seed, m=None):
     pipe = cf.Pipeline(cf.wheel_switch(n, p), T=T, seed=seed)
     G, dec, K = pipe.G, pipe.dec, pipe.K
     if m is None:
-        m = cf.estimate_num_modules(cf.SpectrumReport.from_eigenvalues(K.eigh.eigenvalues), 8)
+        m = cf.estimate_num_modules(K.eigh.eigenvalues, 8)
     cores = cf.find_cores(K, m, 0.9)
-    q = cf.committors(K, cores)
+    q = cf.committors(K, cores.cores)
     print(f"\np = {p}: {len(dec.weights)} sampled cycles, m = {m}")
     for j, core in enumerate(cores.cores):
         print(f"  core {j}: {[G.nodes[v] for v in core]}")

@@ -37,11 +37,10 @@ from .commgraph import (
 )
 from .clustering import (
     ModuleCores,
-    FuzzyPartition,
     estimate_num_modules,
     find_cores,
     committors,
-    fuzzy_partition,
+    hard_labels,
 )
 from .modularity import (
     labels_from_modules,

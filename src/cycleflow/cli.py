@@ -22,8 +22,8 @@ import numpy as np
 
 from . import generators
 from ._floattext import reprs
-from .clustering import committors, estimate_num_modules, find_cores, fuzzy_partition
-from .commgraph import Pipeline, cycle_graph, export_graph
+from .clustering import committors, estimate_num_modules, find_cores, hard_labels
+from .commgraph import CommunicationGraph, Pipeline, cycle_graph, export_graph
 from .cycles import decomposition_to_json, verify_flow_decomposition
 from .graph import _read_fields, read_edge_list, read_trajectory, write_edge_list
 from .lifted import SpectrumReport, spectrum
@@ -146,37 +146,34 @@ def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _cluster_cmsm(config: RunConfig, pipe: Pipeline):
+def _cluster_cmsm(config: RunConfig, K: CommunicationGraph):
     """The cmsm result document and the committor matrix it lists, one row per node."""
-    if config.m == "auto":
-        rep = SpectrumReport.from_eigenvalues(pipe.K.eigh.eigenvalues)
-        m = estimate_num_modules(rep, config.m_max)
-    else:
-        m = int(config.m)
-    G = pipe.G
-    cores = find_cores(pipe.K, m, config.theta)
-    q = committors(pipe.K, cores)
-    part = fuzzy_partition(cores, q)
+    auto = config.m == "auto"
+    m = estimate_num_modules(K.eigh.eigenvalues, config.m_max) if auto else int(config.m)
+    found = find_cores(K, m, config.theta)
+    q = committors(K, found.cores)
+    labels, ties = hard_labels(q)
+    ids = K.node_ids()
     return {
-        "m": part.m,
-        "cores": [[G.nodes[v] for v in core] for core in cores.cores],
-        "transition_region": [G.nodes[v] for v in cores.transition],
-        "committors": {G.nodes[v]: [float(x) for x in q[v]] for v in range(G.n)},
-        "labels": {G.nodes[v]: int(part.labels[v]) for v in range(G.n)},
-        "ties": [G.nodes[v] for v in np.flatnonzero(part.ties)],
-        "theta_used": cores.theta,
+        "m": found.m,
+        "cores": [[ids[v] for v in core] for core in found.cores],
+        "transition_region": [ids[v] for v in found.transition],
+        "committors": dict(zip(ids, q.tolist())),
+        "labels": dict(zip(ids, labels.tolist())),
+        "ties": [ids[v] for v in np.flatnonzero(ties)],
+        "theta_used": config.theta,
     }, q
 
 
 def cmd_cluster(config: RunConfig, outdir: Path) -> int:
     pipe = _load_pipeline(config)
-    G = pipe.G
     if config.method == "cmsm":
-        result, q = _cluster_cmsm(config, pipe)
+        result, q = _cluster_cmsm(config, pipe.K)
         tie_set = set(result["ties"])
         qs = np.array(reprs(q), dtype=object).reshape(q.shape).tolist()
         rows = [["node", "label", "tie", *(f"q{j}" for j in range(result["m"]))]]
-        rows += [[v, result["labels"][v], int(v in tie_set), *row] for v, row in zip(G.nodes, qs)]
+        rows += [[v, label, int(v in tie_set), *row]
+                 for (v, label), row in zip(result["labels"].items(), qs)]
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(rows)  # quotes ids holding , or "
         _write(outdir / "partition.csv", text.getvalue())
@@ -188,7 +185,7 @@ def cmd_cluster(config: RunConfig, outdir: Path) -> int:
         result = {
             "objective": objective,
             "value": score,
-            "partition": [[G.nodes[v] for v in mod] for mod in modules_from_labels(labels)],
+            "partition": [[pipe.G.nodes[v] for v in mod] for mod in modules_from_labels(labels)],
             "merge_history": history,
         }
     result.update(_tag(config))
@@ -322,6 +319,8 @@ def _validate_numbers(config: RunConfig) -> None:
             raise ValueError("m must be 'auto' or an integer >= 2")
     if config.m_max < 2:
         raise ValueError("m-max must be >= 2")
+    if config.k is not None and config.k < 1:
+        raise ValueError("k must be >= 1")
 
 
 def main(argv=None) -> int:

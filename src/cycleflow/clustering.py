@@ -9,24 +9,23 @@ probabilities of hitting one core before the others (committor functions).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 
 import numpy as np
 
 from .commgraph import CommunicationGraph
-from .lifted import SpectrumReport
 
 __all__ = [
     "ModuleCores",
-    "FuzzyPartition",
     "estimate_num_modules",
     "find_cores",
     "committors",
-    "fuzzy_partition",
+    "hard_labels",
 ]
 
 _TIE_TOL = 1e-9
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -35,46 +34,32 @@ class ModuleCores:
 
     cores: tuple
     transition: tuple
-    memberships: np.ndarray
-    theta: float
 
     @property
     def m(self) -> int:
         return len(self.cores)
 
 
-@dataclass(frozen=True)
-class FuzzyPartition:
-    """Cores, committor affiliations, and the induced hard assignment."""
-
-    cores: ModuleCores
-    q: np.ndarray
-    labels: np.ndarray
-    ties: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.cores.m
-
-
-def estimate_num_modules(report: SpectrumReport, m_max: int = 8) -> int:
+def estimate_num_modules(eigenvalues, m_max: int = 8) -> int:
     """Module count from the largest spectral gap lambda_k - lambda_{k+1}.
 
-    Scans 2 <= k <= m_max on the real, descending-sorted spectrum.  When all
-    candidate gaps are (numerically) equal the choice is arbitrary; returns 2
-    with a warning.
+    Scans 2 <= k <= m_max on the real parts of the eigenvalues, given in any
+    order and sorted descending here.  When two or more candidate gaps are all
+    (numerically) equal the choice is arbitrary; returns 2 and logs a warning.
     """
-    if report.max_imag > 1e-8:
+    lam = np.asarray(eigenvalues)
+    max_imag = float(np.max(np.abs(lam.imag), initial=0.0))
+    if max_imag > 1e-8:
         raise ValueError("module estimation needs a real spectrum "
-                         f"(max imaginary part {report.max_imag:.3e})")
-    size = report.eigenvalues.size
-    if size < 3 or m_max < 2:
-        warnings.warn("spectrum too short to pick a gap; defaulting to 2 modules")
+                         f"(max imaginary part {max_imag:.3e})")
+    lam = np.sort(lam.real)[::-1]
+    if lam.size < 3 or m_max < 2:
+        _log.warning("spectrum too short to pick a gap; defaulting to 2 modules")
         return 2
-    hi = min(m_max, size - 1)
-    gaps = report.gaps(hi + 1)[1:]  # gap after lambda_k for k = 2..hi, never empty
-    if float(gaps.max() - gaps.min()) <= 1e-12:
-        warnings.warn("all spectral gaps equal; defaulting to 2 modules")
+    hi = min(m_max, lam.size - 1)
+    gaps = lam[1:hi] - lam[2:hi + 1]  # gap after lambda_k for k = 2..hi, never empty
+    if gaps.size > 1 and float(gaps.max() - gaps.min()) <= 1e-12:
+        _log.warning("all spectral gaps equal; defaulting to 2 modules")
         return 2
     return int(np.argmax(gaps)) + 2
 
@@ -156,42 +141,39 @@ def find_cores(K: CommunicationGraph, m: int, theta: float = 0.9) -> ModuleCores
                            "two centers of the spectral embedding coincide")
 
     order = np.argsort([min(c) for c in cores])
-    cores = tuple(cores[j] for j in order)
-    memberships = memberships[:, order]
-    transition = tuple(int(i) for i in np.flatnonzero(~strong))
-    return ModuleCores(cores=cores, transition=transition,
-                       memberships=memberships, theta=theta)
+    return ModuleCores(cores=tuple(cores[j] for j in order),
+                       transition=tuple(int(i) for i in np.flatnonzero(~strong)))
 
 
-def committors(K: CommunicationGraph, cores: ModuleCores) -> np.ndarray:
+def committors(K: CommunicationGraph, cores) -> np.ndarray:
     """Probabilities of hitting each core first, for the communication walk.
 
-    Solves (Id - P) q = 0 on the transition region with q = 1 on the target
-    core and 0 on the others.  The system is solved in symmetrized form
-    D^{1/2} (Id - P) D^{-1/2} = Id - K.normalized, which is positive definite
-    for a reversible walk; one factorization serves all m right-hand sides.
-    K is symmetric, so a transition node reaches a core exactly when its
-    connected component in K's support holds one; the first node whose
-    component holds none raises RuntimeError before the solve.  That also
-    covers a node with no edge but its self-loop, which would leave the system
-    exactly singular.
+    `cores` holds m disjoint sets of node indices; the transition region is
+    every node in none of them.  Solves (Id - P) q = 0 on the transition
+    region with q = 1 on the target core and 0 on the others.  The system is
+    solved in symmetrized form D^{1/2} (Id - P) D^{-1/2} = Id - K.normalized,
+    which is positive definite for a reversible walk; one factorization serves
+    all m right-hand sides.  K is symmetric, so a transition node reaches a
+    core exactly when its connected component in K's support holds one; the
+    first node whose component holds none raises RuntimeError before the
+    solve.  That also covers a node with no edge but its self-loop, which
+    would leave the system exactly singular.
     """
     N, d = K.normalized, np.sqrt(K.mass)
-    n = K.n
-    m = cores.m
-    counts = np.zeros(n, dtype=int)
-    for core in cores.cores:
-        counts[list(core)] += 1
-    counts[list(cores.transition)] += 1
-    if np.any(counts != 1):
-        raise ValueError("cores and transition region must cover every node exactly once")
+    n, m = K.n, len(cores)
+    members = np.array([i for core in cores for i in set(core)], dtype=int)
+    bad = members[(members < 0) | (members >= n)]
+    if bad.size:
+        raise ValueError(f"core index {bad[0]} out of range for {n} nodes")
+    counts = np.bincount(members, minlength=n)
+    if np.any(counts > 1):
+        raise ValueError(f"cores overlap at node {K.node_ids()[np.argmax(counts)]!r}")
     q = np.zeros((n, m))
-    for j, core in enumerate(cores.cores):
+    for j, core in enumerate(cores):
         q[list(core), j] = 1.0
-    tr = list(cores.transition)
-    if tr:
-        support, reached = K.intensity != 0.0, np.ones(n, dtype=bool)
-        reached[tr] = False
+    tr, all_core = np.flatnonzero(counts == 0), np.flatnonzero(counts)
+    if tr.size:
+        support, reached = K.intensity != 0.0, counts > 0
         grown = reached.copy()
         while grown.any():  # spread from the cores, one layer of neighbours a pass
             grown = support[grown].any(axis=0) & ~reached
@@ -200,21 +182,16 @@ def committors(K: CommunicationGraph, cores: ModuleCores) -> np.ndarray:
             x = int(np.flatnonzero(~reached)[0])
             raise RuntimeError(f"transition node {K.node_ids()[x]!r} reaches no core: "
                                "its component of K holds none")
-        all_core = sorted(set(range(n)) - set(tr))
         rhs = N[np.ix_(tr, all_core)] @ (d[all_core, None] * q[all_core, :])
-        y = np.linalg.solve(np.eye(len(tr)) - N[np.ix_(tr, tr)], rhs)
+        y = np.linalg.solve(np.eye(tr.size) - N[np.ix_(tr, tr)], rhs)
         q[tr, :] = y / d[tr, None]
     if np.min(q) < -1e-9 or np.max(q) > 1 + 1e-9:
         raise RuntimeError("committor solution violates the maximum principle")
     return np.clip(q, 0.0, 1.0)
 
 
-def fuzzy_partition(cores: ModuleCores, q: np.ndarray) -> FuzzyPartition:
-    """Bundle cores and committors with argmax labels; near-ties are flagged."""
+def hard_labels(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmax label, and a flag where its top two lie within _TIE_TOL."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (cores.memberships.shape[0], cores.m):
-        raise ValueError("committor matrix shape does not match the cores")
-    labels = np.argmax(q, axis=1)
-    sorted_q = np.sort(q, axis=1)
-    ties = (sorted_q[:, -1] - sorted_q[:, -2]) <= _TIE_TOL
-    return FuzzyPartition(cores=cores, q=q, labels=labels, ties=ties)
+    top = np.sort(q, axis=1)
+    return np.argmax(q, axis=1), top[:, -1] - top[:, -2] <= _TIE_TOL

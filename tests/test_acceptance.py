@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import cycleflow as cf
-from cycleflow.clustering import ModuleCores
 
 from conftest import (ACCEPTANCE_LINES, mc_hitting_probabilities, reciprocal_ring4,
                       three_node_chain, two_triangles)
@@ -225,7 +224,7 @@ def test_criterion_6_wheel_switch():
     if got != {frozenset(beta1), frozenset(beta2)}:
         failures.append(f"p=0.7 cores are {sorted(map(sorted, got))}")
     else:
-        q = cf.committors(pipe.K, cores)
+        q = cf.committors(pipe.K, cores.cores)
         dev = np.abs(q[list(cores.transition), :] - 0.5).max()
         if dev > 1e-6:
             failures.append(f"p=0.7 affiliations deviate from 0.5 by {dev:.2e}")
@@ -233,7 +232,7 @@ def test_criterion_6_wheel_switch():
     # CMSM at p = 0.3: outer/inner split, no transition region
     pipe = cf.Pipeline(cf.wheel_switch(n, 0.3), T=10**6, seed=0)
     rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
-    m = cf.estimate_num_modules(rep, 8)
+    m = cf.estimate_num_modules(rep.eigenvalues, 8)
     cores = cf.find_cores(pipe.K, m, 0.9)
     sets = {frozenset(c) for c in cores.cores}
     outer = frozenset(range(n))
@@ -337,7 +336,7 @@ def test_criterion_8_property_suite():
     # committor checks: partition of unity and the Monte-Carlo oracle
     wheel = cf.Pipeline(cf.wheel_switch(10, 0.7), T=10**6, seed=0)
     cores = cf.find_cores(wheel.K, 2, 0.9)
-    q = cf.committors(wheel.K, cores)
+    q = cf.committors(wheel.K, cores.cores)
     if np.abs(q.sum(axis=1) - 1).max() > 1e-10:
         failures.append("partition of unity on the wheel")
     walk = walk_matrix(wheel.K)
@@ -347,14 +346,13 @@ def test_criterion_8_property_suite():
             failures.append(f"MC committor mismatch at node {x}")
 
     bb = cf.Pipeline(cf.barbell(4, 0.1))
-    cores_bb = ModuleCores(cores=(tuple(range(1, 4)), tuple(range(5, 8))),
-                           transition=(0, 4), memberships=np.zeros((8, 2)), theta=0.9)
+    cores_bb = (tuple(range(1, 4)), tuple(range(5, 8)))  # transition region (0, 4)
     q_bb = cf.committors(bb.K, cores_bb)
     if np.abs(q_bb.sum(axis=1) - 1).max() > 1e-10:
         failures.append("partition of unity on the barbell")
     walk_bb = walk_matrix(bb.K)
     for x in (0, 4):
-        est = mc_hitting_probabilities(walk_bb, cores_bb.cores, x, 100_000, seed=13)
+        est = mc_hitting_probabilities(walk_bb, cores_bb, x, 100_000, seed=13)
         if np.abs(est - q_bb[x]).max() > 0.02:
             failures.append(f"MC committor mismatch at barbell node {x}")
 

@@ -41,6 +41,15 @@ def test_maximize_has_no_mode():
     assert "mode" not in inspect.signature(cf.maximize).parameters
 
 
+def test_clustering_holds_only_what_cmsm_reads():
+    for name in ("FuzzyPartition", "fuzzy_partition"):
+        assert not hasattr(cf.clustering, name), name
+        assert not hasattr(cf, name), name
+    cores = cf.find_cores(cf.Pipeline(cf.barbell(4, 0.1)).K, 2, 0.9)
+    for name in ("memberships", "theta"):
+        assert not hasattr(cores, name), name
+
+
 @pytest.mark.parametrize("layer", LAYERS)
 def test_all_lists_names_the_module_defines(layer):
     # a benchmark tracer wraps every function named in a layer's __all__

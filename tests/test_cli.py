@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -186,6 +187,22 @@ def test_spectrum_outputs(barbell_tsv, tmp_path):
         assert re0 == pytest.approx(1.0, abs=1e-10) and im0 == 0.0
 
 
+def test_spectrum_k_range(barbell_tsv, tmp_path, capsys):
+    # k below 1 is refused before the graph is read: the input need not even exist
+    for k in ("0", "-3"):
+        assert main(["spectrum", "--input", str(tmp_path / "missing.tsv"), "--k", k,
+                     "--output-dir", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+    assert not (tmp_path / "s").exists()
+    # k above the node count needs the graph to be known
+    assert main(["spectrum", "--input", str(barbell_tsv), "--decomposer", "iterative",
+                 "--k", "9", "--output-dir", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == "error: k=9 out of range for dimension 8\n"
+    assert main(["spectrum", "--input", str(barbell_tsv), "--decomposer", "iterative",
+                 "--k", "2", "--output-dir", str(tmp_path / "s")]) == 0
+    assert (tmp_path / "s" / "spectrum_walk.csv").read_text().count("\n") == 3
+
+
 def test_one_solve_of_K_per_command(barbell_tsv, tmp_path, monkeypatch):
     calls = Counter()
     for name in ("eigh", "eigvalsh", "eigvals"):
@@ -218,6 +235,28 @@ def test_cluster_cmsm(barbell_tsv, tmp_path):
     assert csv_lines[0] == "node,label,tie,q0,q1"
     assert len(csv_lines) == 9
     assert csv_lines[1].startswith("l0,0,0,")
+
+
+@pytest.mark.parametrize("graph, source, csv_sha256, json_sha256", [
+    (["barbell", "--n", "5", "--eps", "0.1"], ["--decomposer", "iterative"],
+     "364d79dd63001a7aa32279b5dd9eb38c3ee90707621002aa569422bdfe6abc2c",
+     "d407a837c865fc151679030db27bdaf6ae541196a2a86464b1f85d61bf6474b6"),
+    (["wheel-switch", "--n", "10", "--p", "0.3"], ["--T", "20000"],
+     "da42383a5cf475c1e9ffe1668acf2614c79bb7f2a7cab77fa98fbbdfde20f591",
+     "6a43df858ec337bc093ffd76a75f4ec641155144b27a50079efa8603ef4fa89d"),
+])
+def test_cluster_cmsm_artifacts_pinned(graph, source, csv_sha256, json_sha256, tmp_path):
+    """cmsm's partition.csv, and its partition.json but for the config echo, which
+    names the temporary paths, keep the bytes pinned here."""
+    path, outdir = tmp_path / "g.tsv", tmp_path / "clu"
+    assert main(["generate", *graph, "--output", str(path)]) == 0
+    assert main(["cluster", "--input", str(path), *source, "--method", "cmsm",
+                 "--output-dir", str(outdir)]) == 0
+    assert hashlib.sha256((outdir / "partition.csv").read_bytes()).hexdigest() == csv_sha256
+    obj = json.loads((outdir / "partition.json").read_text())
+    del obj["config"]
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == json_sha256
 
 
 def test_cluster_cmsm_csv_quotes_ids(tmp_path):

@@ -1,9 +1,11 @@
+import logging
+import warnings
+
 import numpy as np
 import pytest
 
 import cycleflow as cf
-from cycleflow.clustering import (ModuleCores, _soft_memberships, _spectral_embedding,
-                                  _vertex_centers)
+from cycleflow.clustering import _soft_memberships, _spectral_embedding, _vertex_centers
 
 from conftest import (mc_hitting_probabilities, random_strong_graph, shared_node_cliques,
                       three_cliques)
@@ -14,20 +16,20 @@ from reference import Lifting, spectrum_reversible, walk_matrix
 
 def test_estimate_modules_barbell(barbell40):
     rep = spectrum_reversible(Lifting(barbell40.dec).P_lift, barbell40.pi)
-    assert cf.estimate_num_modules(rep, 8) == 2
+    assert cf.estimate_num_modules(rep.eigenvalues, 8) == 2
 
 
 def test_estimate_modules_three_cliques():
     pipe = cf.Pipeline(three_cliques())
     rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
-    assert cf.estimate_num_modules(rep, 8) == 3
+    assert cf.estimate_num_modules(rep.eigenvalues, 8) == 3
 
 
 def test_estimate_modules_wheel_switch():
     # below the switching threshold the split is outer loop vs inner loop
     pipe = cf.Pipeline(cf.wheel_switch(10, 0.3), T=200_000)
     rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
-    assert cf.estimate_num_modules(rep, 8) == 2
+    assert cf.estimate_num_modules(rep.eigenvalues, 8) == 2
 
 
 def test_estimate_modules_wheel_switch_high_p():
@@ -36,31 +38,47 @@ def test_estimate_modules_wheel_switch_high_p():
     # not the two-module structure; two-module runs must pass m explicitly
     pipe = cf.Pipeline(cf.wheel_switch(10, 0.7), T=400_000)
     rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
-    assert cf.estimate_num_modules(rep, 8) == 4
+    assert cf.estimate_num_modules(rep.eigenvalues, 8) == 4
 
 
-def test_estimate_modules_degenerate_warns():
+def test_estimate_modules_degenerate_warns(caplog):
     pipe = cf.Pipeline(cf.ring(6))
     rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
-    with pytest.warns(UserWarning):
-        assert cf.estimate_num_modules(rep, 4) == 2
+    with caplog.at_level(logging.WARNING, logger="cycleflow.clustering"):
+        assert cf.estimate_num_modules(rep.eigenvalues, 4) == 2
+    assert caplog.messages == ["all spectral gaps equal; defaulting to 2 modules"]
+    caplog.clear()
     # two eigenvalues leave one gap, after lambda_1, and none to choose between
-    short = cf.SpectrumReport.from_eigenvalues([1.0, 0.5])
-    with pytest.warns(UserWarning, match="spectrum too short"):
-        assert cf.estimate_num_modules(short, 4) == 2
+    with caplog.at_level(logging.WARNING, logger="cycleflow.clustering"):
+        assert cf.estimate_num_modules([1.0, 0.5], 4) == 2
+    assert caplog.messages == ["spectrum too short to pick a gap; defaulting to 2 modules"]
+
+
+def test_estimate_modules_one_candidate_gap_is_no_tie(caplog):
+    # with m_max=2, or three eigenvalues, 2 is the only answer: nothing was tied
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING):
+        warnings.simplefilter("error")
+        assert cf.estimate_num_modules([1.0, 0.9, 0.2, 0.1], 2) == 2
+        assert cf.estimate_num_modules([0.1, 1.0, 0.6], 8) == 2
+    assert caplog.records == []
+
+
+def test_estimate_modules_takes_any_order():
+    lam = np.array([1.0, 0.97, 0.95, 0.5, 0.45, 0.1])
+    for order in (lam, lam[::-1], lam[[3, 0, 5, 1, 4, 2]]):
+        assert cf.estimate_num_modules(order, 8) == 3
 
 
 def test_estimate_modules_rejects_complex():
-    rep = cf.spectrum(cf.transition_matrix(cf.ring(5)))
-    with pytest.raises(ValueError):
-        cf.estimate_num_modules(rep, 4)
+    with pytest.raises(ValueError, match="needs a real spectrum"):
+        cf.estimate_num_modules(np.linalg.eigvals(cf.transition_matrix(cf.ring(5))), 4)
 
 
 # ----------------------------------------------------------------- the cores
 
 def test_find_cores_barbell_full_rings(barbell40):
     cores = cf.find_cores(barbell40.K, 2, 0.9)
-    assert cores.theta == 0.9
+    assert cores.m == 2
     assert cores.transition == ()
     assert set(cores.cores[0]) == set(range(40))
     assert set(cores.cores[1]) == set(range(40, 80))
@@ -139,9 +157,7 @@ def test_soft_memberships_match_loop(m):
 # ---------------------------------------------------------------- committors
 
 def test_committor_midpoint_symmetry(chain3):
-    cores = ModuleCores(cores=((0,), (2,)), transition=(1,),
-                        memberships=np.zeros((3, 2)), theta=0.9)
-    q = cf.committors(chain3.K, cores)
+    q = cf.committors(chain3.K, ((0,), (2,)))
     assert q[1, 0] == pytest.approx(0.5, abs=1e-12)
     assert q[0, 0] == 1.0 and q[2, 0] == 0.0
 
@@ -149,22 +165,20 @@ def test_committor_midpoint_symmetry(chain3):
 def test_committor_wheel_half_affiliations():
     pipe = cf.Pipeline(cf.wheel_switch(10, 0.7), T=10**6)
     cores = cf.find_cores(pipe.K, 2, 0.9)
-    q = cf.committors(pipe.K, cores)
+    q = cf.committors(pipe.K, cores.cores)
     tr = list(cores.transition)
     assert np.abs(q[tr, :] - 0.5).max() <= 1e-9
 
 
 def test_committor_barbell_center(barbell40):
-    cores = ModuleCores(cores=(tuple(range(1, 40)), tuple(range(41, 80))),
-                        transition=(0, 40), memberships=np.zeros((80, 2)), theta=0.9)
-    q = cf.committors(barbell40.K, cores)
+    q = cf.committors(barbell40.K, (range(1, 40), range(41, 80)))
     assert q[0, 0] > 0.95
     assert q[40, 1] > 0.95
 
 
 def test_committor_invariants(barbell40):
     cores = cf.find_cores(barbell40.K, 2, 0.9)
-    q = cf.committors(barbell40.K, cores)
+    q = cf.committors(barbell40.K, cores.cores)
     assert np.abs(q.sum(axis=1) - 1).max() <= 1e-10
     assert q.min() >= 0.0 and q.max() <= 1.0
 
@@ -173,7 +187,7 @@ def test_committor_monte_carlo_oracle():
     # estimates from simulated walks of the communication walk match the solve
     pipe = cf.Pipeline(cf.wheel_switch(10, 0.7), T=400_000)
     cores = cf.find_cores(pipe.K, 2, 0.9)
-    q = cf.committors(pipe.K, cores)
+    q = cf.committors(pipe.K, cores.cores)
     walk = walk_matrix(pipe.K)
     for x in list(cores.transition)[:3]:
         est = mc_hitting_probabilities(walk, cores.cores, x, 20_000, seed=7)
@@ -182,36 +196,35 @@ def test_committor_monte_carlo_oracle():
 
 def test_committor_automorphism_equivariance(chain3):
     # swapping the ends of the 3-node chain swaps the committors
-    cores = ModuleCores(cores=((0,), (2,)), transition=(1,),
-                        memberships=np.zeros((3, 2)), theta=0.9)
-    q = cf.committors(chain3.K, cores)
+    q = cf.committors(chain3.K, ((0,), (2,)))
     assert q[1, 0] == pytest.approx(q[1, 1], abs=1e-12)
 
 
 def test_committor_refusals(chain3):
-    with pytest.raises(ValueError, match="cover every node exactly once"):
-        cf.committors(chain3.K, ModuleCores(cores=((0,), (2,)), transition=(),
-                                            memberships=np.zeros((3, 2)), theta=0.9))
+    with pytest.raises(ValueError, match="cores overlap at node 'b'"):
+        cf.committors(chain3.K, ((0, 1), (1, 2)))
+    # an index repeated within one core is no overlap
+    assert np.array_equal(cf.committors(chain3.K, ((0, 0), (2,))),
+                          cf.committors(chain3.K, ((0,), (2,))))
+    for bad in (3, -1):  # a negative index would wrap around to the last node
+        with pytest.raises(ValueError, match=f"core index {bad} out of range for 3 nodes"):
+            cf.committors(chain3.K, ((0,), (2, bad)))
     # two components: the transition pair {c, d} reaches neither core, and its rows
     # would come out [0, 0], which argmax labels 0 as a tie
     K = cf.CommunicationGraph(intensity=np.array(
         [[1, .5, 0, 0], [.5, 1, 0, 0], [0, 0, 1, .5], [0, 0, .5, 1]]), nodes=tuple("abcd"))
-    cores = ModuleCores(cores=((0,), (1,)), transition=(2, 3),
-                        memberships=np.zeros((4, 2)), theta=0.9)
     with pytest.raises(RuntimeError, match="transition node 'c' reaches no core"):
-        cf.committors(K, cores)
+        cf.committors(K, ((0,), (1,)))
     # a transition node on its self-loop alone would leave the system exactly singular
     K = cf.CommunicationGraph(intensity=np.array([[1, .5, 0], [.5, 1, 0], [0, 0, 1]]))
     with pytest.raises(RuntimeError, match="transition node '2' reaches no core"):
-        cf.committors(K, ModuleCores(cores=((0,), (1,)), transition=(2,),
-                                     memberships=np.zeros((3, 2)), theta=0.9))
+        cf.committors(K, ((0,), (1,)))
     # c and d reach core b through each other, two steps out; e, alone on its
     # self-loop, is the first node whose component holds no core
     intensity = np.diag([1.0, 1, 1, 1, 1])
     for x, y in ((0, 1), (1, 2), (2, 3)):
         intensity[x, y] = intensity[y, x] = 0.5
-    cores = ModuleCores(cores=((0,), (1,)), transition=(2, 3, 4),
-                        memberships=np.zeros((5, 2)), theta=0.9)
+    cores = ((0,), (1,))
     with pytest.raises(RuntimeError, match="transition node 'e' reaches no core"):
         cf.committors(cf.CommunicationGraph(intensity=intensity, nodes=tuple("abcde")), cores)
     intensity[3, 4] = intensity[4, 3] = 0.5
@@ -222,24 +235,15 @@ def test_committor_refusals(chain3):
 # ------------------------------------------------------------ fuzzy partition
 
 def test_fuzzy_partition_barbell(barbell40):
-    cores = cf.find_cores(barbell40.K, 2, 0.9)
-    q = cf.committors(barbell40.K, cores)
-    part = cf.fuzzy_partition(cores, q)
-    assert part.m == 2
-    assert not part.ties.any()
-    assert np.array_equal(part.labels[:40], np.zeros(40, dtype=int))
-    assert np.array_equal(part.labels[40:], np.ones(40, dtype=int))
+    labels, ties = cf.hard_labels(cf.committors(barbell40.K,
+                                                cf.find_cores(barbell40.K, 2, 0.9).cores))
+    assert not ties.any()
+    assert np.array_equal(labels[:40], np.zeros(40, dtype=int))
+    assert np.array_equal(labels[40:], np.ones(40, dtype=int))
 
 
 def test_fuzzy_partition_ties_on_wheel():
     pipe = cf.Pipeline(cf.wheel_switch(10, 0.7), T=10**6)
     cores = cf.find_cores(pipe.K, 2, 0.9)
-    q = cf.committors(pipe.K, cores)
-    part = cf.fuzzy_partition(cores, q)
-    assert set(np.flatnonzero(part.ties)) == set(cores.transition)
-
-
-def test_fuzzy_partition_shape_check(barbell4):
-    cores = cf.find_cores(barbell4.K, 2, 0.9)
-    with pytest.raises(ValueError):
-        cf.fuzzy_partition(cores, np.zeros((3, 2)))
+    _, ties = cf.hard_labels(cf.committors(pipe.K, cores.cores))
+    assert set(np.flatnonzero(ties)) == set(cores.transition)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import cycleflow as cf
-from cycleflow.clustering import ModuleCores
 
 from conftest import ring_chain, ring_chain_closed_forms, symmetric_tree
 from reference import walk_matrix
@@ -38,10 +37,7 @@ def test_symmetric_tree_lifts_to_the_lazy_walk(n):
     assert np.abs(np.sort(np.linalg.eigvalsh(K.normalized)) - (1 + walk) / 2).max() <= 1e-12
     # a lazy walk hits the cores in the same order as the walk itself
     core_sets = ((0,), (n // 2,), (n - 1,))
-    transition = tuple(sorted(set(range(n)) - {0, n // 2, n - 1}))
-    cores = ModuleCores(cores=core_sets, transition=transition, memberships=np.zeros((n, 3)),
-                        theta=0.9)
-    assert np.abs(cf.committors(K, cores) - walk_committors(pipe.P, core_sets)).max() <= 1e-10
+    assert np.abs(cf.committors(K, core_sets) - walk_committors(pipe.P, core_sets)).max() <= 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +74,8 @@ def test_ring_chain_sampled_finds_the_same_cycles(chain):
 def test_ring_chain_modules_are_the_rings(chain):
     pipe, rings = chain
     cores = cf.find_cores(pipe.K, len(rings), 0.9)
-    part = cf.fuzzy_partition(cores, cf.committors(pipe.K, cores))
-    assert sorted(cf.modules_from_labels(part.labels)) == sorted(rings)
+    labels, _ = cf.hard_labels(cf.committors(pipe.K, cores.cores))
+    assert sorted(cf.modules_from_labels(labels)) == sorted(rings)
     labels, _, _ = cf.maximize("qbar", I=pipe.K.intensity, pi=pipe.pi)
     assert sorted(cf.modules_from_labels(labels)) == sorted(rings)
     # the directed Q cuts the rings up, the over-partitioning Q-bar avoids
