@@ -9,6 +9,7 @@ generate for the barbell, wheel-switch and ring graphs, writing under
 `trajectory/`.  With `--exports` it also runs export-graph in every other
 format, with and without self-loops, writing under `exports/`; the cycle graph
 only for `--decomposer iterative`, as a sampled cycle graph is |cycles|^2 dense.
+It then also runs `spectrum --k 3`, writing under `exports/spectrum-k3/`.
 Run against two source trees on the same input files, it shows whether a change
 kept every artifact byte-identical.  Pass the inputs by the same paths both
 times: every JSON artifact echoes them.
@@ -57,6 +58,8 @@ def main():
                                    "--output-dir", f"{tmp}/trajectory"]
             commands.append("trajectory")
         if args.exports:
+            source = ["--input", args.input, "--decomposer", args.decomposer,
+                      "--T", str(args.T), "--seed", str(args.seed)]
             kinds = ["communication"] + (["cycle"] if args.decomposer == "iterative" else [])
             for which in kinds:
                 for fmt in ("tsv", "dot", "json"):
@@ -64,11 +67,13 @@ def main():
                         if (which, fmt, loops) == ("communication", "tsv", []):
                             continue  # the job's own export
                         name = f"{which}{'-no-self-loops' if loops else ''}.{fmt}"
-                        argvs[name] = ["export-graph", "--input", args.input, "--decomposer",
-                                       args.decomposer, "--T", str(args.T), "--seed",
-                                       str(args.seed), "--which", which, "--format", fmt,
-                                       *loops, "--output", f"{tmp}/exports/{name}"]
+                        argvs[name] = ["export-graph", *source, "--which", which,
+                                       "--format", fmt, *loops, "--output",
+                                       f"{tmp}/exports/{name}"]
                         commands.append(name)
+            argvs["spectrum-k3"] = ["spectrum", *source, "--k", "3",
+                                    "--output-dir", f"{tmp}/exports/spectrum-k3"]
+            commands.append("spectrum-k3")
         for command in commands:
             with contextlib.redirect_stdout(sys.stderr):
                 code = cli_main(argvs[command])

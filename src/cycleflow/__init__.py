@@ -25,8 +25,9 @@ from .cycles import (
     decomposition_to_json,
 )
 from .lifted import (
-    SpectrumReport,
+    order_eigenvalues,
     spectrum,
+    spectrum_csv,
 )
 from .commgraph import (
     CommunicationGraph,

@@ -26,7 +26,7 @@ from .clustering import committors, estimate_num_modules, find_cores, hard_label
 from .commgraph import CommunicationGraph, Pipeline, cycle_graph, export_graph
 from .cycles import decomposition_to_json, verify_flow_decomposition
 from .graph import _read_fields, read_edge_list, read_trajectory, write_edge_list
-from .lifted import SpectrumReport, spectrum
+from .lifted import order_eigenvalues, spectrum, spectrum_csv
 from .modularity import maximize, modules_from_labels, score_q_directed, score_qbar
 
 EXIT_OK = 0
@@ -132,15 +132,15 @@ def cmd_decompose(config: RunConfig, outdir: Path) -> int:
 
 def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
     pipe = _load_pipeline(config)
-    rep_walk = spectrum(pipe.P, k=config.k)
-    rep_lift = SpectrumReport.from_eigenvalues(np.linalg.eigvalsh(pipe.K.normalized), config.k)
-    _write(outdir / "spectrum_walk.csv", rep_walk.csv_text())
-    _write(outdir / "spectrum_lifted.csv", rep_lift.csv_text())
+    walk = spectrum(pipe.P, k=config.k)
+    lifted = order_eigenvalues(np.linalg.eigvalsh(pipe.K.normalized), config.k)
+    _write(outdir / "spectrum_walk.csv", spectrum_csv(walk))
+    _write(outdir / "spectrum_lifted.csv", spectrum_csv(lifted))
     _dump_json(outdir / "spectrum.json", {
         **_tag(config),
-        "walk_top": [[lam.real, lam.imag] for lam in rep_walk.eigenvalues[:10]],
-        "lifted_top": [lam.real for lam in rep_lift.eigenvalues[:10]],
-        "lifted_max_imag": rep_lift.max_imag,
+        "walk_top": [[lam.real, lam.imag] for lam in walk[:10]],
+        "lifted_top": [lam.real for lam in lifted[:10]],
+        "lifted_max_imag": float(np.max(np.abs(lifted.imag))),
     })
     print(f"spectra -> {outdir}/spectrum_walk.csv, {outdir}/spectrum_lifted.csv")
     return EXIT_OK

@@ -41,6 +41,10 @@ class CommunicationGraph:
     intensity: np.ndarray
     nodes: tuple[str, ...] | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.nodes is not None and len(self.nodes) != self.n:
+            raise ValueError(f"{len(self.nodes)} node ids for {self.n} nodes")
+
     @property
     def n(self) -> int:
         return int(self.intensity.shape[0])

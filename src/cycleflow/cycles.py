@@ -64,8 +64,8 @@ class CycleDecomposition:
     Every builder, this dict constructor, the sampler, the merge and the peel,
     hands its cycles to one canonicalizer: rotations of a cycle are identified
     and their weights and counts add up.  Keys that are not simple cycles on
-    the nodes 0..n_nodes-1, and counts not keyed exactly as the weights, are
-    refused.
+    the nodes 0..n_nodes-1, counts not keyed exactly as the weights, and node ids
+    that are not one per node, are refused.
     """
 
     def __init__(self, weights: dict, kind: str, n_nodes: int, counts: dict | None = None,
@@ -95,6 +95,8 @@ class CycleDecomposition:
         one cycle may fill several rows: its rows' values add up, in row order.
         Without `w`, the weights are the summed counts divided by T.
         """
+        if nodes is not None and len(nodes) != n_nodes:
+            raise ValueError(f"{len(nodes)} node ids for {n_nodes} nodes")
         self.kind, self.n_nodes, self.T, self.tol, self.nodes = kind, n_nodes, T, tol, nodes
         self.members, self.lengths, which = _canonicalize(flat, lengths, n_nodes)
 

@@ -352,7 +352,8 @@ class Walk:
 
 
 def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
-    """Realize `length` states of `Walk(P, start, length, seed)` as a Trajectory."""
+    """Realize `length` states of `Walk(P, start, length, seed)` as a Trajectory over P's
+    index space, each node named by its index."""
     walk = Walk(P, start, length, seed)
     out = np.empty(length, dtype=np.int32)
     out[0] = start
@@ -360,7 +361,7 @@ def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
     for chunk in walk.chunks():
         out[lo:lo + len(chunk)] = chunk
         lo += len(chunk)
-    return Trajectory(states=out)
+    return Trajectory(states=out, nodes=tuple(map(str, range(walk.n))))
 
 
 def _read_fields(path, count: int, expected: str):

@@ -21,7 +21,7 @@ import numpy as np
 
 from cycleflow.cycles import Cycle, CycleDecomposition, canonical_cycle
 from cycleflow.graph import edge_flow
-from cycleflow.lifted import SpectrumReport
+from cycleflow.lifted import order_eigenvalues
 from cycleflow.modularity import _block_score, _couplings, validate_partition
 
 EXHAUSTIVE_CAP = 12
@@ -124,7 +124,7 @@ def _symmetrize(M: np.ndarray, dist: np.ndarray):
 
 
 def spectrum_reversible(M: np.ndarray, dist: np.ndarray,
-                        k: int | None = None) -> SpectrumReport:
+                        k: int | None = None) -> np.ndarray:
     """Spectrum of a chain reversible wrt `dist`, via symmetrization.
 
     The similarity transform D^{1/2} M D^{-1/2} is symmetric for a
@@ -134,7 +134,7 @@ def spectrum_reversible(M: np.ndarray, dist: np.ndarray,
     if np.any(np.asarray(dist) <= 0):
         raise ValueError("reversible spectrum needs a strictly positive distribution")
     S, _ = _symmetrize(M, dist)
-    return SpectrumReport.from_eigenvalues(np.linalg.eigvalsh(S), k)
+    return order_eigenvalues(np.linalg.eigvalsh(S), k)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ constructions stay in the test suite's `reference` module instead."""
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import cycleflow as cf
@@ -35,6 +36,13 @@ def test_pipeline_holds_only_what_commands_read():
     for name in ("B", "V", "P_lift", "Q_lift", "pi_lift", "mu"):
         assert not hasattr(cf.Pipeline, name), name
     assert not hasattr(cf.CommunicationGraph, "walk_matrix")
+
+
+def test_spectra_are_plain_arrays():
+    assert not hasattr(cf, "SpectrumReport")
+    assert not hasattr(cf.lifted, "SpectrumReport")
+    P = cf.transition_matrix(cf.ring(4))
+    assert isinstance(cf.spectrum(P), np.ndarray)
 
 
 def test_maximize_has_no_mode():

@@ -203,6 +203,36 @@ def test_spectrum_k_range(barbell_tsv, tmp_path, capsys):
     assert (tmp_path / "s" / "spectrum_walk.csv").read_text().count("\n") == 3
 
 
+@pytest.mark.parametrize("graph", [cf.barbell(4, 0.1),
+                                   random_strong_graph(np.random.default_rng(4), 12)],
+                         ids=["barbell4", "random12"])
+def test_spectrum_artifacts_match_a_reference(graph, tmp_path):
+    # every line is the repr of an eigenvalue of numpy's own solve, sorted here by
+    # modulus, real part, then imaginary part, descending: whatever order the host's
+    # LAPACK returns, the artifacts hold the same text
+    path = tmp_path / "g.tsv"
+    cf.write_edge_list(graph, path)
+    pipe = cf.Pipeline(cf.read_edge_list(path))
+
+    def ordered(vals):
+        return sorted(vals.astype(complex).tolist(), key=lambda z: (abs(z), z.real, z.imag),
+                      reverse=True)
+
+    expected = {"walk": ordered(np.linalg.eigvals(pipe.P)),
+                "lifted": ordered(np.linalg.eigvalsh(pipe.K.normalized))}
+    for k in (None, 3):
+        outdir = tmp_path / f"k{k}"
+        assert main(["spectrum", "--input", str(path), "--decomposer", "iterative",
+                     *([] if k is None else ["--k", str(k)]), "--output-dir", str(outdir)]) == 0
+        for name, vals in expected.items():
+            assert (outdir / f"spectrum_{name}.csv").read_text() == "".join(
+                ["re,im\n", *(f"{z.real!r},{z.imag!r}\n" for z in vals[:k])])
+        top = json.loads((outdir / "spectrum.json").read_text())
+        assert top["walk_top"] == [[z.real, z.imag] for z in expected["walk"][:k][:10]]
+        assert top["lifted_top"] == [z.real for z in expected["lifted"][:k][:10]]
+        assert top["lifted_max_imag"] == 0.0
+
+
 def test_one_solve_of_K_per_command(barbell_tsv, tmp_path, monkeypatch):
     calls = Counter()
     for name in ("eigh", "eigvalsh", "eigvals"):
@@ -573,7 +603,8 @@ def test_artifact_digests_script(barbell_tsv, tmp_path):
             (["--decomposer", "iterative", "--exports"],
              {"decomposition.json", "communication.tsv", "cmsm/partition.json",
               "exports/communication.json", "exports/cycle.json",
-              "exports/cycle-no-self-loops.dot", "generate/barbell.tsv",
+              "exports/cycle-no-self-loops.dot", "exports/spectrum-k3/spectrum_walk.csv",
+              "exports/spectrum-k3/spectrum_lifted.csv", "generate/barbell.tsv",
               "generate/wheel-switch.tsv", "generate/ring.tsv"}),
             (["--T", "20000", "--trajectory", str(walk)],
              {"decomposition.json", "communication.tsv", "trajectory/decomposition.json"})):

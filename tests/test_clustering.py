@@ -15,21 +15,21 @@ from reference import Lifting, spectrum_reversible, walk_matrix
 # -------------------------------------------------------- module count choice
 
 def test_estimate_modules_barbell(barbell40):
-    rep = spectrum_reversible(Lifting(barbell40.dec).P_lift, barbell40.pi)
-    assert cf.estimate_num_modules(rep.eigenvalues, 8) == 2
+    lam = spectrum_reversible(Lifting(barbell40.dec).P_lift, barbell40.pi)
+    assert cf.estimate_num_modules(lam, 8) == 2
 
 
 def test_estimate_modules_three_cliques():
     pipe = cf.Pipeline(three_cliques())
-    rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
-    assert cf.estimate_num_modules(rep.eigenvalues, 8) == 3
+    lam = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
+    assert cf.estimate_num_modules(lam, 8) == 3
 
 
 def test_estimate_modules_wheel_switch():
     # below the switching threshold the split is outer loop vs inner loop
     pipe = cf.Pipeline(cf.wheel_switch(10, 0.3), T=200_000)
-    rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
-    assert cf.estimate_num_modules(rep.eigenvalues, 8) == 2
+    lam = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
+    assert cf.estimate_num_modules(lam, 8) == 2
 
 
 def test_estimate_modules_wheel_switch_high_p():
@@ -37,15 +37,15 @@ def test_estimate_modules_wheel_switch_high_p():
     # 4-cycles and the two arc groups, so the gap rule resolves four blocks,
     # not the two-module structure; two-module runs must pass m explicitly
     pipe = cf.Pipeline(cf.wheel_switch(10, 0.7), T=400_000)
-    rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
-    assert cf.estimate_num_modules(rep.eigenvalues, 8) == 4
+    lam = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
+    assert cf.estimate_num_modules(lam, 8) == 4
 
 
 def test_estimate_modules_degenerate_warns(caplog):
     pipe = cf.Pipeline(cf.ring(6))
-    rep = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
+    lam = spectrum_reversible(Lifting(pipe.dec).P_lift, pipe.pi)
     with caplog.at_level(logging.WARNING, logger="cycleflow.clustering"):
-        assert cf.estimate_num_modules(rep.eigenvalues, 4) == 2
+        assert cf.estimate_num_modules(lam, 4) == 2
     assert caplog.messages == ["all spectral gaps equal; defaulting to 2 modules"]
     caplog.clear()
     # two eigenvalues leave one gap, after lambda_1, and none to choose between

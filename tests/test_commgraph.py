@@ -167,6 +167,11 @@ def test_export_dot_refuses_trailing_backslash():
     assert '  "a\\b" -- "b" [weight=1.0];' in cf.export_graph(inner, "dot")
 
 
+def test_graph_refuses_node_ids_not_one_per_node():
+    with pytest.raises(ValueError, match="2 node ids for 3 nodes"):
+        cf.CommunicationGraph(np.eye(3), nodes=("a", "b"))
+
+
 def test_export_cycle_graph_and_errors(barbell4):
     H = cf.cycle_graph(barbell4.dec)
     text = cf.export_graph(H, "tsv", include_self_loops=False)

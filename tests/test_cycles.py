@@ -280,6 +280,36 @@ def test_sample_walk_checks_index_space():
     assert cf.sample_decomposition(cf.Walk(walk.P, 0, 2, seed=0)).n_nodes == 3
 
 
+def test_simulated_walk_keeps_its_index_space():
+    # eight states of barbell(5) never reach its top-index node: the trajectory
+    # still spans P's nodes
+    P = cf.transition_matrix(cf.barbell(5, 0.1))
+    traj = cf.simulate(P, 0, 8, seed=0)
+    assert traj.states.max() < P.shape[0] - 1
+    assert traj.nodes == tuple(str(i) for i in range(P.shape[0]))
+    dec = cf.sample_decomposition(traj)
+    walked = cf.sample_decomposition(cf.Walk(P, 0, 8, seed=0))
+    assert dec.n_nodes == walked.n_nodes == P.shape[0]
+    assert dec.counts == walked.counts and dec.T == walked.T
+    assert cf.decomposition_to_json(dec) == cf.decomposition_to_json(walked)
+
+
+def test_node_ids_must_match_the_index_space():
+    def refused(build):
+        with pytest.raises(ValueError, match="2 node ids for 3 nodes"):
+            build()
+
+    refused(lambda: cf.CycleDecomposition({(0, 1): 0.5}, kind="iterative", n_nodes=3,
+                                          nodes=("a", "b")))
+    P = cf.transition_matrix(cf.ring(3))
+    refused(lambda: cf.sample_decomposition(cf.Walk(P, 0, 10, seed=0, nodes=("a", "b"))))
+    refused(lambda: cf.iterative_decomposition(cf.edge_flow(P, cf.stationary_distribution(P)),
+                                               nodes=("a", "b")))
+    part = cf.sample_decomposition(cf.Walk(P, 0, 10, seed=0))
+    part.nodes = ("a", "b")  # set after construction: the merge checks its own result
+    refused(lambda: cf.merge_decompositions([part]))
+
+
 def test_merge_decompositions():
     P = cf.transition_matrix(cf.ring(3))
     parts = [cf.sample_decomposition(cf.simulate(P, 0, 301, seed=s))
@@ -555,8 +585,8 @@ NESTED_EXTRA = {
     (lambda: cf.Pipeline(cf.barbell(4, 0.1)).dec, None),
     (lambda: cf.sample_decomposition(cf.Trajectory(states=np.array([0, 1]), nodes=("a", "b"))),
      NESTED_EXTRA),
-    (lambda: cf.sample_decomposition(cf.simulate(cf.transition_matrix(ODD_IDS), 0, 500, seed=2)),
-     {}),
+    (lambda: cf.sample_decomposition(cf.Trajectory(
+        states=cf.simulate(cf.transition_matrix(ODD_IDS), 0, 500, seed=2).states)), {}),
     (lambda: cf.CycleDecomposition(weights={(0, 1): float("inf"), (2,): 0.5},
                                    kind="iterative", n_nodes=3),
      {"max_flow": float("-inf"), "cycles_seen": [float("nan")]}),
