@@ -153,7 +153,7 @@ def _cluster_cmsm(config: RunConfig, K: CommunicationGraph):
     found = find_cores(K, m, config.theta)
     q = committors(K, found.cores)
     labels, ties = hard_labels(q)
-    ids = K.node_ids()
+    ids = K.nodes
     return {
         "m": found.m,
         "cores": [[ids[v] for v in core] for core in found.cores],
@@ -296,16 +296,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _refuse(given: dict, names, option: str) -> None:
+    """Raise ValueError naming the first of `names` given along with `option`, which
+    leaves it unread: echoed, it would seem to have shaped the run."""
+    for name in names:
+        if name in given:
+            raise ValueError(f"--{name.replace('_', '-')} and {option} exclude each other")
+
+
 def _config_from_args(args) -> RunConfig:
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     if args.command != "generate" and "input" not in given and "trajectory" not in given:
         raise ValueError("--input is required")
     if "trajectory" in given:
         # a stored walk is decomposed as it is: no graph, decomposer or walk option applies
-        for name in ("input", "decomposer", "T", "seed", "start"):
-            if name in given:
-                raise ValueError(f"--{name} and --trajectory exclude each other")
+        _refuse(given, ("input", "decomposer", "T", "seed", "start"), "--trajectory")
         given.update(decomposer=None, T=None, seed=None)  # echoed as null: nothing drew it
+    if given.get("decomposer") == "iterative":
+        _refuse(given, ("start",), "--decomposer iterative")  # the peel starts at no node
+    if given.get("method", "cmsm") != "cmsm":
+        _refuse(given, ("m", "m_max", "theta"), f"--method {given['method']}")
     return RunConfig(**given)
 
 

@@ -73,7 +73,7 @@ def _spectral_embedding(K: CommunicationGraph, m: int) -> np.ndarray:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:  # the top eigenvector of a connected K is positive on every node
         raise RuntimeError(f"degenerate spectral embedding (zero row) at node "
-                           f"{K.node_ids()[zero[0]]!r}: the communication graph K is "
+                           f"{K.nodes[zero[0]]!r}: the communication graph K is "
                            "disconnected")
     return X / norms[:, None]
 
@@ -167,7 +167,7 @@ def committors(K: CommunicationGraph, cores) -> np.ndarray:
         raise ValueError(f"core index {bad[0]} out of range for {n} nodes")
     counts = np.bincount(members, minlength=n)
     if np.any(counts > 1):
-        raise ValueError(f"cores overlap at node {K.node_ids()[np.argmax(counts)]!r}")
+        raise ValueError(f"cores overlap at node {K.nodes[np.argmax(counts)]!r}")
     q = np.zeros((n, m))
     for j, core in enumerate(cores):
         q[list(core), j] = 1.0
@@ -180,7 +180,7 @@ def committors(K: CommunicationGraph, cores) -> np.ndarray:
             reached |= grown
         if not reached.all():
             x = int(np.flatnonzero(~reached)[0])
-            raise RuntimeError(f"transition node {K.node_ids()[x]!r} reaches no core: "
+            raise RuntimeError(f"transition node {K.nodes[x]!r} reaches no core: "
                                "its component of K holds none")
         rhs = N[np.ix_(tr, all_core)] @ (d[all_core, None] * q[all_core, :])
         y = np.linalg.solve(np.eye(tr.size) - N[np.ix_(tr, tr)], rhs)

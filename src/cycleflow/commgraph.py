@@ -19,8 +19,8 @@ import numpy as np
 from ._floattext import reprs
 from .cycles import (CycleDecomposition, _json_document, _json_floats, iterative_decomposition,
                      sample_decomposition)
-from .graph import (DirectedGraph, Trajectory, Walk, edge_flow, stationary_distribution,
-                    transition_matrix)
+from .graph import (DirectedGraph, Trajectory, Walk, _node_ids, edge_flow,
+                    stationary_distribution, transition_matrix)
 
 __all__ = [
     "CommunicationGraph",
@@ -36,14 +36,14 @@ _EXPORT_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class CommunicationGraph:
-    """Symmetric intensities between nodes, or cycles, with the walk's spectral forms."""
+    """Symmetric intensities between nodes, or cycles, with the walk's spectral forms.
+    `nodes` holds one id per row, each index as a string when None."""
 
     intensity: np.ndarray
     nodes: tuple[str, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.nodes is not None and len(self.nodes) != self.n:
-            raise ValueError(f"{len(self.nodes)} node ids for {self.n} nodes")
+        object.__setattr__(self, "nodes", _node_ids(self.nodes, self.n))
 
     @property
     def n(self) -> int:
@@ -64,9 +64,6 @@ class CommunicationGraph:
     def eigh(self):
         """Ascending eigenpairs (lam, U) of `normalized`; U / sqrt(mass) are the walk's."""
         return np.linalg.eigh(self.normalized)
-
-    def node_ids(self):
-        return self.nodes if self.nodes is not None else tuple(str(i) for i in range(self.n))
 
 
 def communication_graph(dec: CycleDecomposition, pi=None) -> CommunicationGraph:
@@ -100,7 +97,7 @@ def cycle_graph(dec: CycleDecomposition) -> CommunicationGraph:
     Z[dec.rows, dec.members] = dec.w[dec.rows] / np.sqrt(dec.node_mass()[dec.members])
     W = Z @ Z.T
     return CommunicationGraph(intensity=W, nodes=tuple(
-        "(" + ",".join(dec.node_ids(c)) + ")" for c in dec.cycles))
+        "(" + ",".join(map(dec.nodes.__getitem__, c)) + ")" for c in dec.cycles))
 
 
 def _edge_blocks(M: np.ndarray, include_self_loops: bool, line: str, sep: str, ids,
@@ -142,7 +139,7 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
     """
     if not isinstance(graph, CommunicationGraph):
         raise TypeError(f"cannot export {type(graph).__name__}")
-    M, ids = graph.intensity, graph.node_ids()
+    M, ids = graph.intensity, graph.nodes
     if fmt == "tsv":
         blocks = _edge_blocks(M, include_self_loops, "{}\t{}\t{}", "\n", ids, reprs)
         return "\n".join([*blocks, ""]) if blocks else "\n"  # "\n" alone for no edges

@@ -18,7 +18,7 @@ from itertools import chain, islice
 import numpy as np
 
 from ._floattext import reprs
-from .graph import Trajectory, Walk, flow_conservation_residual
+from .graph import Trajectory, Walk, _node_ids, flow_conservation_residual
 
 __all__ = [
     "Cycle",
@@ -65,7 +65,8 @@ class CycleDecomposition:
     hands its cycles to one canonicalizer: rotations of a cycle are identified
     and their weights and counts add up.  Keys that are not simple cycles on
     the nodes 0..n_nodes-1, counts not keyed exactly as the weights, and node ids
-    that are not one per node, are refused.
+    that are not one per node, are refused; `nodes` left None names each node by its
+    index.
     """
 
     def __init__(self, weights: dict, kind: str, n_nodes: int, counts: dict | None = None,
@@ -95,9 +96,8 @@ class CycleDecomposition:
         one cycle may fill several rows: its rows' values add up, in row order.
         Without `w`, the weights are the summed counts divided by T.
         """
-        if nodes is not None and len(nodes) != n_nodes:
-            raise ValueError(f"{len(nodes)} node ids for {n_nodes} nodes")
-        self.kind, self.n_nodes, self.T, self.tol, self.nodes = kind, n_nodes, T, tol, nodes
+        self.kind, self.n_nodes, self.T, self.tol = kind, n_nodes, T, tol
+        self.nodes = _node_ids(nodes, n_nodes)
         self.members, self.lengths, which = _canonicalize(flat, lengths, n_nodes)
 
         def total(values):
@@ -130,7 +130,7 @@ class CycleDecomposition:
     def uncovered_error(self, x: int) -> ValueError:
         """The error for node index x lying on no cycle of the decomposition."""
         hint = "; a longer walk (a larger --T) may reach it" if self.kind == "sampled" else ""
-        return ValueError(f"node {self.node_ids([x])[0]!r} is covered by no cycle, so the "
+        return ValueError(f"node {self.nodes[x]!r} is covered by no cycle, so the "
                           f"decomposition does not span the graph{hint}")
 
     def weight(self, cycle) -> float:
@@ -140,11 +140,6 @@ class CycleDecomposition:
         """Per-node sum of weights of the cycles through it (~ stationary mass)."""
         return np.bincount(self.members, weights=np.repeat(self.w, self.lengths),
                            minlength=self.n_nodes)
-
-    def node_ids(self, cycle: Cycle):
-        if self.nodes is None:
-            return [str(v) for v in cycle]
-        return [self.nodes[v] for v in cycle]
 
 
 def sample_decomposition(traj: Trajectory | Walk) -> CycleDecomposition:
@@ -168,20 +163,15 @@ def sample_decomposition(traj: Trajectory | Walk) -> CycleDecomposition:
     traj : Trajectory or Walk
         Walk realization (indices), or a walk still to be drawn, which is
         erased chunk by chunk as it is drawn and never held whole.  Must have
-        at least 2 states.  The index space is the walk's own: a Walk's `n`
-        nodes, else a Trajectory's `nodes`, else its largest state + 1.
+        at least 2 states.  The index space is the walk's own `nodes`.
     """
     T = traj.length
     if T < 2:
         raise ValueError("trajectory must contain at least 2 states")
+    n_nodes = len(traj.nodes)
     if isinstance(traj, Walk):
-        n_nodes = traj.n
         first, rows, bins = traj.start, traj.rows, chain.from_iterable(traj.bins())
     else:
-        lo, hi = int(traj.states.min()), int(traj.states.max())
-        n_nodes = len(traj.nodes) if traj.nodes is not None else hi + 1
-        if lo < 0 or hi >= n_nodes:
-            raise ValueError(f"trajectory states span {lo}..{hi}, outside 0..{n_nodes - 1}")
         states = traj.states.tolist()
         first, bins = states[0], islice(states, 1, None)
         rows = [list(range(n_nodes))] * n_nodes  # a stored state is its own bin, from any node
@@ -413,7 +403,7 @@ def decomposition_to_json(dec: CycleDecomposition, extra: dict | None = None) ->
     if extra:
         obj.update(extra)
     order = np.argsort(-dec.w, kind="stable")  # equal weights keep the canonical order
-    quoted = [json.dumps(v) for v in dec.node_ids(range(dec.n_nodes))]
+    quoted = [json.dumps(v) for v in dec.nodes]
     ids = np.array(quoted, dtype=object)[dec.members].tolist()
     ends = np.cumsum(dec.lengths)
     starts, ends = (ends - dec.lengths).tolist(), ends.tolist()  # each cycle's slice of ids

@@ -1,8 +1,11 @@
 """Directed weighted graphs, the random walk they induce, and trajectory simulation.
 
 Node identifiers are strings; they are mapped once to dense indices 0..n-1
-and every numerical routine works on indices.  Graphs, transition matrices,
-stationary vectors and flows are immutable after construction.
+and every numerical routine works on indices.  Every node-indexed object, a
+graph, walk, trajectory, decomposition or communication graph, holds one id per
+index in its `nodes` tuple; one left unnamed calls each node by its index.
+Graphs, transition matrices, stationary vectors and flows are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -39,6 +42,15 @@ _WALK_CHUNK = 1 << 16
 # A `Walk`'s table holds at most this many entries per entry of P (8 bytes each,
 # as P's); a denser graph's walk searches each row instead.
 _TABLE_PER_P = 4
+
+
+def _node_ids(nodes, n: int) -> tuple[str, ...]:
+    """`nodes` as a tuple, each index as a string when None; raises ValueError unless
+    it holds one id per node."""
+    ids = tuple(map(str, range(n))) if nodes is None else tuple(nodes)
+    if len(ids) != n:
+        raise ValueError(f"{len(ids)} node ids for {n} nodes")
+    return ids
 
 
 class DirectedGraph:
@@ -112,19 +124,28 @@ class DirectedGraph:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A realization of the walk as a sequence of node indices."""
+    """A realization of the walk as a sequence of node indices.
+
+    The index space is `nodes`, else 0 up to the largest state; states outside it
+    are refused on construction.
+    """
 
     states: np.ndarray
     nodes: tuple[str, ...] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        lo, hi = (int(self.states.min()), int(self.states.max())) if self.states.size else (0, -1)
+        n = hi + 1 if self.nodes is None else len(self.nodes)
+        if lo < 0 or hi >= n:
+            raise ValueError(f"trajectory states span {lo}..{hi}, outside 0..{n - 1}")
+        object.__setattr__(self, "nodes", _node_ids(self.nodes, n))
 
     @property
     def length(self) -> int:
         return int(self.states.shape[0])
 
     def as_ids(self):
-        if self.nodes is None:
-            return [str(int(s)) for s in self.states]
-        return [self.nodes[int(s)] for s in self.states]
+        return [self.nodes[s] for s in self.states.tolist()]
 
 
 def check_strongly_connected(G: DirectedGraph) -> bool:
@@ -272,7 +293,8 @@ class Walk:
     uniform variate is consumed per step in walk order.  Uniforms are drawn in
     chunks of `_WALK_CHUNK`; PCG64 spends one 64-bit draw per double, so the
     states do not depend on the chunk size.  The length, the start index and
-    every row of P are checked on construction, before any uniform is drawn.
+    every row of P are checked on construction, before any uniform is drawn, and
+    so are the node ids: one per row of P, each index as a string when None.
 
     A step is one table lookup.  The cuts, every row's cumulative probabilities
     but its last, sorted and unique, split [0, 1) into bins; no cut falls inside
@@ -296,6 +318,7 @@ class Walk:
             raise ValueError("trajectory length must be >= 1")
         if not 0 <= self.start < self.n:
             raise ValueError(f"start index {self.start} out of range")
+        object.__setattr__(self, "nodes", _node_ids(self.nodes, self.n))
         self._table  # raises on a row with no successor
 
     @property
@@ -361,7 +384,7 @@ def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
     for chunk in walk.chunks():
         out[lo:lo + len(chunk)] = chunk
         lo += len(chunk)
-    return Trajectory(states=out, nodes=tuple(map(str, range(walk.n))))
+    return Trajectory(states=out, nodes=walk.nodes)
 
 
 def _read_fields(path, count: int, expected: str):

@@ -188,7 +188,7 @@ def reference_export(graph, fmt, include_self_loops=True):
     """Reference export: one line per edge, each weight rendered on its own;
     JSON through json.dumps of the whole object."""
     M = graph.intensity
-    ids = graph.node_ids()
+    ids = graph.nodes
     edges = list(reference_edges(M, include_self_loops))
     if fmt == "tsv":
         return "\n".join(f"{ids[i]}\t{ids[j]}\t{w!r}" for i, j, w in edges) + "\n"

@@ -3,6 +3,7 @@ constructions stay in the test suite's `reference` module instead."""
 
 import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
@@ -56,6 +57,30 @@ def test_clustering_holds_only_what_cmsm_reads():
     cores = cf.find_cores(cf.Pipeline(cf.barbell(4, 0.1)).K, 2, 0.9)
     for name in ("memberships", "theta"):
         assert not hasattr(cores, name), name
+
+
+def test_public_names_are_the_layers():
+    # the package re-exports each layer's __all__, the same objects, and nothing else
+    layers = [importlib.import_module(f"cycleflow.{m}") for m in (*LAYERS, "generators")]
+    submodules = {m.name for m in pkgutil.iter_modules(cf.__path__) if not m.name.startswith("_")}
+    public = {name for name in vars(cf) if not name.startswith("_")}
+    assert public == set().union(*(mod.__all__ for mod in layers)) | submodules
+    for mod in layers:
+        for name in mod.__all__:
+            assert getattr(cf, name) is getattr(mod, name), name
+    assert cf.__version__ == "0.1.0"
+
+
+def test_nodes_are_named_once():
+    # every node-indexed object holds its ids in .nodes, each index as a string if unnamed
+    P = cf.transition_matrix(cf.ring(3))
+    ids = ("0", "1", "2")
+    dec = cf.CycleDecomposition({(0, 1, 2): 0.5}, kind="iterative", n_nodes=3)
+    for obj in (cf.Trajectory(states=np.array([0, 1, 2])), cf.Walk(P, 0, 5, 0), dec,
+                cf.CommunicationGraph(np.eye(3))):
+        assert obj.nodes == ids, type(obj).__name__
+    for cls in (cf.CycleDecomposition, cf.CommunicationGraph):
+        assert not hasattr(cls, "node_ids"), cls.__name__
 
 
 @pytest.mark.parametrize("layer", LAYERS)

@@ -140,6 +140,26 @@ def test_decompose_refuses_input_with_trajectory(barbell_tsv, tmp_path, capsys):
                  "--T", "5", "--seed", "9", "--output-dir", str(tmp_path / "peeled")]) == 0
 
 
+def test_options_the_run_does_not_read_are_refused(barbell_tsv, tmp_path, capsys):
+    # refused before the graph is read: the input named here does not exist
+    missing, outdir = str(tmp_path / "missing.tsv"), tmp_path / "out"
+    refused = [(["decompose", "--decomposer", "iterative", "--start", "nope"],
+                "--start and --decomposer iterative")]
+    refused += [(["cluster", "--method", method, flag, value], f"{flag} and --method {method}")
+                for method in ("qbar-max", "q-max")
+                for flag, value in (("--m", "2"), ("--m-max", "5"), ("--theta", "0.8"))]
+    for argv, err in refused:
+        assert main([*argv, "--input", missing, "--output-dir", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"error: {err} exclude each other\n"
+        assert not outdir.exists()
+    # where the run reads them, they are accepted
+    assert main(["decompose", "--input", str(barbell_tsv), "--start", "r2", "--T", "2000",
+                 "--output-dir", str(tmp_path / "sampled")]) == 0
+    assert main(["cluster", "--input", str(barbell_tsv), "--decomposer", "iterative",
+                 "--method", "cmsm", "--m", "2", "--m-max", "5", "--theta", "0.8",
+                 "--output-dir", str(tmp_path / "cmsm")]) == 0
+
+
 @pytest.mark.parametrize("G, T", [
     (cf.barbell(5, 0.1), 20_000),
     (random_strong_graph(np.random.default_rng(4), 30), 50_000),

@@ -73,7 +73,7 @@ def test_cycle_graph_chain(chain3):
 
 def test_cycle_graph_labels(barbell4):
     # each vertex is labelled by its cycle's node ids, in canonical cycle order
-    labels = cf.cycle_graph(barbell4.dec).node_ids()
+    labels = cf.cycle_graph(barbell4.dec).nodes
     assert labels == ("(l0,l1,l2,l3)", "(l0,r0)", "(r0,r1,r2,r3)")
 
 
@@ -151,7 +151,7 @@ def test_export_dot_escapes_quotes():
         assert lines[0] == "graph G {" and lines[-2:] == ["}", ""]
         ends = [edge.fullmatch(line).groups() for line in lines[1:-2]]
         ids = {v.replace('\\"', '"') for pair in ends for v in pair}
-        assert ids == set(graph.node_ids())
+        assert ids == set(graph.nodes)
         assert any('"' in v for v in ids)
     assert '  "b\\"q" -- "a,1" [weight=' in cf.export_graph(pipe.K, "dot")
 
@@ -230,7 +230,7 @@ def test_export_matches_reference(export_graphs, monkeypatch, pipeline, which, f
     pipe = export_graphs[pipeline]
     graph = pipe.K if which == "communication" else cf.cycle_graph(pipe.dec)
     if pipeline == "barbell4-unnamed" and which == "cycle":
-        assert graph.node_ids() == ("(0,1,2,3)", "(0,4)", "(4,5,6,7)")
+        assert graph.nodes == ("(0,1,2,3)", "(0,4)", "(4,5,6,7)")
     assert_same_text(cf.export_graph(graph, fmt, include_self_loops),
                      reference_export(graph, fmt, include_self_loops))
 

@@ -556,7 +556,7 @@ def json_dumps_decomposition(dec, extra=None):
     order = sorted(dec.weights, key=lambda c: (-dec.weights[c], c))
     items = []
     for c in order:
-        entry = {"cycle": dec.node_ids(c), "weight": float(dec.weights[c])}
+        entry = {"cycle": [dec.nodes[v] for v in c], "weight": float(dec.weights[c])}
         if dec.counts is not None:
             entry["count"] = dec.counts.get(c, 0)
         items.append(entry)

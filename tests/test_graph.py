@@ -352,6 +352,21 @@ def test_walk_chunks():
     assert list(cf.Walk(P, 5, 1, seed=9).chunks()) == []
 
 
+def test_node_ids_are_checked_on_construction():
+    # refused before a step is drawn: a walk of 1e9 steps would not finish
+    P = cf.transition_matrix(cf.barbell(40, 0.1))
+    with pytest.raises(ValueError, match="2 node ids for 80 nodes"):
+        cf.Walk(P, 0, 10**9, 0, nodes=("a", "b"))
+    # a stored walk's states must lie in its index space, that of its ids
+    with pytest.raises(ValueError, match=r"states span 0\.\.3, outside 0\.\.1"):
+        cf.Trajectory(states=np.array([0, 3, 0]), nodes=("a", "b"))
+    # an empty one spans no node, and the sampler refuses it as too short
+    empty = cf.Trajectory(states=np.array([], dtype=np.int32))
+    assert empty.nodes == () and empty.as_ids() == []
+    with pytest.raises(ValueError, match="at least 2 states"):
+        cf.sample_decomposition(empty)
+
+
 # ----------------------------------------------------------------------- i/o
 
 def test_edge_list_roundtrip(tmp_path):
