@@ -12,7 +12,10 @@ only for `--decomposer iterative`, as a sampled cycle graph is |cycles|^2 dense.
 It then also runs `spectrum --k 3`, writing under `exports/spectrum-k3/`.
 Run against two source trees on the same input files, it shows whether a change
 kept every artifact byte-identical.  Pass the inputs by the same paths both
-times: every JSON artifact echoes them.
+times: every JSON artifact echoes them.  Artifacts that read BLAS results
+(π, K, the spectra) are byte-identical only on the same BLAS build and thread
+count, so the script pins OpenBLAS, OpenMP and MKL to one thread before numpy
+is imported, as perfbench does, and names numpy's BLAS on stderr.
 
 Usage: PYTHONPATH=src python scripts/artifact_digests.py graph.tsv
            [--decomposer sample|iterative] [--T 1000000] [--seed 0]
@@ -22,11 +25,17 @@ Usage: PYTHONPATH=src python scripts/artifact_digests.py graph.tsv
 import argparse
 import contextlib
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from cycleflow.cli import main as cli_main
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # read once, when numpy loads its BLAS
+
+import numpy as np  # noqa: E402
+
+from cycleflow.cli import main as cli_main  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import COMMANDS, Workload, job  # noqa: E402
@@ -42,6 +51,9 @@ def main():
     ap.add_argument("--exports", action="store_true",
                     help="also export the graphs in every format, with and without self-loops")
     args = ap.parse_args()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"numpy {np.__version__}, BLAS {blas['name']} {blas.get('version', '')}, 1 thread",
+          file=sys.stderr)
     # family and n only build a workload's graph; the job reads decomposer and T
     wl = Workload(family="input", n=0, decomposer=args.decomposer, T=args.T)
     with tempfile.TemporaryDirectory() as tmp:

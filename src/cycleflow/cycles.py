@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 from ._floattext import reprs
-from .graph import Trajectory, Walk, _node_ids, flow_conservation_residual
+from .graph import _WALK_CHUNK, Trajectory, Walk, _node_ids, flow_conservation_residual
 
 __all__ = [
     "Cycle",
@@ -34,6 +34,10 @@ __all__ = [
 # A cycle is a tuple of distinct node indices, canonically rotated so the
 # smallest index comes first.  Rotations are identified; reversals are not.
 Cycle = tuple[int, ...]
+
+# The bytes of distinct excursions `sample_decomposition` holds before erasing them:
+# its memory stays bounded on a walk whose excursions never repeat.
+_EXCURSION_BYTES = 16 * _WALK_CHUNK
 
 
 def canonical_cycle(seq) -> Cycle:
@@ -149,14 +153,21 @@ def sample_decomposition(traj: Trajectory | Walk) -> CycleDecomposition:
     state is appended; when the current state X_i already sits at position p
     of the chain, the segment after p closed a cycle: it is recorded as
     (X_i, eta_{p+1}, ..., eta_l) and erased, leaving the chain ending at X_i.
-    Closures are counted by that raw tuple; the distinct tuples then go to
+    Closures are counted by that raw sequence; the distinct ones then go to
     the decomposition's canonicalizer, which adds up the counts of a cycle's
     rotations.  Weights are completion counts divided by the trajectory
     length.
 
-    Drawing and erasing are one loop: each step goes from x to `rows[x][g]`,
-    over a Walk's table and bins (see `Walk`), or over a stored Trajectory's
-    states as the bins and one shared identity row.
+    The first state never leaves the bottom of the chain, so each return to
+    it erases the chain back to that state alone: the walk splits there into
+    excursions, each closing the same cycles wherever it occurs.  The states
+    stream in chunks as fixed-width bytes, one byte per node up to 256 nodes;
+    the complete excursions, each ending at its return, are counted by their
+    bytes, and each distinct one is erased once, its closures counted as
+    often as it occurred.  The counted excursions are erased whenever their
+    bytes pass `_EXCURSION_BYTES`, and an open excursion that long is erased
+    as it streams, so memory stays bounded whether or not excursions repeat.
+    The open tail is erased last; it closes no cycle at its end.
 
     Parameters
     ----------
@@ -169,42 +180,103 @@ def sample_decomposition(traj: Trajectory | Walk) -> CycleDecomposition:
     if T < 2:
         raise ValueError("trajectory must contain at least 2 states")
     n_nodes = len(traj.nodes)
-    if isinstance(traj, Walk):
-        first, rows, bins = traj.start, traj.rows, chain.from_iterable(traj.bins())
+    code = np.min_scalar_type(n_nodes - 1)  # a node's fixed-width, native-order code
+    if code.itemsize == 1:  # bytes yield their values, and a bytearray is the fastest chain
+        eta, decode, encode = bytearray(n_nodes), bytes, bytes
     else:
-        states = traj.states.tolist()
-        first, bins = states[0], islice(states, 1, None)
-        rows = [list(range(n_nodes))] * n_nodes  # a stored state is its own bin, from any node
+        eta = memoryview(bytearray(code.itemsize * n_nodes)).cast(code.char)
+        decode = lambda data: memoryview(data).cast(code.char)  # noqa: E731
+        encode = lambda states: np.array(states, dtype=code).tobytes()  # noqa: E731
+    if isinstance(traj, Walk):
+        first = traj.start
+        chunks = map(encode, traj.chunks())
+    else:
+        first = int(traj.states[0])
+        chunks = (traj.states[lo:lo + _WALK_CHUNK].astype(code).tobytes()
+                  for lo in range(1, T, _WALK_CHUNK))
 
-    raw: dict[tuple[int, ...], int] = {}
+    raw: dict[bytes, int] = {}
     # the chain is eta[:L]; it holds each node at most once, so n_nodes slots suffice
-    eta = [first] * n_nodes
-    L = 1
+    eta[0] = first
+    closure = memoryview(eta)  # its slices give the closures' bytes
     # pos[x] is where x last joined the chain; x is still on it iff that slot
     # lies below L and holds x, so an erasure leaves pos untouched.  Nodes
     # never on the chain start at n_nodes, which is never below L.
     pos = [n_nodes] * n_nodes
     pos[first] = 0
-    x = first
-    for g in bins:
-        x = rows[x][g]
-        p = pos[x]
-        if p >= L or eta[p] != x:
-            pos[x] = L
-            eta[L] = x
-            L += 1
-            continue
-        c = tuple(eta[p:L])  # x itself sits at position p: c is (x, eta_{p+1}, ..., eta_l)
-        raw[c] = raw.get(c, 0) + 1
-        L = p + 1
-        # the chain still ends at the walker's current node x (position p)
-    lengths = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
+
+    def erase(data: bytes, k: int = 1, L: int = 1) -> int:
+        """Run the coded states in `data` through the chain eta[:L], counting each
+        closure k times; return the chain's new length."""
+        for x in decode(data):
+            p = pos[x]
+            if p >= L or eta[p] != x:
+                pos[x] = L
+                eta[L] = x
+                L += 1
+                continue
+            c = closure[p:L].tobytes()  # x itself sits at p: c is (x, eta_{p+1}, ..., eta_l)
+            raw[c] = raw.get(c, 0) + k
+            L = p + 1
+            # the chain still ends at the walker's current node x (position p)
+        return L
+
+    excursions: dict[bytes, int] = {}  # each complete excursion, ending at its return -> count
+    held = 0  # the bytes of the keys of `excursions`
+    tail: list[bytes] = []  # the open excursion's pieces, while it is held
+    carried = 0  # the bytes in `tail`
+    live = 0  # the chain's length while the open excursion is erased as it streams, else 0
+
+    def flush():
+        nonlocal held
+        for e, k in excursions.items():
+            erase(e, k)  # from the first state alone, back to it
+        excursions.clear()
+        held = 0
+
+    for buf in chunks:
+        # each return to the first state ends an excursion: its end is just past that state
+        ends = ((np.flatnonzero(np.frombuffer(buf, dtype=code) == first) + 1)
+                * code.itemsize).tolist()
+        # the excursions that end in this chunk, the first continuing the open one
+        whole = map(buf.__getitem__, map(slice, [0, *ends], ends))
+        if ends:
+            head = next(whole)
+            if live:
+                erase(head, 1, live)
+                live = 0
+            else:
+                whole = chain([b"".join([*tail, head])], whole)
+            tail, carried = [], 0
+        for e in whole:
+            k = excursions.get(e)
+            if k:
+                excursions[e] = k + 1
+                continue
+            excursions[e] = 1
+            held += len(e)
+            if held > _EXCURSION_BYTES:
+                flush()
+        rest = buf[ends[-1] if ends else 0:]  # opens the next excursion
+        if live:
+            live = erase(rest, 1, live)
+        else:
+            tail.append(rest)
+            carried += len(rest)
+            if carried > _EXCURSION_BYTES:
+                flush()  # frees the chain for the open excursion
+                live = erase(b"".join(tail))
+                tail, carried = [], 0
+    flush()  # while live, `excursions` is empty and `tail` too
+    erase(b"".join(tail))
+
+    lengths = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw)) // code.itemsize
     k = np.fromiter(raw.values(), dtype=np.int64, count=len(raw))
     # each step closes at most one cycle, so the counted steps cannot exceed T
     closed = int(lengths @ k)
     if closed > T:
         raise RuntimeError(f"loop erasure counted {closed} cycle steps in {T} states")
-    flat = np.fromiter(chain.from_iterable(raw), dtype=np.intp, count=int(lengths.sum()))
+    flat = np.frombuffer(b"".join(raw), dtype=code)
     return CycleDecomposition.__new__(CycleDecomposition)._build(
         flat, lengths, "sampled", n_nodes, k=k, T=T, nodes=traj.nodes)
 
@@ -224,23 +296,21 @@ def _canonicalize(flat, lengths, n_nodes: int):
     src = np.arange(flat.size) + np.repeat(shift, lengths)
     src -= np.repeat(lengths, lengths) * (src >= np.repeat(starts + lengths, lengths))
     # Fixed-width big-endian node indices compare bytewise as the indices do, so
-    # each row's bytes, read as latin-1 text (one character per byte), sort as the
-    # tuples: memcmp order, a prefix first.
-    width = 2 if n_nodes <= 1 << 16 else 4
-    text = flat[src].astype(f">u{width}").tobytes().decode("latin-1")
-    cuts = (width * starts).tolist()
-    group: dict[str, int] = {}  # each cycle's key -> its number, in first-seen order
-    g = np.fromiter((group.setdefault(text[a:b], len(group))
-                     for a, b in zip(cuts, cuts[1:] + [len(text)])),
+    # each row's bytes sort as the tuples: memcmp order, a prefix first.
+    code = np.min_scalar_type(max(n_nodes - 1, 0)).newbyteorder(">")
+    data = flat[src].astype(code).tobytes()
+    cuts = (code.itemsize * starts).tolist()
+    group: dict[bytes, int] = {}  # each cycle's key -> its number, in first-seen order
+    g = np.fromiter((group.setdefault(data[a:b], len(group))
+                     for a, b in zip(cuts, cuts[1:] + [len(data)])),
                     dtype=np.intp, count=lengths.size)
     keys = list(group)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = np.empty(len(keys), dtype=np.intp)
     rank[order] = np.arange(len(keys))
     keys = [keys[i] for i in order]
-    members = np.frombuffer("".join(keys).encode("latin-1"), dtype=f">u{width}")
-    return (members.astype(np.intp),
-            np.fromiter(map(len, keys), dtype=np.intp, count=len(keys)) // width, rank[g])
+    return (np.frombuffer(b"".join(keys), dtype=code).astype(np.intp),
+            np.fromiter(map(len, keys), dtype=np.intp, count=len(keys)) // code.itemsize, rank[g])
 
 
 def merge_decompositions(decs) -> CycleDecomposition:

@@ -126,14 +126,17 @@ class DirectedGraph:
 class Trajectory:
     """A realization of the walk as a sequence of node indices.
 
-    The index space is `nodes`, else 0 up to the largest state; states outside it
-    are refused on construction.
+    The index space is `nodes`, else 0 up to the largest state; states of a
+    non-integer dtype, or outside the index space, are refused on construction.
     """
 
     states: np.ndarray
     nodes: tuple[str, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if not np.issubdtype(self.states.dtype, np.integer):
+            raise ValueError("trajectory states must be integer node indices, "
+                             f"not {self.states.dtype}")
         lo, hi = (int(self.states.min()), int(self.states.max())) if self.states.size else (0, -1)
         n = hi + 1 if self.nodes is None else len(self.nodes)
         if lo < 0 or hi >= n:
@@ -254,17 +257,20 @@ def _bin_grid(cuts: np.ndarray):
     passes = int((np.searchsorted(cuts, edges[1:], side="left") - base).max())
     if passes > m.bit_length():
         return None
-    # past the last cut a pass reads 2.0, which no uniform reaches
-    return M, base, np.append(cuts, 2.0), passes
+    # past the last cut a pass reads 2.0, which no uniform reaches; a bin is at most m
+    return M, base.astype(np.min_scalar_type(m)), np.append(cuts, 2.0), passes
 
 
 def _bins(cuts: np.ndarray, grid, us: np.ndarray) -> np.ndarray:
-    """Each uniform's bin, the number of cuts at or below it:
-    `np.searchsorted(cuts, us, side="right")`, read off `grid` unless it is None."""
+    """Each uniform's bin, the number of cuts at or below it, in the smallest unsigned
+    dtype that holds the bins: `np.searchsorted(cuts, us, side="right")`, read off
+    `grid` unless it is None."""
     if grid is None:
-        return np.searchsorted(cuts, us, side="right")
+        return np.searchsorted(cuts, us, side="right").astype(np.min_scalar_type(cuts.size))
     M, base, padded, passes = grid
-    g = base[(us * M).astype(np.intp)]  # u*M is exact, so each u lands in its own cell
+    # u*M is exact, so each u lands in its own cell: cast as it is computed, no float copy
+    g = base[np.multiply(us, M, out=np.empty(us.size, dtype=np.min_scalar_type(M - 1)),
+                         casting="unsafe")]
     for _ in range(passes):
         g += padded[g] <= us
     return g
@@ -274,12 +280,11 @@ class _Table(NamedTuple):
     """How a `Walk` steps: from x on bin g to `rows[x][g]`.
 
     With `cuts`, a uniform's bin is the number of cuts at or below it, read off
-    `grid` (see `_bins`).  Without, the table would outgrow P: `search` holds
-    each row's successors and their cuts, the bins are the states searched
-    from them, and `rows` are identity rows.
+    `grid` (see `_bins`).  Without, the table would outgrow P: `rows` is None
+    and `search` holds each row's successors and their cuts, searched per step.
     """
 
-    rows: list
+    rows: list | None
     cuts: np.ndarray | None
     grid: tuple | None
     search: tuple | None
@@ -303,8 +308,7 @@ class Walk:
     there are cuts, sharing their int objects), and a step from x on bin g goes
     to `rows[x][g]`.  Where that table would hold more than `_TABLE_PER_P`
     entries per entry of P, as on a dense graph whose cuts number about its
-    edges, each step instead searches its row's cumulative probabilities, and
-    the bins are the states themselves, stepped to through identity rows.
+    edges, each step instead searches its row's cumulative probabilities.
     """
 
     P: np.ndarray
@@ -325,11 +329,6 @@ class Walk:
     def n(self) -> int:
         return int(np.shape(self.P)[0])
 
-    @property
-    def rows(self) -> list[list[int]]:
-        """Per row, the successor on each bin: the step from x on bin g goes to `rows[x][g]`."""
-        return self._table.rows
-
     @cached_property
     def _table(self) -> _Table:
         P = np.asarray(self.P, dtype=float)
@@ -343,35 +342,31 @@ class Walk:
             succ.append(idx)
             cums.append(c[:-1] / c[-1])
         cuts = np.unique(np.concatenate(cums))
-        ints = list(range(self.n))  # shared by all rows: an entry costs a pointer, not an int
         if self.n * (cuts.size + 1) > _TABLE_PER_P * P.size:
             search = [s.tolist() for s in succ], [c.tolist() for c in cums]
-            return _Table([ints] * self.n, None, None, search)
+            return _Table(None, None, None, search)
+        ints = list(range(self.n))  # shared by all rows: an entry costs a pointer, not an int
         lows = np.concatenate(([0.0], cuts))  # the smallest uniform in each bin
         rows = [list(map(ints.__getitem__, idx[np.searchsorted(c, lows, side="right")].tolist()))
                 for idx, c in zip(succ, cums)]
         return _Table(rows, cuts, _bin_grid(cuts), None)
 
-    def bins(self):
-        """Yield the bins of the `length - 1` steps after `start`, in lists of up to
-        `_WALK_CHUNK`; the step from x on bin g goes to `rows[x][g]`."""
-        t = self._table
-        rng = np.random.default_rng(self.seed)
-        x = self.start  # a searching walk carries its node across chunks
-        for lo in range(1, self.length, _WALK_CHUNK):
-            us = rng.random(min(_WALK_CHUNK, self.length - lo))
-            if t.search is None:
-                yield _bins(t.cuts, t.grid, us).tolist()
-            else:
-                succ, cums = t.search
-                yield [x := succ[x][bisect_right(cums[x], u)] for u in us.tolist()]
-
     def chunks(self):
         """Yield the `length - 1` states after `start`, in lists of up to `_WALK_CHUNK`."""
-        rows = self.rows
+        rows, cuts, grid, search = self._table
+        rng = np.random.default_rng(self.seed)
         x = self.start  # carries the walker's node across chunks
-        for gs in self.bins():
-            yield [x := rows[x][g] for g in gs]
+        for lo in range(1, self.length, _WALK_CHUNK):
+            us = rng.random(min(_WALK_CHUNK, self.length - lo))
+            if search is None:  # a memoryview yields the bins as ints
+                # each array is freed once read: fewer large blocks live at once, less heap
+                gs = memoryview(_bins(cuts, grid, us))
+                del us
+                yield [x := rows[x][g] for g in gs]
+                del gs
+            else:
+                succ, cums = search
+                yield [x := succ[x][bisect_right(cums[x], u)] for u in us.tolist()]
 
 
 def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
@@ -445,16 +440,25 @@ def read_trajectory(path, nodes: tuple[str, ...] | None = None) -> Trajectory:
 
     If `nodes` is given the ids are mapped through it, otherwise the sorted
     set of observed ids fixes the index space.  Blank lines and lines
-    starting with `#` are skipped.
+    starting with `#` are skipped.  The file is read and split once; a file
+    holding a tab anywhere is read line by line instead, so that a line of
+    two fields is refused by its `path:lineno`.
     """
-    ids = [v for _, (v,) in _read_fields(path, 1, "one node id per line")]
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if "\t" in text:
+        ids = [v for _, (v,) in _read_fields(path, 1, "one node id per line")]
+    else:  # the lines as `_read_fields` reads them: newlines translated, each stripped
+        ids = list(filter(None, map(str.strip, text.split("\n"))))
+        if "#" in text:
+            ids = [v for v in ids if not v.startswith("#")]
     if not ids:
         raise ValueError(f"{path}: empty trajectory")
     if nodes is None:
         nodes = tuple(sorted(set(ids)))
     index = {v: i for i, v in enumerate(nodes)}
     try:
-        states = np.array([index[v] for v in ids], dtype=np.int32)
+        states = np.fromiter(map(index.__getitem__, ids), dtype=np.int32, count=len(ids))
     except KeyError as exc:
         raise ValueError(f"{path}: unknown node id {exc.args[0]!r}") from exc
     return Trajectory(states=states, nodes=nodes)

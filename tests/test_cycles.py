@@ -1,10 +1,11 @@
 import hashlib
 import json
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cycleflow as cf
@@ -241,6 +242,108 @@ def test_array_decomposition_matches_dict_oracle(n, graph_seed, walk_seed, T):
     assert_matches_oracle(cf.Pipeline(G, T=T, seed=walk_seed, start=start).dec, ref)
     traj = cf.Trajectory(states=traj.states, nodes=G.nodes)
     assert_matches_oracle(cf.sample_decomposition(traj), ref)
+
+
+# (walk chunk, excursion byte budget), None for the module's own value
+split_sizes = pytest.mark.parametrize(
+    "sizes", [(1, 0), (2, 1), (3, None), (1, None), (None, 0), (None, 1), (None, None)],
+    ids=lambda p: f"chunk{p[0] or 'default'}-budget{'default' if p[1] is None else p[1]}")
+
+
+@contextmanager
+def patched(sizes):
+    """Set the walk chunk (in both modules) and the excursion byte budget to `sizes`;
+    hypothesis refuses function-scoped fixtures such as monkeypatch."""
+    chunk, budget = sizes
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(cf.graph, "_WALK_CHUNK", chunk)
+            mp.setattr(cf.cycles, "_WALK_CHUNK", chunk)
+        if budget is not None:
+            mp.setattr(cf.cycles, "_EXCURSION_BYTES", budget)
+        yield
+
+
+@split_sizes
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=60))
+@example([0, 0])  # a self-loop at the start
+@example([0, 0, 0, 1, 0, 0, 2, 1, 0, 0, 1])  # returns back to back, an open tail
+@example([3, 1, 3, 1, 3, 3, 0])
+def test_excursion_split_matches_dict_oracle(sizes, states):
+    # any sequence of states, with its start often repeated: excursions repeat, follow
+    # each other directly, straddle chunks and are erased in every order of flushes
+    with patched(sizes):
+        for dtype in (np.int32, np.int64):
+            dec = cf.sample_decomposition(cf.Trajectory(states=np.array(states, dtype=dtype)))
+            assert_matches_oracle(dec, dict_oracle(states, max(states) + 1))
+
+
+@split_sizes
+@settings(max_examples=10, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 10_000), st.integers(2, 400))
+def test_excursion_split_of_a_walk_matches_dict_oracle(sizes, n, seed, T):
+    # a walk with a self-loop at its start, erased as drawn and as stored
+    rng = np.random.default_rng(seed)
+    G = random_strong_graph(rng, n)
+    G = cf.DirectedGraph(G.nodes, {**G.edges, (G.nodes[0], G.nodes[0]): 2.0})
+    P = cf.transition_matrix(G)
+    with patched(sizes):
+        traj = cf.simulate(P, 0, T, seed=seed)
+        ref = dict_oracle(traj.states.tolist(), G.n)
+        assert_matches_oracle(cf.sample_decomposition(cf.Walk(P, 0, T, seed=seed)), ref)
+        assert_matches_oracle(cf.sample_decomposition(traj), ref)
+
+
+@pytest.mark.parametrize("budget", [0, 1, None])
+def test_two_byte_walk_matches_dict_oracle(budget):
+    # past 256 nodes a state takes two bytes; the split must fall on whole states
+    G = random_strong_graph(np.random.default_rng(4), 300)
+    P = cf.transition_matrix(G)
+    with patched((None, budget)):
+        traj = cf.simulate(P, 7, 40_000, seed=2)
+        ref = dict_oracle(traj.states.tolist(), G.n)
+        assert_matches_oracle(cf.sample_decomposition(cf.Walk(P, 7, 40_000, seed=2)), ref)
+        assert_matches_oracle(cf.sample_decomposition(traj), ref)
+        # a state whose low byte is the start's is no return to it
+        states = [7, 263, 7, 263, 1, 7, 7, 263, 1, 263]
+        dec = cf.sample_decomposition(cf.Trajectory(states=np.array(states), nodes=G.nodes))
+        assert_matches_oracle(dec, dict_oracle(states, G.n, G.nodes))
+
+
+def test_sample_memory_of_an_excursion_that_never_ends():
+    # the start is left for good: past the byte budget its one excursion is erased as it
+    # streams, not held, a byte a state
+    P = np.array([[0.0, 1.0], [0.0, 1.0]])
+    cf.sample_decomposition(cf.Walk(P, 0, 10, seed=0))  # first-call allocations
+    with patched((1024, 4096)):
+        tracemalloc.start()
+        try:
+            dec = cf.sample_decomposition(cf.Walk(P, 0, 100_000, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert dec.counts == {(1,): 99_998}
+    assert peak < 60_000
+
+
+def test_sample_memory_of_excursions_that_never_repeat():
+    # 300 distinct excursions (0, 1, (2, 1) i times, 0), 90 kB in all: past the byte
+    # budget the counted ones are erased and dropped, not held to the end
+    states = [0]
+    for i in range(1, 301):
+        states += [1] + [2, 1] * i + [0]
+    traj = cf.Trajectory(states=np.array(states, dtype=np.int32))
+    cf.sample_decomposition(cf.Trajectory(states=np.array([0, 1, 0])))  # first-call allocations
+    with patched((1024, 4096)):
+        tracemalloc.start()
+        try:
+            dec = cf.sample_decomposition(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert dec.counts == {(0, 1): 300, (1, 2): 45_150}
+    assert peak < 40_000
 
 
 @pytest.mark.parametrize("states,n_nodes", [

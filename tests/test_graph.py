@@ -360,6 +360,11 @@ def test_node_ids_are_checked_on_construction():
     # a stored walk's states must lie in its index space, that of its ids
     with pytest.raises(ValueError, match=r"states span 0\.\.3, outside 0\.\.1"):
         cf.Trajectory(states=np.array([0, 3, 0]), nodes=("a", "b"))
+    # states must be integer indices: a float one would be truncated
+    with pytest.raises(ValueError, match="integer node indices, not float64"):
+        cf.Trajectory(states=np.array([0.5, 1.7, 0.5]))
+    for dtype in (np.int32, np.int64):
+        assert cf.Trajectory(states=np.array([0, 2, 0], dtype=dtype)).nodes == ("0", "1", "2")
     # an empty one spans no node, and the sampler refuses it as too short
     empty = cf.Trajectory(states=np.array([], dtype=np.int32))
     assert empty.nodes == () and empty.as_ids() == []
@@ -451,3 +456,20 @@ def test_read_trajectory_refusals(tmp_path):
     path.write_text("a\nb\nc\n")
     with pytest.raises(ValueError, match="unknown node id 'c'"):
         cf.read_trajectory(path, nodes=("a", "b"))
+    # a line of two fields is named by its line number, past blank and comment lines
+    path.write_text("a\n\n# x\ty\n b \na\tb\n")
+    with pytest.raises(ValueError, match=r"traj\.txt:5: expected one node id per line"):
+        cf.read_trajectory(path)
+
+
+def test_read_trajectory_lines(tmp_path):
+    # CRLF and lone CR end lines; blank, whitespace-only and comment lines are skipped;
+    # each id is stripped, and a tab only at a line's end or in a comment is no field
+    path = tmp_path / "traj.txt"
+    path.write_bytes(b"# walk\r\nb\r\n\r\n  a  \r\n\t\r  # c\tc\rb\t\na b\n#\n\xe8\x8a\x82\n\nb")
+    traj = cf.read_trajectory(path)
+    assert traj.nodes == ("a", "a b", "b", "\u8282")
+    assert traj.as_ids() == ["b", "a", "b", "a b", "\u8282", "b"]
+    assert traj.states.dtype == np.int32
+    path.write_bytes(b"b\r\na\r\n")
+    assert cf.read_trajectory(path).as_ids() == ["b", "a"]
