@@ -114,8 +114,7 @@ def cmd_generate(config: RunConfig, output: Path) -> int:
     return EXIT_OK
 
 
-def cmd_decompose(config: RunConfig, outdir: Path) -> int:
-    pipe = _load_pipeline(config)
+def cmd_decompose(config: RunConfig, pipe: Pipeline, outdir: Path) -> int:
     dec = pipe.dec
     extra = {"flow_residual": None}  # a stored walk has no graph, so no reference flow
     if pipe.G is not None:
@@ -130,8 +129,7 @@ def cmd_decompose(config: RunConfig, outdir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(config: RunConfig, outdir: Path) -> int:
-    pipe = _load_pipeline(config)
+def cmd_spectrum(config: RunConfig, pipe: Pipeline, outdir: Path) -> int:
     walk = spectrum(pipe.P, k=config.k)
     lifted = order_eigenvalues(np.linalg.eigvalsh(pipe.K.normalized), config.k)
     _write(outdir / "spectrum_walk.csv", spectrum_csv(walk))
@@ -165,8 +163,7 @@ def _cluster_cmsm(config: RunConfig, K: CommunicationGraph):
     }, q
 
 
-def cmd_cluster(config: RunConfig, outdir: Path) -> int:
-    pipe = _load_pipeline(config)
+def cmd_cluster(config: RunConfig, pipe: Pipeline, outdir: Path) -> int:
     if config.method == "cmsm":
         result, q = _cluster_cmsm(config, pipe.K)
         tie_set = set(result["ties"])
@@ -220,8 +217,7 @@ def _read_partition_file(path, G):
     return labels
 
 
-def cmd_modularity(config: RunConfig, outdir: Path) -> int:
-    pipe = _load_pipeline(config)
+def cmd_modularity(config: RunConfig, pipe: Pipeline, outdir: Path) -> int:
     G = pipe.G
     labels = _read_partition_file(config.partition, G)  # before K, so a bad file costs no walk
     result = {
@@ -236,8 +232,7 @@ def cmd_modularity(config: RunConfig, outdir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_export_graph(config: RunConfig, output: Path) -> int:
-    pipe = _load_pipeline(config)
+def cmd_export_graph(config: RunConfig, pipe: Pipeline, output: Path) -> int:
     graph = pipe.K if config.which == "communication" else cycle_graph(pipe.dec)
     _write(output, export_graph(graph, config.format, include_self_loops=config.self_loops))
     print(f"{config.which} graph ({config.format}) -> {output}")
@@ -338,7 +333,10 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         _validate_numbers(config)
-        return args.run(config, Path(args.out))
+        out = Path(args.out)
+        if args.command == "generate":  # the one command with no decomposition source
+            return args.run(config, out)
+        return args.run(config, _load_pipeline(config), out)
     # LinAlgError is a ValueError, so the numerical handler comes first
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

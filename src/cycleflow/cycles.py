@@ -35,8 +35,8 @@ __all__ = [
 # smallest index comes first.  Rotations are identified; reversals are not.
 Cycle = tuple[int, ...]
 
-# The bytes of distinct excursions `sample_decomposition` holds before erasing them:
-# its memory stays bounded on a walk whose excursions never repeat.
+# The bytes of the distinct excursions, each whole in a chunk, that `sample_decomposition`
+# counts before erasing them: its memory stays bounded on a walk whose excursions never repeat.
 _EXCURSION_BYTES = 16 * _WALK_CHUNK
 
 
@@ -161,13 +161,13 @@ def sample_decomposition(traj: Trajectory | Walk) -> CycleDecomposition:
     The first state never leaves the bottom of the chain, so each return to
     it erases the chain back to that state alone: the walk splits there into
     excursions, each closing the same cycles wherever it occurs.  The states
-    stream in chunks as fixed-width bytes, one byte per node up to 256 nodes;
-    the complete excursions, each ending at its return, are counted by their
-    bytes, and each distinct one is erased once, its closures counted as
-    often as it occurred.  The counted excursions are erased whenever their
-    bytes pass `_EXCURSION_BYTES`, and an open excursion that long is erased
-    as it streams, so memory stays bounded whether or not excursions repeat.
-    The open tail is erased last; it closes no cycle at its end.
+    stream in chunks as fixed-width bytes, one byte per node up to 256 nodes.
+    The excursions that lie whole in a chunk, each ending at its return, are
+    counted by their bytes, and each distinct one is erased once, its closures
+    counted as often as it occurred; they are erased whenever their bytes pass
+    `_EXCURSION_BYTES`.  The excursion open at a chunk's end is erased as it
+    streams, the chain carried into the next chunk, so memory stays bounded
+    whether or not excursions repeat.  The open tail closes no cycle at its end.
 
     Parameters
     ----------
@@ -221,11 +221,8 @@ def sample_decomposition(traj: Trajectory | Walk) -> CycleDecomposition:
             # the chain still ends at the walker's current node x (position p)
         return L
 
-    excursions: dict[bytes, int] = {}  # each complete excursion, ending at its return -> count
+    excursions: dict[bytes, int] = {}  # each excursion whole in a chunk -> count
     held = 0  # the bytes of the keys of `excursions`
-    tail: list[bytes] = []  # the open excursion's pieces, while it is held
-    carried = 0  # the bytes in `tail`
-    live = 0  # the chain's length while the open excursion is erased as it streams, else 0
 
     def flush():
         nonlocal held
@@ -234,21 +231,16 @@ def sample_decomposition(traj: Trajectory | Walk) -> CycleDecomposition:
         excursions.clear()
         held = 0
 
+    L = 1  # the chain's length, carried across chunks by the open excursion
     for buf in chunks:
         # each return to the first state ends an excursion: its end is just past that state
         ends = ((np.flatnonzero(np.frombuffer(buf, dtype=code) == first) + 1)
                 * code.itemsize).tolist()
-        # the excursions that end in this chunk, the first continuing the open one
-        whole = map(buf.__getitem__, map(slice, [0, *ends], ends))
         if ends:
-            head = next(whole)
-            if live:
-                erase(head, 1, live)
-                live = 0
-            else:
-                whole = chain([b"".join([*tail, head])], whole)
-            tail, carried = [], 0
-        for e in whole:
+            # close the open excursion: the chain is [first] until the next one opens,
+            # so a flush may overwrite it
+            L = erase(buf[:ends[0]], L=L)
+        for e in map(buf.__getitem__, map(slice, ends, ends[1:])):
             k = excursions.get(e)
             if k:
                 excursions[e] = k + 1
@@ -257,18 +249,8 @@ def sample_decomposition(traj: Trajectory | Walk) -> CycleDecomposition:
             held += len(e)
             if held > _EXCURSION_BYTES:
                 flush()
-        rest = buf[ends[-1] if ends else 0:]  # opens the next excursion
-        if live:
-            live = erase(rest, 1, live)
-        else:
-            tail.append(rest)
-            carried += len(rest)
-            if carried > _EXCURSION_BYTES:
-                flush()  # frees the chain for the open excursion
-                live = erase(b"".join(tail))
-                tail, carried = [], 0
-    flush()  # while live, `excursions` is empty and `tail` too
-    erase(b"".join(tail))
+        L = erase(buf[ends[-1] if ends else 0:], L=L)  # opens the next excursion
+    flush()  # the open tail is already erased
 
     lengths = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw)) // code.itemsize
     k = np.fromiter(raw.values(), dtype=np.int64, count=len(raw))

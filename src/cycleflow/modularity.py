@@ -79,13 +79,8 @@ def score_q_directed(P: np.ndarray, pi: np.ndarray, labels: np.ndarray) -> float
 
 def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Relabel modules by order of first appearance."""
-    seen: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for i, lab in enumerate(labels):
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out[i] = seen[lab]
-    return out
+    _, first, which = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[which].astype(labels.dtype)
 
 
 def _greedy_maximize(E: np.ndarray, pi: np.ndarray):

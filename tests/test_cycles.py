@@ -195,6 +195,7 @@ def test_sample_matches_dict_erasure(G, start, T):
 
 def test_sampling_memory_does_not_grow_with_T():
     G = cf.barbell(40, 0.1)
+    cf.Pipeline(G, T=1_000, seed=0).dec  # first-call allocations, outside both peaks
 
     def peak(T):
         tracemalloc.start()
@@ -311,12 +312,13 @@ def test_two_byte_walk_matches_dict_oracle(budget):
         assert_matches_oracle(dec, dict_oracle(states, G.n, G.nodes))
 
 
-def test_sample_memory_of_an_excursion_that_never_ends():
-    # the start is left for good: past the byte budget its one excursion is erased as it
+@pytest.mark.parametrize("budget", [4096, None], ids=["budget4096", "budgetdefault"])
+def test_sample_memory_of_an_excursion_that_never_ends(budget):
+    # the start is left for good: at any byte budget its one excursion is erased as it
     # streams, not held, a byte a state
     P = np.array([[0.0, 1.0], [0.0, 1.0]])
     cf.sample_decomposition(cf.Walk(P, 0, 10, seed=0))  # first-call allocations
-    with patched((1024, 4096)):
+    with patched((1024, budget)):
         tracemalloc.start()
         try:
             dec = cf.sample_decomposition(cf.Walk(P, 0, 100_000, seed=0))
