@@ -3,8 +3,9 @@
 Node identifiers are strings; they are mapped once to dense indices 0..n-1
 and every numerical routine works on indices.  Every node-indexed object, a
 graph, walk, trajectory, decomposition or communication graph, holds one id per
-index in its `nodes` tuple; one left unnamed calls each node by its index.
-Graphs, transition matrices, stationary vectors and flows are immutable after
+index in its `nodes` tuple, under one rule (`_node_ids`): each id is `str()`-ed,
+none appears twice, and one left unnamed calls each node by its index.  Graphs,
+transition matrices, stationary vectors and flows are immutable after
 construction.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -45,11 +46,13 @@ _TABLE_PER_P = 4
 
 
 def _node_ids(nodes, n: int) -> tuple[str, ...]:
-    """`nodes` as a tuple, each index as a string when None; raises ValueError unless
-    it holds one id per node."""
-    ids = tuple(map(str, range(n))) if nodes is None else tuple(nodes)
+    """`nodes` as a tuple of strings, each index as a string when None; raises
+    ValueError unless it holds one id per node and no id twice."""
+    ids = tuple(map(str, range(n) if nodes is None else nodes))
     if len(ids) != n:
         raise ValueError(f"{len(ids)} node ids for {n} nodes")
+    if len(set(ids)) != n:
+        raise ValueError(f"duplicate node id {next(v for v, k in Counter(ids).items() if k > 1)!r}")
     return ids
 
 
@@ -58,27 +61,28 @@ class DirectedGraph:
 
     Parameters
     ----------
-    nodes : sequence of str
-        Node identifiers, at least two, no duplicates.  Their order fixes
-        the index space.
+    nodes : sequence
+        Node identifiers, at least two, stored `str()`-ed; no two may be equal
+        as strings.  Their order fixes the index space.
     edges : mapping (src, dst) -> weight
-        Directed edges with weight > 0.  Self-loops are allowed; duplicate
-        directed edges are not (aggregate before constructing).
+        Directed edges with finite weight > 0, keyed by ids that are `str()`-ed
+        the same way.  Self-loops are allowed; two keys naming the same edge as
+        strings are not (aggregate before constructing).
     """
 
     def __init__(self, nodes, edges):
-        nodes = tuple(str(v) for v in nodes)
+        nodes = tuple(nodes)
         if len(nodes) < 2:
             raise ValueError("graph needs at least 2 nodes")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("duplicate node identifiers")
-        self.nodes = nodes
-        self._index = {v: i for i, v in enumerate(nodes)}
+        self.nodes = _node_ids(nodes, len(nodes))
+        self._index = {v: i for i, v in enumerate(self.nodes)}
         edge_map = {}
         for (x, y), w in dict(edges).items():
             x, y = str(x), str(y)
             if x not in self._index or y not in self._index:
                 raise ValueError(f"edge ({x}, {y}) references unknown node")
+            if (x, y) in edge_map:
+                raise ValueError(f"edge ({x}, {y}) is keyed twice")
             w = float(w)
             if not math.isfinite(w) or w <= 0.0:
                 raise ValueError(f"edge ({x}, {y}) has weight {w}; "
@@ -101,22 +105,6 @@ class DirectedGraph:
         for (x, y), w in self.edges.items():
             K[self._index[x], self._index[y]] = w
         return K
-
-    @classmethod
-    def from_edge_list(cls, triples):
-        """Build a graph from (src, dst, weight) triples.
-
-        Duplicate directed edges are aggregated by summing their weights;
-        nodes are taken in sorted order of their identifiers.
-        """
-        agg: dict[tuple[str, str], float] = {}
-        names = set()
-        for x, y, w in triples:
-            x, y = str(x), str(y)
-            names.add(x)
-            names.add(y)
-            agg[(x, y)] = agg.get((x, y), 0.0) + float(w)
-        return cls(sorted(names), agg)
 
     def __repr__(self):
         return f"DirectedGraph(n={self.n}, edges={len(self.edges)})"
@@ -399,18 +387,24 @@ def _read_fields(path, count: int, expected: str):
 def read_edge_list(path) -> DirectedGraph:
     """Read a graph from UTF-8 text, one `src<TAB>dst<TAB>weight` per line.
 
-    Blank lines and lines starting with `#` are skipped.  Repeated directed
-    edges are aggregated by summing their weights.
+    Blank lines and lines starting with `#` are skipped.  A line whose weight is
+    not a finite number > 0 is refused by its `path:lineno`.  The lines of one
+    directed edge are summed in file order; a sum past the float range is
+    refused by the graph.  Nodes are taken in sorted order of their ids.
     """
-    triples = []
+    edges: dict[tuple[str, str], float] = {}
     for lineno, (src, dst, weight) in _read_fields(path, 3, "src<TAB>dst<TAB>weight"):
         try:
-            triples.append((src, dst, float(weight)))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad weight {weight!r}") from exc
-    if not triples:
+            w = float(weight)
+        except ValueError:
+            w = math.nan  # refused below, as a weight out of range is
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"{path}:{lineno}: bad weight {weight!r}; "
+                             "weights must be finite and positive")
+        edges[src, dst] = edges.get((src, dst), 0.0) + w
+    if not edges:
         raise ValueError(f"{path}: no edges found")
-    return DirectedGraph.from_edge_list(triples)
+    return DirectedGraph(sorted({v for edge in edges for v in edge}), edges)
 
 
 def _check_writable_ids(ids) -> None:
@@ -438,24 +432,25 @@ def write_edge_list(G: DirectedGraph, path) -> None:
 def read_trajectory(path, nodes: tuple[str, ...] | None = None) -> Trajectory:
     """Read a trajectory file with one node id per line.
 
-    If `nodes` is given the ids are mapped through it, otherwise the sorted
-    set of observed ids fixes the index space.  Blank lines and lines
-    starting with `#` are skipped.  The file is read and split once; a file
-    holding a tab anywhere is read line by line instead, so that a line of
-    two fields is refused by its `path:lineno`.
+    If `nodes` is given the ids are mapped through it, under the one id rule
+    (`_node_ids`), otherwise the sorted set of observed ids fixes the index space.  Blank lines and lines
+    starting with `#` are skipped, and each id is stripped.  The file is read
+    and split once; an id that still holds a tab is a line of two fields, and
+    is refused by its `path:lineno`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if "\t" in text:
-        ids = [v for _, (v,) in _read_fields(path, 1, "one node id per line")]
-    else:  # the lines as `_read_fields` reads them: newlines translated, each stripped
-        ids = list(filter(None, map(str.strip, text.split("\n"))))
-        if "#" in text:
-            ids = [v for v in ids if not v.startswith("#")]
+    # the lines as `_read_fields` reads them: newlines translated, each stripped
+    ids = list(filter(None, map(str.strip, text.split("\n"))))
+    if "#" in text:
+        ids = [v for v in ids if v[0] != "#"]
+    distinct = set(ids)
+    if any("\t" in v for v in distinct):
+        for _ in _read_fields(path, 1, "one node id per line"):  # raises on that line
+            pass
     if not ids:
         raise ValueError(f"{path}: empty trajectory")
-    if nodes is None:
-        nodes = tuple(sorted(set(ids)))
+    nodes = tuple(sorted(distinct)) if nodes is None else _node_ids(nodes, len(nodes))
     index = {v: i for i, v in enumerate(nodes)}
     try:
         states = np.fromiter(map(index.__getitem__, ids), dtype=np.int32, count=len(ids))

@@ -5,8 +5,9 @@ chain B V is the walk on the communication graph K, the cycle chain V B the
 walk on the cycle graph.  Here they are built the explicit way instead: the
 node-to-cycle matrix B, the cycle-to-node matrix V and their products, the
 symmetrized spectrum of an explicit reversible chain, the shared-spectrum
-check with its eigenvector transport, both entropy production rates, and
-modularity by exhaustive enumeration.  `Lifting.P_lift` is the product of
+check with its eigenvector transport, both entropy production rates,
+modularity by exhaustive enumeration, and the exact loop-erased weight of
+each cycle of a set.  `Lifting.P_lift` is the product of
 the two builders, never read off K, so that a test comparing it with K
 checks one construction against another.
 """
@@ -302,3 +303,47 @@ def check_symmetrization_invariance(P: np.ndarray, pi: np.ndarray,
         if abs(_block_score(F, pi, labels) - _block_score(Fs, pi, labels)) > tol:
             return False
     return True
+
+
+# ----------------------------------------------------- exact cycle weights
+
+def simple_cycles(P: np.ndarray) -> list[Cycle]:
+    """Every simple cycle of P's support, each entered at its smallest node: a
+    depth-first search from each node through larger nodes only."""
+    succ = [np.flatnonzero(row).tolist() for row in np.asarray(P)]
+    cycles = []
+
+    def extend(path):
+        for y in succ[path[-1]]:
+            if y == path[0]:
+                cycles.append(tuple(path))
+            elif y > path[0] and y not in path:
+                extend(path + [y])
+
+    for start in range(len(succ)):
+        extend([start])
+    return cycles
+
+
+def exact_cycle_weights(P: np.ndarray, pi: np.ndarray, dec: CycleDecomposition) -> np.ndarray:
+    """The T -> infinity limit of the loop-erased weight of each of `dec`'s cycles,
+    in its row order.
+
+    The closed form is w(c) = p(c) det((I - P) off c) / sum_k det((I - P) off k),
+    p(c) the product of c's edge probabilities (Kalpazidou, *Cycle Representations
+    of Markov Processes*; Jiang, Qian and Qian, LNM 1833).  By Jacobi's
+    complementary-minor identity it is pi_j p(c) det(G[c - j, c - j]), j the first
+    node of c and G the Green's function of the walk killed at j, read off one
+    fundamental matrix Z = (I - P + 1 pi^T)^-1 (Kemeny and Snell):
+    G[x, y] = Z[x, y] - Z[j, y] + pi_y (Z[j, j] - Z[x, j]) / pi_j.
+    """
+    P, pi = np.asarray(P, dtype=float), np.asarray(pi, dtype=float)
+    n = P.shape[0]
+    Z = np.linalg.inv(np.eye(n) - P + np.outer(np.ones(n), pi))
+    w = np.empty(dec.lengths.size)
+    for a, c in enumerate(dec.cycles):
+        j, rest = c[0], list(c[1:])
+        G = (Z[np.ix_(rest, rest)] - Z[j, rest]
+             + pi[rest] * (Z[j, j] - Z[rest, j])[:, None] / pi[j])
+        w[a] = pi[j] * np.prod(P[list(c), list(c[1:] + c[:1])]) * np.linalg.det(G)
+    return w

@@ -15,7 +15,7 @@ LAYERS = ("graph", "cycles", "lifted", "commgraph", "clustering", "modularity")
 
 # defining module -> names that only tests read, kept in tests/reference.py
 TEST_ONLY = {
-    "cycles": ["reverse_cycle"],
+    "cycles": ["reverse_cycle", "simple_cycles", "exact_cycle_weights"],
     "lifted": ["node_to_cycle_matrix", "cycle_to_node_matrix", "cycle_stationary",
                "detailed_balance_residual", "_symmetrize", "spectrum_reversible",
                "SpectralMatchReport", "verify_spectral_match", "entropy_production_edge",
@@ -93,9 +93,16 @@ def test_all_lists_names_the_module_defines(layer):
             assert value.__module__ == mod.__name__, name
 
 
-def test_names_the_benchmark_calls():
-    # perfbench's checks rebuild the decomposition from decomposition.json through
-    # the keyword constructor, and its tracer counts cycles off the weights view
+def test_names_the_benchmark_calls(tmp_path):
+    # perfbench builds its random graphs from a node list and an edge dict, and its
+    # checks read the written input back and look nodes up by id
+    G = cf.DirectedGraph(["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "a"): 0.5})
+    cf.write_edge_list(G, tmp_path / "g.tsv")
+    H = cf.read_edge_list(str(tmp_path / "g.tsv"))
+    assert H.edges == G.edges and [H.index(v) for v in "abc"] == [0, 1, 2]
+    assert not hasattr(cf.DirectedGraph, "from_edge_list")
+    # they rebuild the decomposition from decomposition.json through the keyword
+    # constructor, and the tracer counts cycles off the weights view
     G = cf.barbell(4, 0.1)
     pipe = cf.Pipeline(G)
     weights = {cf.canonical_cycle(c): w for c, w in pipe.dec.weights.items()}

@@ -522,6 +522,18 @@ def test_overflowing_weights_exit_code(tmp_path, capsys, lines, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("weight", ["0", "-1", "nan", "inf"])
+def test_line_weight_out_of_range_exit_code(tmp_path, capsys, weight):
+    # the lines a b 2, b a 1, a b -1 once read as a b 1
+    path = tmp_path / "g.tsv"
+    path.write_text(f"a\tb\t2\nb\ta\t1\na\tb\t{weight}\n")
+    outdir = tmp_path / "d"
+    assert main(["decompose", "--input", str(path), "--output-dir", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:3: bad weight {weight!r}; weights must be finite and positive\n")
+    assert not outdir.exists()
+
+
 def test_underflowing_probability_exit_code(tmp_path, capsys):
     # P[a, c] = 1e-300 / 1e300 is below the float range: the walk would lose node c
     path = tmp_path / "tiny.tsv"

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import cycleflow as cf
 
-from conftest import (CROWDED_HUB, DENSE, GRID_CUTS, dict_erasure, random_strong_graph, three_node_chain,
-                      two_triangles)
-from reference import reverse_cycle
+from conftest import (CROWDED_HUB, DENSE, GRID_CUTS, dict_erasure, random_strong_graph, ring_chain,
+                      ring_chain_closed_forms, three_node_chain, two_triangles)
+from reference import exact_cycle_weights, reverse_cycle, simple_cycles
 
 
 # ------------------------------------------------------------- canonical form
@@ -625,6 +625,73 @@ def test_iterative_reproduces_flow_property(seed):
     assert cf.verify_flow_decomposition(dec, F) <= max(5 * dec.tol, 1e-10 * F.max())
     # node mass identity: cycle weights through a node sum to its mass
     assert np.abs(dec.node_mass() - pi).max() <= 1e-10
+
+
+# --------------------------------------------------------------- exact weights
+
+def every_cycle(G):
+    """G's walk, its pi, the decomposition holding each simple cycle of G once, and
+    each cycle's exact loop-erased weight."""
+    P = cf.transition_matrix(G)
+    pi = cf.stationary_distribution(P)
+    dec = cf.CycleDecomposition({c: 1.0 for c in simple_cycles(P)}, kind="iterative", n_nodes=G.n)
+    return P, pi, dec, exact_cycle_weights(P, pi, dec)
+
+
+@pytest.mark.parametrize("n", [4, 40])
+def test_exact_weights_match_the_barbell_closed_form(n):
+    eps = 0.1
+    _, _, dec, w = every_cycle(cf.barbell(n, eps))
+    ring = 1.0 / (2 * (n + eps))
+    assert sorted(dec.lengths.tolist()) == [2, n, n]
+    assert np.abs(w / np.where(dec.lengths == 2, eps * ring, ring) - 1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lengths, eps", [((30, 45, 25, 40), 0.1), ((3, 7, 5), 0.5)])
+def test_exact_weights_match_the_ring_chain_closed_forms(lengths, eps):
+    G, _ = ring_chain(lengths, eps)
+    _, _, dec, w = every_cycle(G)
+    forms = ring_chain_closed_forms(lengths, eps)
+    assert sorted(dec.lengths.tolist()) == sorted([2] * (len(lengths) - 1) + list(lengths))
+    expected = np.where(dec.lengths == 2, forms["w_bridge"], forms["w_ring"])
+    assert np.abs(w / expected - 1).max() <= 1e-12
+
+
+def test_exact_weights_reproduce_the_flow():
+    # wheel_switch's cycles share edges: no two of its 6 weights are a single edge's flow
+    P, pi, dec, w = every_cycle(cf.wheel_switch(10, 0.3))
+    assert dec.lengths.size == 6
+    exact = cf.CycleDecomposition(dict(zip(dec.cycles, w)), kind="iterative", n_nodes=dec.n_nodes)
+    assert cf.verify_flow_decomposition(exact, cf.edge_flow(P, pi)) <= 1e-15
+    assert np.abs(exact.node_mass() - pi).max() <= 1e-15
+    assert abs((dec.lengths * w).sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_weights_match_the_determinant_form(seed):
+    # w(c) = p(c) det((I - P) off c) / sum_k det((I - P) off k), one determinant a cycle
+    G = random_strong_graph(np.random.default_rng(seed), 7)
+    P, _, dec, w = every_cycle(G)
+    A = np.eye(G.n) - P
+
+    def minor_off(c):
+        keep = [x for x in range(G.n) if x not in c]
+        return np.linalg.det(A[np.ix_(keep, keep)])
+
+    total = sum(minor_off((k,)) for k in range(G.n))
+    p = [np.prod(P[list(c), list(c[1:] + c[:1])]) for c in dec.cycles]
+    assert np.abs(w / (np.array(p) * [minor_off(c) for c in dec.cycles] / total) - 1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("G", [cf.barbell(4, 0.1), cf.wheel_switch(10, 0.3),
+                               *(random_strong_graph(np.random.default_rng(s), 8) for s in range(4))])
+def test_exact_mass_of_a_cycle_set_is_at_most_one(G):
+    # sum over cycles of |c| w(c) is the share of walk steps on cycles of the set: 1 for
+    # every cycle, at most 1 for the peeled or the sampled ones
+    for T in (None, 500):
+        pipe = cf.Pipeline(G, T=T, seed=1)
+        mass = float((pipe.dec.lengths * exact_cycle_weights(pipe.P, pipe.pi, pipe.dec)).sum())
+        assert 0.0 < mass <= 1.0 + 1e-14
 
 
 # ------------------------------------------------------------------- verify

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -38,9 +39,41 @@ def test_self_loops_allowed():
     assert G.edges[("a", "a")] == 0.5
 
 
-def test_from_edge_list_aggregates_duplicates():
-    G = cf.DirectedGraph.from_edge_list([("a", "b", 1.0), ("a", "b", 2.0), ("b", "a", 1.0)])
-    assert G.edges[("a", "b")] == 3.0
+# every node-indexed object, built on a 2-node walk with the given ids
+NODE_INDEXED = {
+    "DirectedGraph": lambda ids: cf.DirectedGraph(ids, {(ids[0], ids[1]): 1.0,
+                                                        (ids[1], ids[0]): 1.0}),
+    "Trajectory": lambda ids: cf.Trajectory(states=np.array([0, 1, 0, 1]), nodes=ids),
+    "Walk": lambda ids: cf.Walk(np.array([[0.0, 1.0], [1.0, 0.0]]), 0, 4, seed=0, nodes=ids),
+    "CycleDecomposition": lambda ids: cf.CycleDecomposition({(0, 1): 0.5}, kind="iterative",
+                                                            n_nodes=2, nodes=ids),
+    "CommunicationGraph": lambda ids: cf.CommunicationGraph(
+        np.array([[0.0, 1.0], [1.0, 0.0]]), nodes=ids),
+}
+
+
+@pytest.mark.parametrize("build", NODE_INDEXED.values(), ids=NODE_INDEXED.keys())
+def test_node_ids_are_distinct_strings(build):
+    assert build((7, 8.5)).nodes == ("7", "8.5")
+    with pytest.raises(ValueError, match="duplicate node id 'a'"):
+        build(("a", "a"))
+    # equal only once str()-ed
+    with pytest.raises(ValueError, match="duplicate node id '1'"):
+        build((1, "1"))
+
+
+def test_writers_take_ids_that_were_not_strings(tmp_path):
+    traj = NODE_INDEXED["Trajectory"]((7, 8))
+    cf.write_trajectory(traj, tmp_path / "t.txt")
+    assert cf.read_trajectory(tmp_path / "t.txt").as_ids() == ["7", "8", "7", "8"]
+    assert cf.read_trajectory(tmp_path / "t.txt", nodes=(8, 7)).states.tolist() == [1, 0, 1, 0]
+    assert cf.export_graph(NODE_INDEXED["CommunicationGraph"]((7, 8)), "tsv") == "7\t8\t1.0\n"
+
+
+def test_edge_keys_equal_as_strings_are_refused():
+    # one would silently replace the other's weight
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) is keyed twice"):
+        cf.DirectedGraph(["1", "2"], {(1, 2): 1.0, ("1", "2"): 5.0, ("2", "1"): 1.0})
 
 
 # ------------------------------------------------------- strong connectivity
@@ -76,10 +109,11 @@ def test_transition_matrix_rejects_overflowing_out_weight():
             cf.transition_matrix(G)
 
 
-def test_duplicate_edges_summing_to_inf_are_refused():
+def test_duplicate_edges_summing_to_inf_are_refused(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("a\tb\t1e308\na\tb\t1e308\nb\ta\t1.0\n")
     with pytest.raises(ValueError, match=r"weight inf; weights must be finite and positive"):
-        cf.DirectedGraph.from_edge_list([("a", "b", 1e308), ("a", "b", 1e308),
-                                         ("b", "a", 1.0)])
+        cf.read_edge_list(path)
 
 
 # ----------------------------------------------------------- walk quantities
@@ -403,6 +437,16 @@ def test_edge_list_malformed(tmp_path):
         cf.read_edge_list(path)
 
 
+@pytest.mark.parametrize("weight", ["0", "-1", "-0.0", "nan", "inf", "1e999", "notanumber"])
+def test_edge_list_refuses_a_line_weight_by_its_line(tmp_path, weight):
+    # refused on its own line, not once summed: 2 - 1 would read as a valid 1
+    path = tmp_path / "g.tsv"
+    path.write_text(f"# edges\na\tb\t2\nb\ta\t1\na\tb\t{weight}\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:4: bad weight {weight!r}; weights must be finite and positive")):
+        cf.read_edge_list(path)
+
+
 UNREADABLE_IDS = ["", "#a", " a", "a ", "a\tb", "a\rb", "a\nb", "a\u2028"]
 
 
@@ -460,6 +504,19 @@ def test_read_trajectory_refusals(tmp_path):
     path.write_text("a\n\n# x\ty\n b \na\tb\n")
     with pytest.raises(ValueError, match=r"traj\.txt:5: expected one node id per line"):
         cf.read_trajectory(path)
+
+
+def test_read_trajectory_tab_in_a_comment(tmp_path, monkeypatch):
+    plain, tabbed = tmp_path / "plain.txt", tmp_path / "tabbed.txt"
+    plain.write_text("# a walk\nb\na\n b\n")
+    tabbed.write_text("# a\twalk\nb\na\n b\n")
+    # read and split once, as a file without the tab is, not line by line; a line of
+    # two fields is still named by its number (test_read_trajectory_refusals)
+    expected = cf.read_trajectory(plain)
+    monkeypatch.setattr(cf.graph, "_read_fields", None)
+    traj = cf.read_trajectory(tabbed)
+    assert traj.nodes == expected.nodes == ("a", "b")
+    assert traj.states.tolist() == expected.states.tolist() == [1, 0, 1]
 
 
 def test_read_trajectory_lines(tmp_path):
