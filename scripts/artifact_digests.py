@@ -4,7 +4,8 @@ Runs decompose, spectrum, cluster cmsm / qbar-max / q-max and export-graph, the
 job of perfbench/workloads.py, through `cycleflow.cli.main` in this process, and
 prints `sha256  relpath` for each file written, in path order.  It also runs
 generate for the barbell, wheel-switch and ring graphs, writing under
-`generate/`, which checks the edge-list writer.  With
+`generate/`, which checks the edge-list writer; generate makes that directory
+itself, as every command makes its own.  With
 `--trajectory PATH` it also runs `decompose --trajectory PATH`, writing under
 `trajectory/`.  With `--exports` it also runs export-graph in every other
 format, with and without self-loops, writing under `exports/`; the cycle graph
@@ -59,7 +60,6 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         argvs = job(wl, args.seed, args.input, tmp)
         commands = list(COMMANDS)
-        Path(tmp, "generate").mkdir()
         for name, params in (("barbell", ["--n", "40", "--eps", "0.1"]),
                              ("wheel-switch", ["--n", "10", "--p", "0.37"]),
                              ("ring", ["--n", "12"])):

@@ -21,11 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import generators
-from ._floattext import reprs
 from .clustering import committors, estimate_num_modules, find_cores, hard_labels
 from .commgraph import CommunicationGraph, Pipeline, cycle_graph, export_graph
 from .cycles import decomposition_to_json, verify_flow_decomposition
-from .graph import _read_fields, read_edge_list, read_trajectory, write_edge_list
+from .graph import _edge_list_text, _read_fields, read_edge_list, read_trajectory
 from .lifted import order_eigenvalues, spectrum, spectrum_csv
 from .modularity import maximize, modules_from_labels, score_q_directed, score_qbar
 
@@ -109,7 +108,7 @@ def cmd_generate(config: RunConfig, output: Path) -> int:
     # looked up per call, so the function called is the module's attribute at that time
     make = getattr(generators, config.generator.replace("-", "_"))
     G = make(*(getattr(config, name) for name in params))
-    write_edge_list(G, output)
+    _write(output, _edge_list_text(G))
     print(f"wrote {G.n} nodes, {len(G.edges)} edges to {output}")
     return EXIT_OK
 
@@ -145,32 +144,30 @@ def cmd_spectrum(config: RunConfig, pipe: Pipeline, outdir: Path) -> int:
 
 
 def _cluster_cmsm(config: RunConfig, K: CommunicationGraph):
-    """The cmsm result document and the committor matrix it lists, one row per node."""
+    """The cmsm result document, and the rows of partition.csv: a header, then one per node."""
     auto = config.m == "auto"
     m = estimate_num_modules(K.eigh.eigenvalues, config.m_max) if auto else int(config.m)
     found = find_cores(K, m, config.theta)
     q = committors(K, found.cores)
     labels, ties = hard_labels(q)
-    ids = K.nodes
+    ids, qs, labels = K.nodes, q.tolist(), labels.tolist()
+    rows = [["node", "label", "tie", *(f"q{j}" for j in range(found.m))]]
+    rows += [[v, label, tie, *row]  # csv writes each float as its repr
+             for v, label, tie, row in zip(ids, labels, ties.astype(int).tolist(), qs)]
     return {
         "m": found.m,
         "cores": [[ids[v] for v in core] for core in found.cores],
         "transition_region": [ids[v] for v in found.transition],
-        "committors": dict(zip(ids, q.tolist())),
-        "labels": dict(zip(ids, labels.tolist())),
+        "committors": dict(zip(ids, qs)),
+        "labels": dict(zip(ids, labels)),
         "ties": [ids[v] for v in np.flatnonzero(ties)],
         "theta_used": config.theta,
-    }, q
+    }, rows
 
 
 def cmd_cluster(config: RunConfig, pipe: Pipeline, outdir: Path) -> int:
     if config.method == "cmsm":
-        result, q = _cluster_cmsm(config, pipe.K)
-        tie_set = set(result["ties"])
-        qs = np.array(reprs(q), dtype=object).reshape(q.shape).tolist()
-        rows = [["node", "label", "tie", *(f"q{j}" for j in range(result["m"]))]]
-        rows += [[v, label, int(v in tie_set), *row]
-                 for (v, label), row in zip(result["labels"].items(), qs)]
+        result, rows = _cluster_cmsm(config, pipe.K)
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(rows)  # quotes ids holding , or "
         _write(outdir / "partition.csv", text.getvalue())
@@ -326,6 +323,8 @@ def _validate_numbers(config: RunConfig) -> None:
         raise ValueError("m-max must be >= 2")
     if config.k is not None and config.k < 1:
         raise ValueError("k must be >= 1")
+    if config.seed is not None and config.seed < 0:
+        raise ValueError("seed must be >= 0")
 
 
 def main(argv=None) -> int:

@@ -17,9 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from ._floattext import reprs
-from .cycles import (CycleDecomposition, _json_document, _json_floats, iterative_decomposition,
-                     sample_decomposition)
-from .graph import (DirectedGraph, Trajectory, Walk, _node_ids, edge_flow,
+from .cycles import (CycleDecomposition, _cycle_texts, _json_document, _json_floats,
+                     iterative_decomposition, sample_decomposition)
+from .graph import (DirectedGraph, Trajectory, Walk, _check_writable_ids, _node_ids, edge_flow,
                     stationary_distribution, transition_matrix)
 
 __all__ = [
@@ -91,13 +91,14 @@ def cycle_graph(dec: CycleDecomposition) -> CommunicationGraph:
     m_x is the node mass.  W is the stationary flux |a| w(a) (V B)[a, b] of
     the cycle chain, so its mass is |a| w(a), mu unnormalized.  W = Z Z^T, with
     Z[alpha, x] = w(alpha)/sqrt(m_x) on alpha's nodes, is exactly symmetric.
-    Each vertex is labelled by its cycle's node ids, as "(a,b,c)".
+    Each vertex is named "(a,b,c)" by its cycle's node ids, each `\\` and `,` in an id
+    escaped by a backslash, so that every name decodes to its cycle and no two collide.
     """
     Z = np.zeros((dec.lengths.size, dec.n_nodes))
     Z[dec.rows, dec.members] = dec.w[dec.rows] / np.sqrt(dec.node_mass()[dec.members])
-    W = Z @ Z.T
-    return CommunicationGraph(intensity=W, nodes=tuple(
-        "(" + ",".join(map(dec.nodes.__getitem__, c)) + ")" for c in dec.cycles))
+    escaped = [v.replace("\\", "\\\\").replace(",", "\\,") for v in dec.nodes]
+    return CommunicationGraph(intensity=Z @ Z.T, nodes=tuple(
+        f"({t})" for t in _cycle_texts(dec, escaped, ",")))
 
 
 def _edge_blocks(M: np.ndarray, include_self_loops: bool, line: str, sep: str, ids,
@@ -135,12 +136,14 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
 
     Edges are emitted with the lower index first, in index order, so the
     output is deterministic.  `include_self_loops=False` drops the diagonal,
-    for visualization only.
+    for visualization only.  TSV refuses a node id that `write_edge_list` refuses, as its
+    lines are edge-list lines, and DOT one that ends in a backslash (`ValueError`).
     """
     if not isinstance(graph, CommunicationGraph):
         raise TypeError(f"cannot export {type(graph).__name__}")
     M, ids = graph.intensity, graph.nodes
     if fmt == "tsv":
+        _check_writable_ids(ids)
         blocks = _edge_blocks(M, include_self_loops, "{}\t{}\t{}", "\n", ids, reprs)
         return "\n".join([*blocks, ""]) if blocks else "\n"  # "\n" alone for no edges
     if fmt == "dot":

@@ -134,6 +134,9 @@ class CycleDecomposition:
     def uncovered_error(self, x: int) -> ValueError:
         """The error for node index x lying on no cycle of the decomposition."""
         hint = "; a longer walk (a larger --T) may reach it" if self.kind == "sampled" else ""
+        if self.tol is not None:  # peeled: the peel drops every cycle at or below tol
+            hint = (f"; the peel keeps only cycles heavier than its tolerance {self.tol:.3g}, "
+                    "and none through this node was")
         return ValueError(f"node {self.nodes[x]!r} is covered by no cycle, so the "
                           f"decomposition does not span the graph{hint}")
 
@@ -441,13 +444,20 @@ def _json_document(obj: dict, key: str, entries: list[str]) -> str:
     return "".join([head, line, "[\n", *parts, "\n  ]", tail, "\n"])
 
 
+def _cycle_texts(dec: CycleDecomposition, texts: list[str], sep: str) -> list[str]:
+    """Each cycle's node texts, texts[v] for node v, joined by `sep`, in canonical order."""
+    ids = np.array(texts, dtype=object)[dec.members].tolist()
+    ends = np.cumsum(dec.lengths).tolist()
+    return [sep.join(ids[a:b]) for a, b in zip([0, *ends], ends)]
+
+
 def decomposition_to_json(dec: CycleDecomposition, extra: dict | None = None) -> str:
     """JSON export: cycles sorted by weight descending, then canonical order.
 
     The text is that of `json.dumps(obj, sort_keys=True, indent=2)`, with `obj` holding
     `kind`, `n_nodes`, `T` (sampled), `extra`'s keys and the cycle list; each cycle
     entry has its node ids, its weight and, when sampled, its count.  Each node id is
-    quoted once, and each distinct weight formatted once.
+    quoted once, and each distinct weight formatted once; no cycle tuple is built.
     """
     obj = {"kind": dec.kind, "n_nodes": dec.n_nodes}
     if dec.T is not None:
@@ -455,17 +465,13 @@ def decomposition_to_json(dec: CycleDecomposition, extra: dict | None = None) ->
     if extra:
         obj.update(extra)
     order = np.argsort(-dec.w, kind="stable")  # equal weights keep the canonical order
-    quoted = [json.dumps(v) for v in dec.nodes]
-    ids = np.array(quoted, dtype=object)[dec.members].tolist()
-    ends = np.cumsum(dec.lengths)
-    starts, ends = (ends - dec.lengths).tolist(), ends.tolist()  # each cycle's slice of ids
+    cycles = _cycle_texts(dec, [json.dumps(v) for v in dec.nodes], ",\n        ")
     # sampled weights are count / T: few distinct values
     values, which = np.unique(dec.w, return_inverse=True)
     weights = np.array(_json_floats(values), dtype=object)[which[order]].tolist()
     counts = ([""] * order.size if dec.k is None
               else [f'"count": {k},\n      ' for k in dec.k[order].tolist()])
-    sep = ",\n        "
-    entries = [f'    {{\n      {c}"cycle": [\n        {sep.join(ids[starts[i]:ends[i]])}\n'
+    entries = [f'    {{\n      {c}"cycle": [\n        {cycles[i]}\n'
                f'      ],\n      "weight": {w}\n    }}'
                for i, c, w in zip(order.tolist(), counts, weights)]
     return _json_document(obj, "cycles", entries)

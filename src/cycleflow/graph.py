@@ -16,6 +16,7 @@ from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -416,17 +417,17 @@ def _check_writable_ids(ids) -> None:
             raise ValueError(f"node id {v!r} cannot be written: it would not read back")
 
 
-def write_edge_list(G: DirectedGraph, path) -> None:
-    """Write the graph as TSV edge lines in node-index order.
-
-    Raises ValueError, before opening `path`, on a node id that would not read back.
-    """
+def _edge_list_text(G: DirectedGraph) -> str:
+    """The graph as TSV edge lines in node-index order; refuses ids that would not read back."""
     _check_writable_ids(G.nodes)
     edges = sorted(G.edges.items(), key=lambda it: (G.index(it[0][0]), G.index(it[0][1])))
     weights = reprs(np.array([w for _, w in edges], dtype=float))
-    lines = [f"{x}\t{y}\t{w}" for ((x, y), _), w in zip(edges, weights)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join([f"{x}\t{y}\t{w}" for ((x, y), _), w in zip(edges, weights)] + [""])
+
+
+def write_edge_list(G: DirectedGraph, path) -> None:
+    """Write `_edge_list_text(G)` to `path`, which is opened only once that has not raised."""
+    Path(path).write_text(_edge_list_text(G), encoding="utf-8")
 
 
 def read_trajectory(path, nodes: tuple[str, ...] | None = None) -> Trajectory:
@@ -438,8 +439,7 @@ def read_trajectory(path, nodes: tuple[str, ...] | None = None) -> Trajectory:
     and split once; an id that still holds a tab is a line of two fields, and
     is refused by its `path:lineno`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = Path(path).read_text(encoding="utf-8")
     # the lines as `_read_fields` reads them: newlines translated, each stripped
     ids = list(filter(None, map(str.strip, text.split("\n"))))
     if "#" in text:
@@ -464,5 +464,4 @@ def write_trajectory(traj: Trajectory, path) -> None:
     that would not read back."""
     ids = traj.as_ids()
     _check_writable_ids(set(ids))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(ids) + "\n")
+    Path(path).write_text("\n".join(ids) + "\n", encoding="utf-8")

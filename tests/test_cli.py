@@ -64,6 +64,17 @@ def test_generate_refuses_ids_that_do_not_read_back(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+def test_generate_creates_its_directory(tmp_path):
+    # generate writes as every command does: its directory is made on the first write,
+    # and a command refused before then leaves none
+    out = tmp_path / "new" / "g.tsv"
+    assert main(["generate", "ring", "--n", "4", "--output", str(out)]) == 0
+    assert len(cf.read_edge_list(out).edges) == 4
+    refused = tmp_path / "refused" / "g.tsv"
+    assert main(["generate", "barbell", "--n", "4", "--output", str(refused)]) == 2
+    assert not refused.parent.exists()
+
+
 def test_decompose_iterative(barbell_tsv, tmp_path):
     outdir = tmp_path / "dec"
     assert main(["decompose", "--input", str(barbell_tsv),
@@ -504,6 +515,31 @@ def test_validation_exit_codes(tmp_path):
                  "--output-dir", str(tmp_path / "v")]) == 2
 
 
+def test_negative_seed_exit_code(barbell_tsv, tmp_path, capsys):
+    # refused before any input is read, as --T is: a missing input file is never opened
+    for path in (barbell_tsv, tmp_path / "missing.tsv"):
+        for source in ([], ["--decomposer", "iterative"]):
+            assert main(["decompose", "--input", str(path), *source, "--seed", "-1",
+                         "--output-dir", str(tmp_path / "d")]) == 2
+            assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_peel_names_its_tolerance_for_an_uncovered_node(tmp_path, capsys):
+    # a birth-death chain with a 9:1 drift: the flow through v00, about 1e-27, lies
+    # below the peel's tolerance, so the peel keeps no cycle through it
+    path = tmp_path / "chain.tsv"
+    path.write_text("".join(f"v{i:02d}\tv{i + 1:02d}\t9\nv{i + 1:02d}\tv{i:02d}\t1\n"
+                            for i in range(29)))
+    assert main(["cluster", "--input", str(path), "--decomposer", "iterative",
+                 "--output-dir", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == (
+        "error: node 'v00' is covered by no cycle, so the decomposition does not span the "
+        "graph; the peel keeps only cycles heavier than its tolerance 4.44e-13, and none "
+        "through this node was\n")
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("lines, message", [
     # two finite out-weights whose sum overflows
     (["a\tb\t1.7e308", "a\tc\t1.7e308", "b\ta\t1", "c\ta\t1"],
@@ -601,6 +637,51 @@ def test_eigensolver_failure_exit_code(barbell_tsv, tmp_path, monkeypatch, capsy
     assert main(["cluster", "--input", str(barbell_tsv), "--decomposer", "iterative",
                  "--output-dir", str(tmp_path / "c")]) == 3
     assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"
+
+
+def decode_cycle_name(name):
+    """The node ids a cycle-graph vertex name lists: "(" ids ")", joined by ",", each
+    "\\" and "," inside an id escaped by a backslash."""
+    assert name[0] == "(" and name[-1] == ")"
+    ids, chars = [""], iter(name[1:-1])
+    for ch in chars:
+        if ch == ",":
+            ids.append("")
+        else:
+            ids[-1] += next(chars) if ch == "\\" else ch
+    return tuple(ids)
+
+
+@pytest.mark.parametrize("source", [["--decomposer", "iterative"],
+                                    ["--T", "20000", "--seed", "3"]])
+def test_cycle_export_names_decode_to_their_cycles(tmp_path, source):
+    # unescaped, "(a,b,c)" would name both (a, "b,c") and ("a,b", c)
+    pairs = {("a", "b,c"), ("a,b", "c"), ("a", "a,b"), ("c", "d\\")}
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(f"{x}\t{y}\t1\n{y}\t{x}\t1\n" for x, y in sorted(pairs)))
+    outdir, out = tmp_path / "d", tmp_path / "cycle.tsv"
+    assert main(["decompose", "--input", str(path), *source, "--output-dir", str(outdir)]) == 0
+    cycles = json.loads((outdir / "decomposition.json").read_text())["cycles"]
+    assert {tuple(c["cycle"]) for c in cycles} == pairs
+    assert main(["export-graph", "--input", str(path), *source, "--which", "cycle",
+                 "--output", str(out)]) == 0
+    names = {v for line in out.read_text().split("\n")[:-1] for v in line.split("\t")[:2]}
+    assert len(names) == len(pairs)  # every cycle has a self-loop, so each name shows
+    assert {decode_cycle_name(v) for v in names} == pairs
+    assert {"(a,b\\,c)", "(a\\,b,c)", "(c,d\\\\)"} <= names
+
+
+@pytest.mark.parametrize("fmt, sha256", [
+    ("tsv", "d53e446c3265cf30dfe6dd752014e243b2fb9f6c974635a955dae4186f1a3c42"),
+    ("dot", "6c7dafa19d6b717c64fdb5020cb66a49cc0f470285053a6471e517efe8e4b6b8"),
+    ("json", "b0f9c6c9b6afd9af188646943372d4bf9da9fe56895d142c26c7075f04495d08"),
+])
+def test_cycle_export_of_plain_ids_pinned(barbell_tsv, tmp_path, fmt, sha256):
+    """Names of cycles whose ids hold no backslash or comma keep their bytes."""
+    out = tmp_path / f"cycle.{fmt}"
+    assert main(["export-graph", "--input", str(barbell_tsv), "--decomposer", "iterative",
+                 "--which", "cycle", "--format", fmt, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("script, args", [

@@ -77,6 +77,15 @@ def test_cycle_graph_labels(barbell4):
     assert labels == ("(l0,l1,l2,l3)", "(l0,r0)", "(r0,r1,r2,r3)")
 
 
+def test_cycle_graph_names_escape_commas_and_backslashes():
+    # unescaped, both cycles would be named "(a,b,c)"; the names come from the arrays
+    dec = cf.CycleDecomposition({(0, 2): 0.5, (1, 3): 0.25, (3, 4): 0.25}, kind="iterative",
+                                n_nodes=5, nodes=("a", "a,b", "b,c", "c", "d\\"))
+    assert cf.cycle_graph(dec).nodes == ("(a,b\\,c)", "(a\\,b,c)", "(c,d\\\\)")
+    cf.decomposition_to_json(dec)
+    assert "cycles" not in vars(dec)  # neither built the tuple view
+
+
 def test_cycle_graph_ring_single_node():
     # one cycle: the whole flux recirculates, so the self-exchange is mu = 1
     pipe = cf.Pipeline(cf.ring(4))
@@ -165,6 +174,16 @@ def test_export_dot_refuses_trailing_backslash():
     assert json.loads(cf.export_graph(K, "json"))["nodes"] == ["a\\", "b"]
     inner = cf.CommunicationGraph(intensity=K.intensity, nodes=("a\\b", "b"))
     assert '  "a\\b" -- "b" [weight=1.0];' in cf.export_graph(inner, "dot")
+
+
+@pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb", "#a"])
+def test_export_tsv_refuses_ids_that_do_not_read_back(bad):
+    """TSV lines are edge-list lines, so TSV export refuses the ids `write_edge_list`
+    refuses; JSON holds them quoted."""
+    K = cf.CommunicationGraph(intensity=np.array([[0.0, 1.0], [1.0, 0.0]]), nodes=(bad, "c"))
+    with pytest.raises(ValueError, match="would not read back"):
+        cf.export_graph(K, "tsv")
+    assert json.loads(cf.export_graph(K, "json"))["nodes"] == [bad, "c"]
 
 
 def test_graph_refuses_node_ids_not_one_per_node():
