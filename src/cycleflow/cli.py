@@ -298,7 +298,9 @@ def _refuse(given: dict, names, option: str) -> None:
 
 def _config_from_args(args) -> RunConfig:
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    if args.command != "generate" and "input" not in given and "trajectory" not in given:
+    if args.command == "generate":  # a parameter its generator does not take goes unread
+        _refuse(given, sorted({"eps", "p"}.difference(_GENERATORS[args.generator])), args.generator)
+    elif "input" not in given and "trajectory" not in given:
         raise ValueError("--input is required")
     if "trajectory" in given:
         # a stored walk is decomposed as it is: no graph, decomposer or walk option applies

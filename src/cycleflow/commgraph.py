@@ -19,7 +19,7 @@ import numpy as np
 from ._floattext import reprs
 from .cycles import (CycleDecomposition, _cycle_texts, _json_document, _json_floats,
                      iterative_decomposition, sample_decomposition)
-from .graph import (DirectedGraph, Trajectory, Walk, _check_writable_ids, _node_ids, edge_flow,
+from .graph import (DirectedGraph, Trajectory, Walk, _node_ids, edge_flow,
                     stationary_distribution, transition_matrix)
 
 __all__ = [
@@ -136,14 +136,13 @@ def export_graph(graph, fmt: str, include_self_loops: bool = True) -> str:
 
     Edges are emitted with the lower index first, in index order, so the
     output is deterministic.  `include_self_loops=False` drops the diagonal,
-    for visualization only.  TSV refuses a node id that `write_edge_list` refuses, as its
-    lines are edge-list lines, and DOT one that ends in a backslash (`ValueError`).
+    for visualization only.  DOT refuses a node id that ends in a backslash
+    (`ValueError`).
     """
     if not isinstance(graph, CommunicationGraph):
         raise TypeError(f"cannot export {type(graph).__name__}")
     M, ids = graph.intensity, graph.nodes
     if fmt == "tsv":
-        _check_writable_ids(ids)
         blocks = _edge_blocks(M, include_self_loops, "{}\t{}\t{}", "\n", ids, reprs)
         return "\n".join([*blocks, ""]) if blocks else "\n"  # "\n" alone for no edges
     if fmt == "dot":

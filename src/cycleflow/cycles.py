@@ -69,13 +69,12 @@ class CycleDecomposition:
     hands its cycles to one canonicalizer: rotations of a cycle are identified
     and their weights and counts add up.  Keys that are not simple cycles on
     the nodes 0..n_nodes-1, counts not keyed exactly as the weights, and node ids
-    that are not one per node, are refused; `nodes` left None names each node by its
-    index.
+    outside the one id rule (`graph._node_ids`), are refused; `nodes` left None names
+    each node by its index.
     """
 
     def __init__(self, weights: dict, kind: str, n_nodes: int, counts: dict | None = None,
-                 T: int | None = None, tol: float | None = None,
-                 nodes: tuple[str, ...] | None = None):
+                 T: int | None = None, nodes: tuple[str, ...] | None = None):
         for c, w in weights.items():
             if not w > 0.0:
                 raise ValueError(f"cycle {c} has non-positive weight {w}")
@@ -89,7 +88,7 @@ class CycleDecomposition:
                     w=np.fromiter(weights.values(), dtype=float, count=len(weights)),
                     k=None if counts is None else np.fromiter(
                         (counts[c] for c in weights), dtype=np.int64, count=len(weights)),
-                    T=T, tol=tol, nodes=nodes)
+                    T=T, nodes=nodes)
 
     def _build(self, flat, lengths, kind, n_nodes, *, w=None, k=None, T=None, tol=None,
                nodes=None) -> CycleDecomposition:

@@ -4,9 +4,10 @@ Node identifiers are strings; they are mapped once to dense indices 0..n-1
 and every numerical routine works on indices.  Every node-indexed object, a
 graph, walk, trajectory, decomposition or communication graph, holds one id per
 index in its `nodes` tuple, under one rule (`_node_ids`): each id is `str()`-ed,
-none appears twice, and one left unnamed calls each node by its index.  Graphs,
-transition matrices, stationary vectors and flows are immutable after
-construction.
+none appears twice, one left unnamed calls each node by its index, and each reads
+back from a line of text as itself: not empty, no tab, CR or LF, no leading `#` or
+U+FEFF (a byte-order mark), no whitespace at either end; so line writers check none.
+Graphs, transition matrices, stationary vectors and flows are immutable after construction.
 """
 
 from __future__ import annotations
@@ -46,14 +47,25 @@ _WALK_CHUNK = 1 << 16
 _TABLE_PER_P = 4
 
 
+def _unreadable(*ids: str) -> bool:
+    """True if any of `ids` would not read back from a line of text (see `_node_ids`)."""
+    text = "".join(ids)  # one pass over all ids per check, not every check per id
+    return (any(map(text.__contains__, "\t\r\n")) or tuple(map(str.strip, ids)) != ids
+            or not {v[:1] for v in ids}.isdisjoint(("", "#", "\ufeff")))
+
+
 def _node_ids(nodes, n: int) -> tuple[str, ...]:
     """`nodes` as a tuple of strings, each index as a string when None; raises
-    ValueError unless it holds one id per node and no id twice."""
+    ValueError unless it holds one id per node, no id twice, and only ids that read back
+    from a line of text as themselves: none empty, holding a tab, CR or LF, starting with
+    `#` (a comment) or U+FEFF (a byte-order mark), or with whitespace at either end."""
     ids = tuple(map(str, range(n) if nodes is None else nodes))
     if len(ids) != n:
         raise ValueError(f"{len(ids)} node ids for {n} nodes")
     if len(set(ids)) != n:
         raise ValueError(f"duplicate node id {next(v for v, k in Counter(ids).items() if k > 1)!r}")
+    if _unreadable(*ids):
+        raise ValueError(f"node id {next(v for v in ids if _unreadable(v))!r} would not read back")
     return ids
 
 
@@ -372,9 +384,9 @@ def simulate(P: np.ndarray, start: int, length: int, seed: int) -> Trajectory:
 
 
 def _read_fields(path, count: int, expected: str):
-    """(line number, tab-split fields) for each line of a UTF-8 text file but blank
-    and `#` lines; a line without `count` fields raises, naming `path:lineno`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """(line number, tab-split fields) for each line of UTF-8 text, BOM dropped, but
+    blank and `#` lines; a line without `count` fields raises, naming `path:lineno`."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -388,10 +400,10 @@ def _read_fields(path, count: int, expected: str):
 def read_edge_list(path) -> DirectedGraph:
     """Read a graph from UTF-8 text, one `src<TAB>dst<TAB>weight` per line.
 
-    Blank lines and lines starting with `#` are skipped.  A line whose weight is
-    not a finite number > 0 is refused by its `path:lineno`.  The lines of one
-    directed edge are summed in file order; a sum past the float range is
-    refused by the graph.  Nodes are taken in sorted order of their ids.
+    A leading byte-order mark, blank lines and `#` lines are skipped.  A line whose
+    weight is not a finite number > 0 is refused by its `path:lineno`.  The lines of
+    one directed edge are summed in file order; a sum past the float range, or an id
+    that would not read back, is refused by the graph.  Nodes are in sorted order.
     """
     edges: dict[tuple[str, str], float] = {}
     for lineno, (src, dst, weight) in _read_fields(path, 3, "src<TAB>dst<TAB>weight"):
@@ -408,25 +420,15 @@ def read_edge_list(path) -> DirectedGraph:
     return DirectedGraph(sorted({v for edge in edges for v in edge}), edges)
 
 
-def _check_writable_ids(ids) -> None:
-    """Raise ValueError on a node id that `_read_fields` would not read back as itself:
-    empty, holding a tab or a line break, starting with `#` (a comment line) or with
-    whitespace at either end (stripped off the line)."""
-    for v in ids:
-        if not v or v != v.strip() or v.startswith("#") or any(ch in v for ch in "\t\r\n"):
-            raise ValueError(f"node id {v!r} cannot be written: it would not read back")
-
-
 def _edge_list_text(G: DirectedGraph) -> str:
-    """The graph as TSV edge lines in node-index order; refuses ids that would not read back."""
-    _check_writable_ids(G.nodes)
+    """The graph as TSV edge lines in node-index order."""
     edges = sorted(G.edges.items(), key=lambda it: (G.index(it[0][0]), G.index(it[0][1])))
     weights = reprs(np.array([w for _, w in edges], dtype=float))
     return "\n".join([f"{x}\t{y}\t{w}" for ((x, y), _), w in zip(edges, weights)] + [""])
 
 
 def write_edge_list(G: DirectedGraph, path) -> None:
-    """Write `_edge_list_text(G)` to `path`, which is opened only once that has not raised."""
+    """Write `_edge_list_text(G)` to `path`."""
     Path(path).write_text(_edge_list_text(G), encoding="utf-8")
 
 
@@ -434,12 +436,12 @@ def read_trajectory(path, nodes: tuple[str, ...] | None = None) -> Trajectory:
     """Read a trajectory file with one node id per line.
 
     If `nodes` is given the ids are mapped through it, under the one id rule
-    (`_node_ids`), otherwise the sorted set of observed ids fixes the index space.  Blank lines and lines
-    starting with `#` are skipped, and each id is stripped.  The file is read
-    and split once; an id that still holds a tab is a line of two fields, and
-    is refused by its `path:lineno`.
+    (`_node_ids`), otherwise the sorted set of observed ids fixes the index space.  A
+    leading byte-order mark, blank lines and lines starting with `#` are skipped, and
+    each id is stripped.  The file is read and split once; an id that still holds a
+    tab is a line of two fields, and is refused by its `path:lineno`.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     # the lines as `_read_fields` reads them: newlines translated, each stripped
     ids = list(filter(None, map(str.strip, text.split("\n"))))
     if "#" in text:
@@ -460,8 +462,5 @@ def read_trajectory(path, nodes: tuple[str, ...] | None = None) -> Trajectory:
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    """Write one node id per line; raises ValueError, before opening `path`, on an id
-    that would not read back."""
-    ids = traj.as_ids()
-    _check_writable_ids(set(ids))
-    Path(path).write_text("\n".join(ids) + "\n", encoding="utf-8")
+    """Write one node id per line."""
+    Path(path).write_text("\n".join(traj.as_ids()) + "\n", encoding="utf-8")

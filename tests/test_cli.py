@@ -56,12 +56,28 @@ def test_generate_validation(tmp_path):
 
 
 def test_generate_refuses_ids_that_do_not_read_back(tmp_path, monkeypatch, capsys):
-    bad = cf.DirectedGraph(["#a", "b"], {("#a", "b"): 1.0, ("b", "#a"): 1.0})
-    monkeypatch.setattr(cf.generators, "ring", lambda n: bad)
+    # refused as the generator builds its graph, before anything is written
+    monkeypatch.setattr(cf.generators, "ring", lambda n: cf.DirectedGraph(
+        ["#a", "b"], {("#a", "b"): 1.0, ("b", "#a"): 1.0}))
     out = tmp_path / "g.tsv"
     assert main(["generate", "ring", "--n", "2", "--output", str(out)]) == 2
     assert "would not read back" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("generator, unread", [
+    (["ring", "--n", "4"], ["--eps", "0.3"]),
+    (["ring", "--n", "4"], ["--p", "0.3"]),
+    (["barbell", "--n", "4", "--eps", "0.1"], ["--p", "0.3"]),
+    (["wheel-switch", "--n", "10", "--p", "0.7"], ["--eps", "0.1"]),
+], ids=["ring-eps", "ring-p", "barbell-p", "wheel-switch-eps"])
+def test_generate_refuses_a_parameter_its_generator_does_not_read(tmp_path, capsys,
+                                                                  generator, unread):
+    out = tmp_path / "new" / "g.tsv"
+    assert main(["generate", *generator, *unread, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {unread[0]} and {generator[0]} exclude each other\n")
+    assert not out.parent.exists()
 
 
 def test_generate_creates_its_directory(tmp_path):
@@ -469,6 +485,60 @@ def test_export_graph_dot_refuses_trailing_backslash(tmp_path, capsys):
     assert not out.parent.exists()
     for fmt in ("tsv", "json"):
         assert main([*argv, "--format", fmt, "--output", str(tmp_path / f"K.{fmt}")]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--output-dir"], ["cluster", "--output-dir"],
+    ["export-graph", "--format", "tsv", "--output"]], ids=lambda c: c[0])
+def test_ids_that_do_not_read_back_are_refused_on_read(tmp_path, capsys, command):
+    # a field keeps the whitespace inside its line: read, `a ` would be an id that no
+    # edge list or export could carry
+    graph, out = tmp_path / "g.tsv", tmp_path / "out"
+    graph.write_text("a \tb\t1\nb\ta \t1\n")
+    assert main([command[0], "--input", str(graph), "--decomposer", "iterative",
+                 *command[1:], str(out / "K")]) == 2
+    assert capsys.readouterr().err.startswith("error: node id 'a ' would not read back")
+    assert not out.exists()
+    graph.write_text("a\t b\t1\n b\ta\t1\n")  # as typed, a space after the tab
+    assert main([command[0], "--input", str(graph), *command[1:], str(out / "K")]) == 2
+    assert capsys.readouterr().err.startswith("error: node id ' b' would not read back")
+    assert not out.exists()
+
+
+def test_a_byte_order_mark_is_dropped(barbell_tsv, tmp_path):
+    """An edge list, walk or partition file that starts with a UTF-8 byte-order mark
+    reads as it does without one."""
+    def bommed(path):
+        copy = path.with_name("bom-" + path.name)
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    def run(command, *argv):  # each command writes one JSON artifact, into its own dir
+        assert main([command, *map(str, argv), "--output-dir", str(tmp_path / command)]) == 0
+        obj = json.loads(next((tmp_path / command).glob("*.json")).read_text())
+        del obj["config"], obj["input_sha256"]
+        obj.pop("partition_sha256", None)  # a file's hash is of its bytes, the mark included
+        return obj
+
+    G = cf.read_edge_list(barbell_tsv)
+    walk = tmp_path / "walk.txt"
+    traj = cf.simulate(cf.transition_matrix(G), 0, 2_000, seed=0)
+    cf.write_trajectory(cf.Trajectory(states=traj.states, nodes=G.nodes), walk)
+    part = tmp_path / "part.tsv"
+    part.write_text("".join(f"{v}\t{v[0] == 'r':d}\n" for v in G.nodes))
+    iterative = ["--decomposer", "iterative"]
+    for plain, bom in [(["decompose", "--input", barbell_tsv, *iterative],
+                        ["decompose", "--input", bommed(barbell_tsv), *iterative]),
+                       (["decompose", "--trajectory", walk],
+                        ["decompose", "--trajectory", bommed(walk)]),
+                       (["modularity", "--input", barbell_tsv, *iterative, "--partition", part],
+                        ["modularity", "--input", barbell_tsv, *iterative,
+                         "--partition", bommed(part)])]:
+        expected = run(*plain)
+        assert run(*bom) == expected
+        if plain[0] == "decompose":  # no phantom id '\ufeffl0'
+            assert expected["n_nodes"] == 8
+    assert cf.read_trajectory(bommed(walk)).nodes == G.nodes
 
 
 def test_byte_identical_reruns(barbell_tsv, tmp_path):

@@ -61,6 +61,12 @@ def test_decomposition_refuses_counts_not_keyed_as_weights(counts):
                               n_nodes=3, T=10)
 
 
+def test_decomposition_takes_no_tolerance():
+    # the peel's tolerance is set as it builds its decomposition; no caller names one
+    with pytest.raises(TypeError, match="tol"):
+        cf.CycleDecomposition(weights={(0, 1): 0.5}, kind="iterative", n_nodes=2, tol=1e-12)
+
+
 def test_reverse_cycle_examples():
     assert reverse_cycle((0, 1, 2)) == (0, 2, 1)
     assert reverse_cycle((0, 1)) == (0, 1)

@@ -1,4 +1,5 @@
 import re
+import tempfile
 import tracemalloc
 import warnings
 
@@ -447,26 +448,71 @@ def test_edge_list_refuses_a_line_weight_by_its_line(tmp_path, weight):
         cf.read_edge_list(path)
 
 
-UNREADABLE_IDS = ["", "#a", " a", "a ", "a\tb", "a\rb", "a\nb", "a\u2028"]
+# `#a` would start a comment line, ` a` be stripped to `a`, a leading U+FEFF be dropped
+# as a byte-order mark
+UNREADABLE_IDS = ["", "#a", " a", "a ", "a\tb", "a\rb", "a\nb", "a\u2028", "\ufeffa"]
 
 
 @pytest.mark.parametrize("bad", UNREADABLE_IDS)
-def test_write_edge_list_rejects_ids_that_do_not_read_back(tmp_path, bad):
-    # written, `#a` would start a comment line and ` a` would be stripped to `a`
-    G = cf.DirectedGraph([bad, "b"], {(bad, "b"): 1.0, ("b", bad): 1.0})
-    path = tmp_path / "g.tsv"
+def test_write_edge_list_rejects_ids_that_do_not_read_back(bad):
+    # no graph holds such an id, so no edge list can be written with one
     with pytest.raises(ValueError, match="would not read back"):
-        cf.write_edge_list(G, path)
-    assert not path.exists()
+        cf.DirectedGraph([bad, "b"], {(bad, "b"): 1.0, ("b", bad): 1.0})
 
 
 @pytest.mark.parametrize("bad", UNREADABLE_IDS)
-def test_write_trajectory_rejects_ids_that_do_not_read_back(tmp_path, bad):
-    traj = cf.Trajectory(states=np.array([1, 0, 1]), nodes=("b", bad))
-    path = tmp_path / "traj.txt"
+def test_write_trajectory_rejects_ids_that_do_not_read_back(bad):
     with pytest.raises(ValueError, match="would not read back"):
-        cf.write_trajectory(traj, path)
-    assert not path.exists()
+        cf.Trajectory(states=np.array([1, 0, 1]), nodes=("b", bad))
+
+
+# the other three node-indexed classes; a graph and a trajectory are the two tests above
+_CONSTRUCTORS = {
+    "walk": lambda ids: cf.Walk(np.array([[0.0, 1.0], [1.0, 0.0]]), 0, 3, 0, nodes=ids),
+    "decomposition": lambda ids: cf.CycleDecomposition({(0, 1): 1.0}, "iterative", 2,
+                                                       nodes=ids),
+    "commgraph": lambda ids: cf.CommunicationGraph(np.ones((2, 2)), nodes=ids),
+}
+
+
+@pytest.mark.parametrize("bad", UNREADABLE_IDS)
+@pytest.mark.parametrize("kind", list(_CONSTRUCTORS))
+def test_constructors_refuse_ids_that_do_not_read_back(kind, bad):
+    # one rule where ids are made (`_node_ids`), so no writer checks them
+    with pytest.raises(ValueError, match=re.escape(f"node id {bad!r} would not read back")):
+        _CONSTRUCTORS[kind]((bad, "b"))
+    assert _CONSTRUCTORS[kind](("a b", "b#\ufeff")).nodes == ("a b", "b#\ufeff")
+
+
+# ids with what a field may carry: inner spaces, `#` and U+FEFF past the first character,
+# quotes, commas, backslashes, line separators that are not line ends, non-ASCII text
+_ID = st.text(st.sampled_from(" #\ufeff\"',\\\u2028\x85ab\u00e9\u8282")
+              | st.characters(codec="utf-8", exclude_characters="\t\r\n"),
+              min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ID, min_size=2, max_size=5, unique=True),
+       st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=5, max_size=5),
+       st.lists(st.integers(0, 4), min_size=1, max_size=20))
+def test_what_constructs_reads_back(ids, weights, states):
+    """Any graph or trajectory that constructs writes and reads back: equal ids, edges
+    and states."""
+    edges = {(ids[k], ids[(k + 1) % len(ids)]): weights[k] for k in range(len(ids))}
+    try:
+        G = cf.DirectedGraph(ids, edges)
+    except ValueError as exc:
+        assert "would not read back" in str(exc)
+        return
+    traj = cf.Trajectory(states=np.array([s % len(ids) for s in states]), nodes=tuple(ids))
+    with tempfile.TemporaryDirectory() as tmp:
+        cf.write_edge_list(G, f"{tmp}/g.tsv")
+        H = cf.read_edge_list(f"{tmp}/g.tsv")
+        assert H.nodes == tuple(sorted(ids)) and H.edges == G.edges
+        cf.write_trajectory(traj, f"{tmp}/t.txt")
+        assert cf.read_trajectory(f"{tmp}/t.txt").as_ids() == traj.as_ids()
+        back = cf.read_trajectory(f"{tmp}/t.txt", nodes=tuple(ids))
+        assert back.nodes == traj.nodes and back.states.tolist() == traj.states.tolist()
 
 
 def test_writers_keep_inner_spaces_and_hashes(tmp_path):
