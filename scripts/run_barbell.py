@@ -39,18 +39,18 @@ def main():
 
     dec_it = pipe.dec
     print(f"\nflow peeling found {len(dec_it.weights)} cycles:")
-    for c in dec_it.cycles:
-        print(f"  len {len(c):3d}  w = {dec_it.weights[c]:.10f}")
+    for c, w_it in dec_it.weights.items():
+        print(f"  len {len(c):3d}  w = {w_it:.10f}")
     print(f"exact ring weight {w:.10f}, bridge weight {eps * w:.10f}")
 
     t0 = time.monotonic()
     dec_s = cf.Pipeline(G, T=args.T, seed=args.seed).dec
     print(f"\nsampling T={args.T:.0e} took {time.monotonic() - t0:.2f}s, "
           f"{len(dec_s.weights)} cycles")
-    for c in dec_s.cycles:
+    for c, w_s in dec_s.weights.items():
         exact = dec_it.weights.get(c, 0.0)
-        rel = abs(dec_s.weights[c] - exact) / exact if exact else float("nan")
-        print(f"  len {len(c):3d}  w_T = {dec_s.weights[c]:.8f}  rel err {rel:.4f}")
+        rel = abs(w_s - exact) / exact if exact else float("nan")
+        print(f"  len {len(c):3d}  w_T = {w_s:.8f}  rel err {rel:.4f}")
     print(f"flow residual: {cf.verify_flow_decomposition(dec_s, F):.3e} "
           f"({cf.verify_flow_decomposition(dec_s, F) / F.max():.4%} of max flow)")
 

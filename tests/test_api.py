@@ -3,6 +3,7 @@ constructions stay in the test suite's `reference` module instead."""
 
 import importlib
 import inspect
+import json
 import pkgutil
 
 import numpy as np
@@ -102,15 +103,24 @@ def test_names_the_benchmark_calls(tmp_path):
     assert H.edges == G.edges and [H.index(v) for v in "abc"] == [0, 1, 2]
     assert not hasattr(cf.DirectedGraph, "from_edge_list")
     # they rebuild the decomposition from decomposition.json through the keyword
-    # constructor, and the tracer counts cycles off the weights view
+    # constructor, each cycle's ids mapped to indices by canonical_cycle on a generator,
+    # and the tracer counts cycles off the weights view
     G = cf.barbell(4, 0.1)
     pipe = cf.Pipeline(G)
-    weights = {cf.canonical_cycle(c): w for c, w in pipe.dec.weights.items()}
-    dec = cf.CycleDecomposition(weights=weights, kind="iterative", n_nodes=G.n, nodes=G.nodes)
+    written = json.loads(cf.decomposition_to_json(pipe.dec))
+    weights = {cf.canonical_cycle(G.index(v) for v in e["cycle"]): e["weight"]
+               for e in written["cycles"]}
+    dec = cf.CycleDecomposition(weights=weights, kind=written["kind"], n_nodes=G.n,
+                                nodes=G.nodes)
     assert len(dec.weights) == dec.lengths.size == 3
-    assert dec.counts is None and dec.cycles == list(dec.weights)
-    assert dec.weight(range(4)) == weights[(0, 1, 2, 3)]
+    assert dec.weights == pipe.dec.weights
     assert dec.node_mass().shape == (G.n,)
     K = cf.communication_graph(dec, pipe.pi)  # pi passed positionally
     assert K.intensity.shape == (G.n, G.n)
+    # those are the only tuple forms left: every command reads the arrays
+    assert list(inspect.signature(cf.CycleDecomposition).parameters) == [
+        "weights", "kind", "n_nodes", "nodes"]
+    assert not hasattr(cf.cycles, "Cycle") and not hasattr(cf, "Cycle")
+    for name in ("cycles", "counts", "weight"):
+        assert not hasattr(cf.CycleDecomposition, name), name
     assert callable(cli._load_pipeline)

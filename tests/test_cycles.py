@@ -12,7 +12,8 @@ import cycleflow as cf
 
 from conftest import (CROWDED_HUB, DENSE, GRID_CUTS, dict_erasure, random_strong_graph, ring_chain,
                       ring_chain_closed_forms, three_node_chain, two_triangles)
-from reference import exact_cycle_weights, reverse_cycle, simple_cycles
+from reference import (counts, exact_cycle_weights, reverse_cycle, sampled_from_counts,
+                       simple_cycles, weight)
 
 
 # ------------------------------------------------------------- canonical form
@@ -24,6 +25,12 @@ def test_canonical_cycle():
         cf.canonical_cycle((1, 2, 1))
     with pytest.raises(ValueError):
         cf.canonical_cycle(())
+    # numpy integers are indices; anything else is refused, not truncated
+    assert cf.canonical_cycle(np.array([2, 0, 1], dtype=np.int32)) == (0, 1, 2)
+    assert type(cf.canonical_cycle(np.array([1, 0]))[0]) is int
+    for seq in ((1.7, 0.2), (0, 1.0), ("0", "1")):
+        with pytest.raises(ValueError, match="not a simple cycle"):
+            cf.canonical_cycle(seq)
 
 
 def test_decomposition_rejects_non_positive_and_nan_weights():
@@ -34,31 +41,31 @@ def test_decomposition_rejects_non_positive_and_nan_weights():
 
 def test_decomposition_canonicalizes_keys():
     dec = cf.CycleDecomposition(weights={(1, 0): 0.5, (2,): 0.5}, kind="iterative", n_nodes=3)
-    assert dec.weights == {(0, 1): 0.5, (2,): 0.5} and dec.cycles == [(0, 1), (2,)]
-    assert dec.weight((1, 0)) == dec.weight((0, 1)) == 0.5
-    # rotations of one cycle are one cycle: weights and counts add up
+    assert list(dec.weights.items()) == [((0, 1), 0.5), ((2,), 0.5)]
+    assert weight(dec, (1, 0)) == weight(dec, (0, 1)) == 0.5 and weight(dec, (1,)) == 0.0
+    # numpy integer keys are indices
+    dec = cf.CycleDecomposition(weights={(np.int64(1), np.int32(0)): 0.5}, kind="iterative",
+                                n_nodes=2)
+    assert dec.weights == {(0, 1): 0.5} and dec.members.dtype == np.intp
+    # rotations of one cycle are one cycle: weights add up, in the dict constructor ...
     dec = cf.CycleDecomposition(weights={(1, 2, 0): 0.5, (2, 0, 1): 0.25, (3, 1): 0.125},
-                                counts={(1, 2, 0): 2, (2, 0, 1): 1, (3, 1): 4},
-                                kind="sampled", T=8, n_nodes=4)
+                                kind="iterative", n_nodes=4)
     assert dec.weights == {(0, 1, 2): 0.75, (1, 3): 0.125}
-    assert dec.counts == {(0, 1, 2): 3, (1, 3): 4}
+    assert dec.members.tolist() == [0, 1, 2, 1, 3] and dec.lengths.tolist() == [3, 2]
+    # ... and counts add up on the builders' route
+    dec = sampled_from_counts({(1, 2, 0): 2, (2, 0, 1): 1, (3, 1): 4}, T=8, n_nodes=4)
+    assert counts(dec) == {(0, 1, 2): 3, (1, 3): 4}
+    assert dec.weights == {(0, 1, 2): 0.375, (1, 3): 0.5}
     assert dec.members.tolist() == [0, 1, 2, 1, 3] and dec.lengths.tolist() == [3, 2]
 
 
-@pytest.mark.parametrize("key", [(0, 1, 0), (0, 3), (-1, 0), ()],
-                         ids=["repeated_node", "index_past_n", "negative_index", "empty"])
+@pytest.mark.parametrize("key", [(0, 1, 0), (0, 3), (-1, 0), (), (1.5, 0.5, 2), (0.2, 0.7)],
+                         ids=["repeated_node", "index_past_n", "negative_index", "empty",
+                              "float_indices", "float_pair"])
 def test_decomposition_refuses_malformed_keys(key):
+    # a float index is refused, not truncated: (1.5, 0.5, 2) is no cycle (0, 2, 1)
     with pytest.raises(ValueError, match="not a simple cycle on nodes 0..2"):
         cf.CycleDecomposition(weights={(0, 1): 0.5, key: 0.5}, kind="iterative", n_nodes=3)
-
-
-@pytest.mark.parametrize("counts", [{(1, 0): 3, (2,): 1}, {(0, 1): 3, (2,): 1}, {(1, 0): 3}, {}],
-                         ids=["rotated_and_extra", "extra", "rotated", "missing"])
-def test_decomposition_refuses_counts_not_keyed_as_weights(counts):
-    # a count under a key the weights do not hold has no cycle to add to
-    with pytest.raises(ValueError, match="counts must be keyed exactly as weights"):
-        cf.CycleDecomposition(weights={(0, 1): 0.5}, counts=counts, kind="sampled",
-                              n_nodes=3, T=10)
 
 
 def test_decomposition_takes_no_tolerance():
@@ -94,8 +101,7 @@ def test_sample_ring_exact_counts():
     P = cf.transition_matrix(cf.ring(n))
     traj = cf.simulate(P, 0, k * n + 1, seed=0)
     dec = cf.sample_decomposition(traj)
-    assert dec.cycles == [(0, 1, 2, 3)]
-    assert dec.counts[(0, 1, 2, 3)] == k
+    assert counts(dec) == {(0, 1, 2, 3): k}
     assert dec.weights[(0, 1, 2, 3)] == pytest.approx(k / (k * n + 1))
 
 
@@ -104,7 +110,7 @@ def test_sample_three_node_chain_weights():
     P = cf.transition_matrix(G)
     traj = cf.simulate(P, 0, 200_000, seed=1)
     dec = cf.sample_decomposition(traj)
-    assert set(dec.cycles) == {(0, 1), (1, 2)}
+    assert set(dec.weights) == {(0, 1), (1, 2)}
     assert dec.weights[(0, 1)] == pytest.approx(0.25, rel=0.03)
     assert dec.weights[(1, 2)] == pytest.approx(0.25, rel=0.03)
 
@@ -117,8 +123,8 @@ def test_sample_barbell_converges_to_closed_forms():
     dec = cf.sample_decomposition(traj)
     w = 1.0 / (2 * (n + eps))
     assert len(dec.weights) == 3
-    assert dec.weight(range(n)) == pytest.approx(w, rel=0.05)
-    assert dec.weight((0, n)) == pytest.approx(eps * w, rel=0.05)
+    assert weight(dec, range(n)) == pytest.approx(w, rel=0.05)
+    assert weight(dec, (0, n)) == pytest.approx(eps * w, rel=0.05)
 
 
 def test_sample_rejects_short_trajectory():
@@ -145,7 +151,7 @@ def test_sampling_step_budget_invariant(seed, T):
     P = cf.transition_matrix(G)
     traj = cf.simulate(P, int(rng.integers(0, G.n)), T, seed=seed)
     dec = cf.sample_decomposition(traj)
-    assert sum(k * len(c) for c, k in dec.counts.items()) <= T
+    assert int(dec.lengths @ dec.k) <= T
 
 
 def test_sample_start_independence():
@@ -154,8 +160,8 @@ def test_sample_start_independence():
     P = cf.transition_matrix(G)
     d1 = cf.sample_decomposition(cf.simulate(P, 0, 300_000, seed=0))
     d2 = cf.sample_decomposition(cf.simulate(P, 5, 300_000, seed=9))
-    assert set(d1.cycles) == set(d2.cycles)
-    for c in d1.cycles:
+    assert set(d1.weights) == set(d2.weights)
+    for c in d1.weights:
         assert d1.weights[c] == pytest.approx(d2.weights[c], rel=0.2)
 
 
@@ -188,15 +194,15 @@ def test_sample_matches_dict_erasure(G, start, T):
     dec = cf.sample_decomposition(traj)
     # same counts, the rotations of a cycle counted together, in canonical order
     expected = dict_erasure(traj.states.tolist())
-    assert dec.counts == expected and list(dec.counts) == dec.cycles
+    assert counts(dec) == expected and list(dec.weights) == sorted(expected)
     # the Pipeline erases the same walk as it is drawn
     streamed = cf.Pipeline(G, T=T, seed=11, start=start).dec
-    assert streamed.counts == expected and list(streamed.counts) == streamed.cycles
+    assert counts(streamed) == expected and list(streamed.weights) == sorted(expected)
     assert (streamed.T, streamed.n_nodes, streamed.nodes) == (T, G.n, G.nodes)
     # a Pipeline of the stored walk has no graph side and erases the same states
     stored = cf.Pipeline(traj)
     assert (stored.G, stored.P, stored.pi) == (None, None, None)
-    assert stored.dec.counts == expected and stored.dec.T == T
+    assert counts(stored.dec) == expected and stored.dec.T == T
 
 
 def test_sampling_memory_does_not_grow_with_T():
@@ -216,17 +222,13 @@ def test_sampling_memory_does_not_grow_with_T():
 
 
 def dict_oracle(states, n_nodes, nodes=None):
-    """The sampled decomposition built the dict way: dict_erasure's counts, given as dicts."""
-    counts = dict_erasure(states)
-    T = len(states)
-    return cf.CycleDecomposition(weights={c: k / T for c, k in counts.items()}, counts=counts,
-                                 kind="sampled", T=T, n_nodes=n_nodes, nodes=nodes)
+    """The sampled decomposition built the dict way: dict_erasure's counts."""
+    return sampled_from_counts(dict_erasure(states), len(states), n_nodes, nodes)
 
 
 def assert_matches_oracle(dec, ref):
-    assert list(dec.counts.items()) == list(ref.counts.items())
+    assert list(counts(dec).items()) == list(counts(ref).items())
     assert list(dec.weights.items()) == list(ref.weights.items())
-    assert dec.cycles == ref.cycles
     for name in ("w", "k", "lengths", "members", "rows"):
         got, want = getattr(dec, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -331,7 +333,7 @@ def test_sample_memory_of_an_excursion_that_never_ends(budget):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert dec.counts == {(1,): 99_998}
+    assert counts(dec) == {(1,): 99_998}
     assert peak < 60_000
 
 
@@ -350,7 +352,7 @@ def test_sample_memory_of_excursions_that_never_repeat():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert dec.counts == {(0, 1): 300, (1, 2): 45_150}
+    assert counts(dec) == {(0, 1): 300, (1, 2): 45_150}
     assert peak < 40_000
 
 
@@ -387,7 +389,7 @@ def test_sample_walk_checks_index_space():
     walk = cf.Walk(cf.transition_matrix(cf.ring(3)), 0, 10, seed=0)
     with pytest.raises(ValueError, match="at least 2 states"):
         cf.sample_decomposition(cf.Walk(walk.P, 0, 1, seed=0))
-    assert cf.sample_decomposition(walk).counts == {(0, 1, 2): 3}
+    assert counts(cf.sample_decomposition(walk)) == {(0, 1, 2): 3}
     assert cf.sample_decomposition(cf.Walk(walk.P, 0, 2, seed=0)).n_nodes == 3
 
 
@@ -401,7 +403,7 @@ def test_simulated_walk_keeps_its_index_space():
     dec = cf.sample_decomposition(traj)
     walked = cf.sample_decomposition(cf.Walk(P, 0, 8, seed=0))
     assert dec.n_nodes == walked.n_nodes == P.shape[0]
-    assert dec.counts == walked.counts and dec.T == walked.T
+    assert counts(dec) == counts(walked) and dec.T == walked.T
     assert cf.decomposition_to_json(dec) == cf.decomposition_to_json(walked)
 
 
@@ -427,7 +429,7 @@ def test_merge_decompositions():
              for s in (0, 1, 2)]
     merged = cf.merge_decompositions(parts)
     assert merged.T == sum(p.T for p in parts)
-    assert merged.counts[(0, 1, 2)] == sum(p.counts[(0, 1, 2)] for p in parts)
+    assert counts(merged) == {(0, 1, 2): sum(counts(p)[(0, 1, 2)] for p in parts)}
     # associative and order independent
     other = cf.merge_decompositions([parts[2], cf.merge_decompositions(parts[:2])])
     assert other.weights == merged.weights
@@ -440,12 +442,11 @@ def test_merge_decompositions():
     assert all(part.n_nodes == G.n for part in parts)  # each walk visits every node
     expected = {}
     for part in parts:
-        for c, k in part.counts.items():
+        for c, k in counts(part).items():
             expected[c] = expected.get(c, 0) + k
     merged = cf.merge_decompositions(parts)
-    assert merged.counts == expected and list(merged.counts) == merged.cycles
-    assert merged.cycles == sorted(expected)
-    assert merged.w.tolist() == [expected[c] / 1200 for c in merged.cycles]
+    assert counts(merged) == expected and list(merged.weights) == sorted(expected)
+    assert merged.w.tolist() == [expected[c] / 1200 for c in merged.weights]
     for regrouped in ([parts[2], parts[0], parts[1]],
                       [parts[1], cf.merge_decompositions([parts[2], parts[0]])],
                       [cf.merge_decompositions([parts[0], parts[1]]), parts[2]],
@@ -518,7 +519,7 @@ def assert_peel_matches_dense(F, tol=None):
     np.testing.assert_array_equal(F, F0)  # the peel works on its own residual
     ref = dense_peel(F, tol)
     assert dec.weights == ref
-    assert list(dec.weights) == dec.cycles
+    assert list(dec.weights) == sorted(ref)
     return dec
 
 
@@ -555,7 +556,6 @@ def test_iterative_ties_go_to_smallest_node():
     P = cf.transition_matrix(star)
     dec = assert_peel_matches_dense(cf.edge_flow(P, cf.stationary_distribution(P)))
     assert dec.weights == pytest.approx(dict.fromkeys([(0, 1), (0, 2), (0, 3)], 1 / 6))
-    assert list(dec.weights) == dec.cycles
     P = cf.transition_matrix(two_triangles())
     assert_peel_matches_dense(cf.edge_flow(P, cf.stationary_distribution(P)))
 
@@ -593,11 +593,11 @@ def test_iterative_ring_and_chain(chain3):
     P = cf.transition_matrix(ring)
     F = cf.edge_flow(P, cf.stationary_distribution(P))
     dec = cf.iterative_decomposition(F)
-    assert dec.cycles == [tuple(range(6))]
+    assert list(dec.weights) == [tuple(range(6))]
     assert dec.weights[tuple(range(6))] == pytest.approx(1 / 6, abs=1e-14)
 
     dec3 = chain3.dec
-    assert set(dec3.cycles) == {(0, 1), (1, 2)}
+    assert set(dec3.weights) == {(0, 1), (1, 2)}
     assert dec3.weights[(0, 1)] == pytest.approx(0.25, abs=1e-14)
 
 
@@ -667,7 +667,7 @@ def test_exact_weights_reproduce_the_flow():
     # wheel_switch's cycles share edges: no two of its 6 weights are a single edge's flow
     P, pi, dec, w = every_cycle(cf.wheel_switch(10, 0.3))
     assert dec.lengths.size == 6
-    exact = cf.CycleDecomposition(dict(zip(dec.cycles, w)), kind="iterative", n_nodes=dec.n_nodes)
+    exact = cf.CycleDecomposition(dict(zip(dec.weights, w)), kind="iterative", n_nodes=dec.n_nodes)
     assert cf.verify_flow_decomposition(exact, cf.edge_flow(P, pi)) <= 1e-15
     assert np.abs(exact.node_mass() - pi).max() <= 1e-15
     assert abs((dec.lengths * w).sum() - 1.0) <= 1e-14
@@ -685,8 +685,8 @@ def test_exact_weights_match_the_determinant_form(seed):
         return np.linalg.det(A[np.ix_(keep, keep)])
 
     total = sum(minor_off((k,)) for k in range(G.n))
-    p = [np.prod(P[list(c), list(c[1:] + c[:1])]) for c in dec.cycles]
-    assert np.abs(w / (np.array(p) * [minor_off(c) for c in dec.cycles] / total) - 1).max() <= 1e-12
+    p = [np.prod(P[list(c), list(c[1:] + c[:1])]) for c in dec.weights]
+    assert np.abs(w / (np.array(p) * [minor_off(c) for c in dec.weights] / total) - 1).max() <= 1e-12
 
 
 @pytest.mark.parametrize("G", [cf.barbell(4, 0.1), cf.wheel_switch(10, 0.3),
@@ -713,7 +713,7 @@ def test_verify_perturbation_is_reported(chain3):
 def test_reverse_ring_not_in_decomposition(barbell4):
     ring_l = tuple(range(4))
     assert reverse_cycle(ring_l) not in barbell4.dec.weights
-    assert barbell4.dec.weight(reverse_cycle(ring_l)) == 0.0
+    assert weight(barbell4.dec, reverse_cycle(ring_l)) == 0.0
 
 
 # -------------------------------------------------------------------- export
@@ -732,11 +732,12 @@ def test_decomposition_json_sorted(barbell4):
 def json_dumps_decomposition(dec, extra=None):
     """Reference writer: the whole object through json.dumps(..., sort_keys=True, indent=2)."""
     order = sorted(dec.weights, key=lambda c: (-dec.weights[c], c))
+    tally = counts(dec)
     items = []
     for c in order:
         entry = {"cycle": [dec.nodes[v] for v in c], "weight": float(dec.weights[c])}
-        if dec.counts is not None:
-            entry["count"] = dec.counts.get(c, 0)
+        if tally is not None:
+            entry["count"] = tally[c]
         items.append(entry)
     obj = {"kind": dec.kind, "n_nodes": dec.n_nodes, "cycles": items}
     if dec.T is not None:

@@ -449,8 +449,8 @@ def test_edge_list_refuses_a_line_weight_by_its_line(tmp_path, weight):
 
 
 # `#a` would start a comment line, ` a` be stripped to `a`, a leading U+FEFF be dropped
-# as a byte-order mark
-UNREADABLE_IDS = ["", "#a", " a", "a ", "a\tb", "a\rb", "a\nb", "a\u2028", "\ufeffa"]
+# as a byte-order mark, and a lone surrogate cannot be written as UTF-8
+UNREADABLE_IDS = ["", "#a", " a", "a ", "a\tb", "a\rb", "a\nb", "a\u2028", "\ufeffa", "\ud800"]
 
 
 @pytest.mark.parametrize("bad", UNREADABLE_IDS)
